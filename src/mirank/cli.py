@@ -21,13 +21,10 @@ import yaml
 from .configs import ModelConfig, TrainConfig
 from .core import MirankError, Ranking, ValidationError
 from .features import extend_features
-from .metrics import (
-    DegenerateLabelsError,
-    attention_diagnostic,
-    metric_report,
-)
-from .models import score_midnn_batch, sequence_probabilities
-from .models import baseline_probabilities
+# evaluate scores through logged_predictions alone; perfbench/tracer.py still
+# wraps attention_diagnostic, score_midnn_batch and sequence_probabilities here.
+from .metrics import attention_diagnostic, logged_predictions, metric_report  # noqa: F401
+from .models import score_midnn_batch, sequence_probabilities  # noqa: F401
 from .nn.train import TrainingDiverged, train
 from .persistence import (
     LogFormatError,
@@ -111,18 +108,15 @@ def _write_manifest(out_dir: Path, command: str, seed: int, cfg: dict, inputs: l
     (out_dir / f"manifest_{command}.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current sys.stdout (or sys.stderr). Left to pick the
+    stream itself, click caches each one in a map that keeps it alive, so
+    every stream an in-process caller swaps in would leak."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _record_predictions(params, record) -> np.ndarray:
-    candidates = record.candidate_set
-    if params.variant == "baseline":
-        return baseline_probabilities(params, candidates)
-    feats = extend_features(candidates)
-    if params.variant == "midnn":
-        return score_midnn_batch(params, feats)
-    return sequence_probabilities(params, feats, range(len(record)))
 
 
 @click.group()
@@ -175,8 +169,9 @@ def generate(ctx, **flags):
     write_logs(dataset.train_records, out / "train.jsonl")
     write_logs(dataset.test_records, out / "test.jsonl")
     _write_manifest(out, "generate", seed, cfg, [])
-    click.echo(f"wrote {len(dataset.train_records)} train / {len(dataset.test_records)} test records")
-    click.echo(f"purchase-filter acceptance rate: {dataset.acceptance_rate:.4f}")
+    _echo(f"wrote {len(dataset.train_records)} train / {len(dataset.test_records)} test records")
+    rate = dataset.acceptance_rate
+    _echo(f"purchase-filter acceptance rate: {'n/a (no train records)' if rate is None else f'{rate:.4f}'}")
 
 
 @cli.command("train")
@@ -214,7 +209,7 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
         for epoch, loss in enumerate(curve):
             writer.writerow([epoch, repr(loss)])
     _write_manifest(out, f"train_{variant}", seed, cfg, [Path(train_path)])
-    click.echo(f"wrote {model_path}; first-epoch loss {curve[0]:.6f}, final {curve[-1]:.6f}")
+    _echo(f"wrote {model_path}; first-epoch loss {curve[0]:.6f}, final {curve[-1]:.6f}")
 
 
 @cli.command()
@@ -259,7 +254,7 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
         writer.writerow(["query_id", "expected_gmv"])
         writer.writerows(rows)
     _write_manifest(out, "rerank", ctx.obj["seed"], cfg, [Path(model_path), Path(log_path)])
-    click.echo(f"reranked {len(reranked)} records -> {out / 'reranked.jsonl'}")
+    _echo(f"reranked {len(reranked)} records -> {out / 'reranked.jsonl'}")
 
 
 @cli.command()
@@ -270,16 +265,17 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
 def evaluate(ctx, test_path, model_paths, attention_size):
     """Compute AUC/RIG for each model on a test log (plus attention matrix)."""
     dataset = read_logs(test_path, tag="test")
+    if not dataset.records:
+        raise ValidationError(f"test log {test_path} holds no records")
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
+    extended = [extend_features(record.candidate_set) for record in dataset.records]
+    labels = np.concatenate([np.array(record.labels) for record in dataset.records])
     report: dict = {}
     for model_path in model_paths:
         params = load_model(model_path)
-        predictions, labels = [], []
-        for record in dataset.records:
-            predictions.append(_record_predictions(params, record))
-            labels.append(record.labels)
-        metrics = metric_report(np.concatenate(predictions), np.concatenate([np.array(y) for y in labels]))
+        predictions, matrix = logged_predictions(params, extended, attention_size)
+        metrics = metric_report(predictions, labels)
         name = Path(model_path).stem
         report[name] = {
             "variant": params.variant,
@@ -288,16 +284,13 @@ def evaluate(ctx, test_path, model_paths, attention_size):
             "n_samples": metrics.n_samples,
             "positive_rate": metrics.positive_rate,
         }
-        if params.variant == "mirnn_attention":
-            matrix = attention_diagnostic(params, dataset.records, size=attention_size)
+        if matrix is not None:
             with open(out / f"attention_matrix_{name}.csv", "w", newline="") as handle:
-                writer = csv.writer(handle)
-                for row in matrix.values:
-                    writer.writerow([repr(v) for v in row])
+                csv.writer(handle).writerows([repr(float(v)) for v in row] for row in matrix.values)
     (out / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     _write_manifest(out, "evaluate", ctx.obj["seed"], {"attention_size": attention_size},
                     [Path(test_path), *map(Path, model_paths)])
-    click.echo(json.dumps(report, indent=2, sort_keys=True))
+    _echo(json.dumps(report, indent=2, sort_keys=True))
 
 
 @cli.command()
@@ -325,7 +318,7 @@ def bench(ctx, model_paths, sizes, beams, reps):
     (out / "latency_slopes.json").write_text(json.dumps(slopes, indent=2, sort_keys=True))
     _write_manifest(out, "bench", ctx.obj["seed"],
                     {"sizes": sizes, "beams": beams, "reps": reps}, list(map(Path, model_paths)))
-    click.echo(json.dumps(slopes, indent=2, sort_keys=True))
+    _echo(json.dumps(slopes, indent=2, sort_keys=True))
 
 
 @cli.command("oracle-compare")
@@ -371,7 +364,7 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
     _write_manifest(out, "oracle_compare", ctx.obj["seed"],
                     {"max_n": max_n, "beams": beams}, [Path(model_path), Path(log_path)])
     worst = min(row["ratio"] for row in rows) if rows else float("nan")
-    click.echo(f"{len(rows)} comparisons; worst beam/oracle ratio {worst:.6f}")
+    _echo(f"{len(rows)} comparisons; worst beam/oracle ratio {worst:.6f}")
 
 
 def main(argv=None) -> int:
@@ -385,13 +378,13 @@ def main(argv=None) -> int:
     except click.Abort:
         return EXIT_VALIDATION
     except TrainingDiverged as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return EXIT_DIVERGED
     except (ModelFileError, LogFormatError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return EXIT_IO
     except MirankError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return EXIT_VALIDATION
 
 

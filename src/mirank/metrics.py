@@ -13,7 +13,7 @@ from scipy.stats import rankdata
 from .configs import ModelParams
 from .core import CandidateSet, Item, MirankError, QueryRecord, Ranking, make_rng
 from .features import extend_features
-from .models import sequence_attention_weights
+from .models import baseline_probabilities, logged_forward, score_midnn_batch
 from .nn.common import PROB_EPS
 from .ranker import beam_search, rank_by_baseline, rank_by_sort
 from .simgen import BehaviorConfig, session_probabilities
@@ -28,6 +28,7 @@ __all__ = [
     "auc",
     "compare_policies",
     "latency_bench",
+    "logged_predictions",
     "metric_report",
     "rig",
 ]
@@ -198,19 +199,53 @@ def attention_diagnostic(
     """
     if params.variant != "mirnn_attention":
         raise MirankError(f"attention diagnostic requires mirnn_attention, got {params.variant!r}")
-    total = np.zeros((size, size))
+    prefixes = [extend_features(r.candidate_set)[:size] for r in records if len(r) >= size]
+    return logged_predictions(params, prefixes, attention_size=size)[1]
+
+
+# Rows per MLP call when a whole log is scored, so memory stays bounded.
+ROW_CHUNK = 8192
+
+
+def logged_predictions(
+    params: ModelParams, extended: Sequence[np.ndarray], attention_size: int | None = None
+) -> tuple[np.ndarray, AttentionMatrix | None]:
+    """Purchase probabilities at every logged position of a log, batched.
+
+    ``extended`` holds each record's extended features with rows in logged
+    order (one list can serve every model; the baseline reads its local
+    half). Returns (probs, attention): probs concatenates the records in log
+    order; attention is, for a mirnn_attention model given ``attention_size``,
+    the :func:`attention_diagnostic` matrix over the records at least that
+    long, read from the same forward pass, and None otherwise.
+
+    The recurrent models are causal, so the first ``attention_size`` positions
+    of a full-record forward equal a forward over that prefix alone.
+    """
+    if not params.is_recurrent:
+        rows, score, inverse = np.vstack(extended), score_midnn_batch, None
+        if params.variant == "baseline":
+            # Score each distinct item once: BLAS rounding can depend on a row's
+            # place in the batch, which would split exact ties between repeats.
+            rows, inverse = np.unique(rows[:, : rows.shape[1] // 2], axis=0, return_inverse=True)
+            score = baseline_probabilities
+        probs = np.concatenate([score(params, rows[s : s + ROW_CHUNK]) for s in range(0, len(rows), ROW_CHUNK)])
+        return (probs if inverse is None else probs[inverse.ravel()]), None
+    size = attention_size if params.variant == "mirnn_attention" else None
+    per_record: list = [None] * len(extended)
+    total = np.zeros((size, size)) if size is not None else None
     count = 0
-    for record in records:
-        if len(record) < size:
-            continue
-        feats = extend_features(record.candidate_set)
-        weights = sequence_attention_weights(params, feats, range(size))
-        for i in range(2, size + 1):
-            total[i - 1, : i - 1] += weights[i - 1]
-        count += 1
-    if count == 0:
+    for chunk, probs, caches in logged_forward(params, extended):
+        for row, index in enumerate(chunk):
+            per_record[index] = probs[row]
+        if size is not None and probs.shape[1] >= size:
+            for t in range(1, size):
+                total[t, :t] += caches["alphas"][t].sum(axis=0)
+            count += len(chunk)
+    if size is not None and count == 0:
         raise MirankError(f"no records of length >= {size} for the attention diagnostic")
-    return AttentionMatrix(values=total / count, n_records=count)
+    attention = AttentionMatrix(values=total / count, n_records=count) if size is not None else None
+    return np.concatenate(per_record), attention
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +259,6 @@ class LatencyProfile:
     rows: tuple[dict, ...]  # keys: model, rerank_size, beam_size, median_seconds
     slope_vs_n: dict[str, float] = field(default_factory=dict)
     slope_vs_k: dict[str, float] = field(default_factory=dict)
-
-
-def _rank_once(params: ModelParams, candidates: CandidateSet, k: int) -> None:
-    if params.variant == "midnn":
-        rank_by_sort(params, candidates)
-    elif params.variant == "baseline":
-        rank_by_baseline(params, candidates)
-    else:
-        beam_search(params, candidates, k)
 
 
 def _fit_slope(sizes: Sequence[int], times: Sequence[float]) -> float:
@@ -260,13 +286,14 @@ def latency_bench(
     for name, params in models.items():
         ks = list(beam_sizes) if params.is_recurrent else [0]
         for k in ks:
+            rank = model_policy(params, beam_size=k)
             for n in rerank_sizes:
                 candidates = catalogs[n]
-                _rank_once(params, candidates, k)  # warm-up
+                rank(candidates)  # warm-up
                 samples = []
                 for _ in range(repetitions):
                     start = time.perf_counter()
-                    _rank_once(params, candidates, k)
+                    rank(candidates)
                     samples.append(time.perf_counter() - start)
                 rows.append(
                     {

@@ -11,7 +11,9 @@ states without recomputation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "branch_state",
     "init_model",
     "initial_state",
+    "logged_forward",
     "score_baseline",
     "score_baseline_batch",
     "score_midnn",
@@ -86,9 +89,10 @@ def score_baseline_batch(params: ModelParams, candidates: CandidateSet, gamma: f
     return candidates.prices**gamma * probs
 
 
-def baseline_probabilities(params: ModelParams, candidates: CandidateSet) -> np.ndarray:
+def baseline_probabilities(params: ModelParams, local: np.ndarray) -> np.ndarray:
+    """Purchase probabilities from (n, d) local feature rows; order-independent."""
     _require_variant(params, ("baseline",))
-    probs, _ = nn.mlp_forward_batch(params.blocks, candidates.feature_matrix)
+    probs, _ = nn.mlp_forward_batch(params.blocks, local)
     return probs
 
 
@@ -276,6 +280,32 @@ def sequence_probabilities_batch(
     x = np.asarray(extended, dtype=np.float64)[np.asarray(orders, dtype=int)]
     probs, _ = nn.sequence_forward(params.blocks, x)
     return probs
+
+
+# Records per forward pass when a whole log is scored: bounds the caches held
+# at once on large logs while keeping each step's matmuls wide.
+LOG_CHUNK = 64
+
+
+def logged_forward(params: ModelParams, extended: Sequence[np.ndarray]):
+    """Forward pass over each record's logged order, many records at a time.
+
+    ``extended`` holds one (T, F) matrix per record, rows in logged order.
+    Records are grouped by length, so each chunk of at most LOG_CHUNK of them
+    stacks into one (B, T, F) batch. Yields (indices, probs, caches) per
+    chunk: ``indices`` locate its records in ``extended``; probs and caches
+    are those of :func:`nn.sequence_forward`.
+    """
+    _require_variant(params, ("mirnn", "mirnn_attention"))
+    buckets: dict[int, list[int]] = defaultdict(list)
+    for index, feats in enumerate(extended):
+        buckets[len(feats)].append(index)
+    for length in sorted(buckets):
+        indices = buckets[length]
+        for start in range(0, len(indices), LOG_CHUNK):
+            chunk = indices[start : start + LOG_CHUNK]
+            probs, caches = nn.sequence_forward(params.blocks, np.stack([extended[i] for i in chunk]))
+            yield chunk, probs, caches
 
 
 def sequence_attention_weights(params: ModelParams, extended: np.ndarray, order) -> list[np.ndarray]:

@@ -3,11 +3,7 @@
 from .common import cross_entropy, cross_entropy_batch, relu, sigmoid
 from .mlp import init_mlp_params, mlp_backward, mlp_forward, mlp_forward_batch
 from .lstm import init_lstm_params, lstm_step, lstm_step_batch
-from .attention import (
-    attention_context,
-    init_attention_params,
-    make_item_representation,
-)
+from .attention import init_attention_params
 from .recurrent import sequence_backward, sequence_forward
 from .gradcheck import GradientReport, gradient_check
 from .optim import AdamState, adam_step
@@ -19,7 +15,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "adam_step",
-    "attention_context",
     "cross_entropy",
     "cross_entropy_batch",
     "gradient_check",
@@ -28,7 +23,6 @@ __all__ = [
     "init_mlp_params",
     "lstm_step",
     "lstm_step_batch",
-    "make_item_representation",
     "mlp_backward",
     "mlp_forward",
     "mlp_forward_batch",

@@ -36,53 +36,7 @@ def position_row(params: dict[str, np.ndarray], position_index: int) -> int:
     return min(position_index, params["pos_emb"].shape[0]) - 1
 
 
-def make_item_representation(
-    params: dict[str, np.ndarray],
-    position_index: int,
-    hidden: np.ndarray,
-) -> np.ndarray:
-    """a_i = ReLU(W_a [pos_embedding(position_index); hidden]); position is 1-based."""
-    pos = params["pos_emb"][position_row(params, position_index)]
-    return np.maximum(params["W_a"] @ np.concatenate([pos, hidden]), 0.0)
-
-
-def attention_scores(
-    params: dict[str, np.ndarray],
-    a_i: np.ndarray,
-    cached_reps: np.ndarray,
-) -> np.ndarray:
-    """ReLU pair scores of a_i against each cached predecessor representation."""
-    attn_dim = a_i.shape[-1]
-    own = cached_reps @ params["w_g"][attn_dim:]
-    return np.maximum(a_i @ params["w_g"][:attn_dim] + own, 0.0)
-
-
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = scores - scores.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def attention_context(
-    params: dict[str, np.ndarray],
-    cached_reps,
-    a_i: np.ndarray,
-    hidden_history,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Context vector and attention weights over the i-1 predecessors.
-
-    Returns (context, weights): weights are the softmax of the ReLU pair
-    scores, nonnegative and summing to 1; context is the weight-averaged sum
-    of the predecessor hidden vectors.
-    """
-    reps = np.atleast_2d(np.asarray(cached_reps, dtype=np.float64))
-    history = np.atleast_2d(np.asarray(hidden_history, dtype=np.float64))
-    if reps.shape[0] != history.shape[0]:
-        raise ValueError(
-            f"{reps.shape[0]} cached representations for {history.shape[0]} hidden vectors"
-        )
-    if reps.shape[0] < 1:
-        raise ValueError("attention needs at least one predecessor")
-    weights = softmax(attention_scores(params, a_i, reps))
-    context = weights @ history
-    return context, weights

@@ -53,7 +53,7 @@ class RankResult:
 def _order_probabilities(params: ModelParams, candidates: CandidateSet, order) -> np.ndarray:
     """Model probability at each position of the given order."""
     if params.variant == "baseline":
-        return baseline_probabilities(params, candidates)[np.asarray(order, dtype=int)]
+        return baseline_probabilities(params, candidates.feature_matrix)[np.asarray(order, dtype=int)]
     feats = extend_features(candidates)
     if params.variant == "midnn":
         return score_midnn_batch(params, feats)[np.asarray(order, dtype=int)]
@@ -92,7 +92,7 @@ def rank_by_baseline(params: ModelParams, candidates: CandidateSet, gamma: float
     """Descending price^gamma times local-feature probability; ties by item id."""
     if params.variant != "baseline":
         raise MirankError(f"rank_by_baseline requires a baseline model, got {params.variant!r}")
-    probs = baseline_probabilities(params, candidates)
+    probs = baseline_probabilities(params, candidates.feature_matrix)
     scores = candidates.prices**gamma * probs
     ids = [item.id for item in candidates.items]
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], ids[i]))

@@ -216,6 +216,8 @@ def generate_logs(
 
     Train records must contain at least one purchase; candidates failing the
     filter are discarded and regenerated. Test records are kept as sampled.
+    The dataset's acceptance rate is the share of train candidates that
+    passed the filter, or None when no train record was drawn.
     """
     if items_per_query > len(catalog):
         raise MirankError(
@@ -263,7 +265,7 @@ def generate_logs(
         records=tuple(records),
         tags=tuple(tags),
         config=snapshot,
-        acceptance_rate=accepted / attempts,
+        acceptance_rate=accepted / attempts if attempts else None,
     )
 
 

@@ -28,7 +28,7 @@ from mirank import (
 )
 from mirank.core import make_rng
 from mirank.features import DEGENERATE_FILL, extend_feature_matrix, extend_features
-from mirank.metrics import model_policy
+from mirank.metrics import logged_predictions, model_policy
 from mirank.models import advance_sequence, initial_state, sequence_probabilities
 from mirank.nn.common import cross_entropy
 from mirank.nn.gradcheck import gradient_check
@@ -45,23 +45,8 @@ def _report(num: int, ok: bool, detail: str, capsys) -> None:
 
 
 def _test_predictions(params, records):
-    predictions, labels = [], []
-    for record in records:
-        candidates = record.candidate_set
-        if params.variant == "baseline":
-            from mirank.models import baseline_probabilities
-
-            predictions.append(baseline_probabilities(params, candidates))
-        else:
-            feats = extend_features(candidates)
-            if params.variant == "midnn":
-                from mirank.models import score_midnn_batch
-
-                predictions.append(score_midnn_batch(params, feats))
-            else:
-                predictions.append(sequence_probabilities(params, feats, range(len(record))))
-        labels.append(np.array(record.labels))
-    return np.concatenate(predictions), np.concatenate(labels)
+    predictions, _ = logged_predictions(params, [extend_features(r.candidate_set) for r in records])
+    return predictions, np.concatenate([np.array(record.labels) for record in records])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 """Command-line interface: pipeline round trip, config layering, exit codes."""
 
+import contextlib
+import csv
+import gc
+import io
 import json
+import math
+import weakref
 
 import pytest
 import yaml
 
+from mirank import ModelConfig, init_model
 from mirank.cli import EXIT_DIVERGED, EXIT_IO, EXIT_VALIDATION, main
-from mirank.persistence import load_model, read_logs
+from mirank.persistence import load_model, read_logs, save_model, write_logs
+from conftest import mixed_length_log
 
 GEN_FLAGS = [
     "--n-queries", "12",
@@ -99,11 +107,70 @@ class TestPipeline:
         assert (a / "train.jsonl").read_bytes() == (b / "train.jsonl").read_bytes()
         assert (a / "test.jsonl").read_bytes() == (b / "test.jsonl").read_bytes()
 
+    def test_generate_without_train_split(self, tmp_path):
+        out = tmp_path / "run"
+        assert _generate(out, extra=["--train-fraction", "0"]) == 0
+        assert len(read_logs(out / "train.jsonl")) == 0
+        assert len(read_logs(out / "test.jsonl")) == 12
+
+    def test_swapped_stdout_is_released(self, tmp_path):
+        """An in-process caller that points sys.stdout at a fresh buffer per
+        call must get every buffer back; retained ones grow memory per call."""
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            assert _generate(tmp_path / "run") == 0
+        assert "test records" in stream.getvalue()
+        released = weakref.ref(stream)
+        del stream
+        gc.collect()
+        assert released() is None
+
     def test_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert _generate(a, seed=1) == 0
         assert _generate(b, seed=2) == 0
         assert (a / "train.jsonl").read_bytes() != (b / "train.jsonl").read_bytes()
+
+
+class TestEvaluate:
+    VARIANTS = ("baseline", "midnn", "mirnn", "mirnn_attention")
+
+    def _inputs(self, tmp_path):
+        log = tmp_path / "test.jsonl"
+        write_logs(mixed_length_log((9, 4, 12, 6, 9, 15, 4, 7), d=3), log)
+        config = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2)
+        paths = []
+        for seed, variant in enumerate(self.VARIANTS):
+            path = tmp_path / f"{variant}.model"
+            save_model(init_model(variant, config, seed=seed), path)
+            paths.append(str(path))
+        return log, paths
+
+    def _evaluate(self, out, log, paths):
+        assert main(["--output-dir", str(out), "evaluate", str(log), *paths, "--attention-size", "6"]) == 0
+        return json.loads((out / "metrics.json").read_text())
+
+    def test_each_model_scores_as_if_alone(self, tmp_path):
+        log, paths = self._inputs(tmp_path)
+        together = self._evaluate(tmp_path / "all", log, paths)
+        assert set(together) == set(self.VARIANTS)
+        for variant, path in zip(self.VARIANTS, paths):
+            alone = self._evaluate(tmp_path / variant, log, [path])
+            assert alone == {variant: together[variant]}
+
+    def test_attention_matrix_cells_are_plain_floats(self, tmp_path):
+        log, paths = self._inputs(tmp_path)
+        self._evaluate(tmp_path / "run", log, paths[-1:])
+        with open(tmp_path / "run" / "attention_matrix_mirnn_attention.csv", newline="") as handle:
+            rows = [[float(cell) for cell in row] for row in csv.reader(handle)]
+        assert len(rows) == 6 and all(len(row) == 6 for row in rows)
+        for row in rows[1:]:
+            assert abs(math.fsum(row) - 1.0) <= 1e-9
+
+    def test_empty_test_log_is_validation(self, tmp_path):
+        log, paths = self._inputs(tmp_path)
+        log.write_text("")
+        assert main(["--output-dir", str(tmp_path), "evaluate", str(log), paths[1]]) == EXIT_VALIDATION
 
 
 class TestConfigLayering:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mirank import BehaviorConfig, ModelConfig, generate_catalog, init_model
+from mirank import BehaviorConfig, ModelConfig, extend_features, generate_catalog, init_model
+from mirank import models
 from mirank.core import MirankError, QueryRecord, Ranking, make_rng
 from mirank.metrics import (
     DegenerateLabelsError,
@@ -11,11 +12,12 @@ from mirank.metrics import (
     auc,
     compare_policies,
     latency_bench,
+    logged_predictions,
     metric_report,
     model_policy,
     rig,
 )
-from conftest import random_candidates
+from conftest import mixed_length_log, random_candidates
 
 SMALL = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=24)
 
@@ -139,6 +141,95 @@ class TestAttentionDiagnostic:
     def test_requires_attention_variant(self):
         with pytest.raises(MirankError):
             attention_diagnostic(init_model("mirnn", SMALL, seed=0), self._records(4), size=4)
+
+
+MIXED_LENGTHS = (9, 4, 12, 6, 9, 15, 4, 12, 7, 9)
+
+
+def _per_record_predictions(params, record):
+    candidates = record.candidate_set
+    if params.variant == "baseline":
+        return models.baseline_probabilities(params, candidates.feature_matrix)
+    feats = extend_features(candidates)
+    if params.variant == "midnn":
+        return models.score_midnn_batch(params, feats)
+    return models.sequence_probabilities(params, feats, range(len(record)))
+
+
+class TestLoggedPredictions:
+    @pytest.mark.parametrize("variant", ["baseline", "midnn", "mirnn", "mirnn_attention"])
+    def test_matches_per_record_scoring_in_log_order(self, variant, monkeypatch):
+        # Two records per chunk, so equal-length records span several chunks.
+        monkeypatch.setattr(models, "LOG_CHUNK", 2)
+        records = mixed_length_log(MIXED_LENGTHS, d=3)
+        params = init_model(variant, SMALL, seed=2)
+        extended = [extend_features(r.candidate_set) for r in records]
+        batched, attention = logged_predictions(params, extended)
+        expected = np.concatenate([_per_record_predictions(params, r) for r in records])
+        assert attention is None
+        assert batched.shape == expected.shape
+        assert np.max(np.abs(batched - expected)) <= 1e-12
+
+    def test_baseline_gives_repeated_items_one_probability(self):
+        """An item's local features do not depend on its record, so every
+        occurrence must score bit-identically, whatever the record's length
+        or the item's row in it."""
+        records = mixed_length_log((20, 13, 7, 31, 20, 5, 26, 11), d=23)
+        params = init_model("baseline", ModelConfig(d=23), seed=3)
+        probs, _ = logged_predictions(params, [extend_features(r.candidate_set) for r in records])
+        by_item: dict[int, set] = {}
+        ids = [item.id for r in records for item in r.displayed]
+        for item_id, p in zip(ids, probs):
+            by_item.setdefault(item_id, set()).add(float(p))
+        repeated = [item_id for item_id in by_item if ids.count(item_id) > 1]
+        assert len(repeated) >= 20
+        assert all(len(by_item[item_id]) == 1 for item_id in repeated)
+
+
+class TestBatchedAttentionDiagnostic:
+    SIZE = 6
+
+    def _reference(self, params, records, size):
+        """Per-record average of the weights over each qualifying record's prefix."""
+        total = np.zeros((size, size))
+        qualifying = [r for r in records if len(r) >= size]
+        for record in qualifying:
+            weights = models.sequence_attention_weights(
+                params, extend_features(record.candidate_set), range(size)
+            )
+            for i in range(2, size + 1):
+                total[i - 1, : i - 1] += weights[i - 1]
+        return total / len(qualifying), len(qualifying)
+
+    def test_matches_per_record_average(self, monkeypatch):
+        monkeypatch.setattr(models, "LOG_CHUNK", 2)
+        records = mixed_length_log(MIXED_LENGTHS, d=3)
+        params = init_model("mirnn_attention", SMALL, seed=6)
+        expected, count = self._reference(params, records, self.SIZE)
+        assert any(len(r) > self.SIZE for r in records)
+        matrix = attention_diagnostic(params, records, size=self.SIZE)
+        assert matrix.n_records == count
+        assert np.max(np.abs(matrix.values - expected)) <= 1e-12
+
+    def test_read_from_the_scoring_forward_pass(self):
+        """Scoring whole records yields the same matrix as the prefix-only
+        diagnostic, because the model is causal."""
+        records = mixed_length_log(MIXED_LENGTHS, d=3)
+        params = init_model("mirnn_attention", SMALL, seed=6)
+        extended = [extend_features(r.candidate_set) for r in records]
+        probs, matrix = logged_predictions(params, extended, attention_size=self.SIZE)
+        alone, _ = logged_predictions(params, extended)
+        direct = attention_diagnostic(params, records, size=self.SIZE)
+        assert np.array_equal(probs, alone)
+        assert matrix.n_records == direct.n_records
+        assert np.max(np.abs(matrix.values - direct.values)) <= 1e-12
+
+    def test_other_variants_ignore_attention_size(self):
+        records = mixed_length_log(MIXED_LENGTHS, d=3)
+        extended = [extend_features(r.candidate_set) for r in records]
+        for variant in ("baseline", "midnn", "mirnn"):
+            _, matrix = logged_predictions(init_model(variant, SMALL, seed=0), extended, attention_size=4)
+            assert matrix is None
 
 
 class TestLatencyBench:

@@ -200,5 +200,11 @@ class TestGenerateLogs:
         with pytest.raises(MirankError, match="acceptance rate"):
             generate_logs(config, catalog, n_queries=2, items_per_query=3, seed=5)
 
+    def test_no_train_split_has_no_acceptance_rate(self):
+        catalog = generate_catalog(20, 3, seed=1)
+        data = generate_logs(BehaviorConfig(seed=2), catalog, n_queries=5, items_per_query=4, train_fraction=0.0)
+        assert data.acceptance_rate is None
+        assert len(data.train_records) == 0 and len(data.test_records) == 5
+
     def test_policy_registry_is_complete(self):
         assert set(RANKING_POLICIES) == {"random", "as_sampled", "price_desc", "price_asc"}
