@@ -311,9 +311,10 @@ def bench(ctx, model_paths, sizes, beams, reps):
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "latency.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["model", "rerank_size", "beam_size", "median_seconds"])
+        writer.writerow(["model", "rerank_size", "beam_size", "median_seconds", "min_seconds"])
         for row in profile.rows:
-            writer.writerow([row["model"], row["rerank_size"], row["beam_size"], repr(row["median_seconds"])])
+            writer.writerow([row["model"], row["rerank_size"], row["beam_size"],
+                             repr(row["median_seconds"]), repr(row["min_seconds"])])
     slopes = {"slope_vs_n": profile.slope_vs_n, "slope_vs_k": profile.slope_vs_k}
     (out / "latency_slopes.json").write_text(json.dumps(slopes, indent=2, sort_keys=True))
     _write_manifest(out, "bench", ctx.obj["seed"],

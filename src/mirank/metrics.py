@@ -254,9 +254,9 @@ def logged_predictions(
 
 @dataclass(frozen=True)
 class LatencyProfile:
-    """Median wall times per configuration plus fitted log-log scaling slopes."""
+    """Wall times per configuration plus fitted log-log scaling slopes."""
 
-    rows: tuple[dict, ...]  # keys: model, rerank_size, beam_size, median_seconds
+    rows: tuple[dict, ...]  # keys: model, rerank_size, beam_size, median_seconds, min_seconds
     slope_vs_n: dict[str, float] = field(default_factory=dict)
     slope_vs_k: dict[str, float] = field(default_factory=dict)
 
@@ -272,55 +272,56 @@ def latency_bench(
     repetitions: int,
     seed: int,
 ) -> LatencyProfile:
-    """Median ranking wall time over random candidate sets, one warm-up run
-    excluded, with log-log slope fits of time vs rerank size (at the smallest
-    beam size) and time vs beam size (at the largest rerank size)."""
+    """Median and minimum ranking wall time over random candidate sets, with
+    log-log slope fits of time vs rerank size (at the smallest beam size) and
+    time vs beam size (at the largest rerank size).
+
+    Repetitions go round all (model, beam size, rerank size) cells in turn, so
+    a slow stretch of the machine falls on every cell alike; each timed run
+    directly follows an untimed one of the same cell, so it finds that cell's
+    data in cache. The slopes are fitted on each cell's minimum: load only
+    ever adds time, so the fastest repetition is the least noisy estimate of
+    the work itself.
+    """
     from .simgen import generate_catalog
 
-    rows: list[dict] = []
     first_params = next(iter(models.values()))
     catalogs = {
         n: CandidateSet(tuple(generate_catalog(n, first_params.config.d, seed + n)))
         for n in rerank_sizes
     }
-    for name, params in models.items():
-        ks = list(beam_sizes) if params.is_recurrent else [0]
-        for k in ks:
-            rank = model_policy(params, beam_size=k)
-            for n in rerank_sizes:
-                candidates = catalogs[n]
-                rank(candidates)  # warm-up
-                samples = []
-                for _ in range(repetitions):
-                    start = time.perf_counter()
-                    rank(candidates)
-                    samples.append(time.perf_counter() - start)
-                rows.append(
-                    {
-                        "model": name,
-                        "rerank_size": n,
-                        "beam_size": k,
-                        "median_seconds": float(np.median(samples)),
-                    }
-                )
+    policies = {
+        (name, k): model_policy(params, beam_size=k)
+        for name, params in models.items()
+        for k in (beam_sizes if params.is_recurrent else [0])
+    }
+    samples: dict[tuple, list[float]] = {
+        (name, k, n): [] for name, k in policies for n in rerank_sizes
+    }
+    for _ in range(repetitions):
+        for (name, k, n), times in samples.items():
+            rank, candidates = policies[name, k], catalogs[n]
+            rank(candidates)  # warm-up
+            start = time.perf_counter()
+            rank(candidates)
+            times.append(time.perf_counter() - start)
+    rows = [
+        {
+            "model": name,
+            "rerank_size": n,
+            "beam_size": k,
+            "median_seconds": float(np.median(times)),
+            "min_seconds": min(times),
+        }
+        for (name, k, n), times in samples.items()
+    ]
+    fastest = {cell: min(times) for cell, times in samples.items()}
     slope_vs_n: dict[str, float] = {}
     slope_vs_k: dict[str, float] = {}
     for name, params in models.items():
         base_k = min(beam_sizes) if params.is_recurrent else 0
-        times_n = [
-            row["median_seconds"]
-            for n in rerank_sizes
-            for row in rows
-            if row["model"] == name and row["rerank_size"] == n and row["beam_size"] == base_k
-        ]
-        slope_vs_n[name] = _fit_slope(rerank_sizes, times_n)
+        slope_vs_n[name] = _fit_slope(rerank_sizes, [fastest[name, base_k, n] for n in rerank_sizes])
         if params.is_recurrent and len(beam_sizes) > 1:
             big_n = max(rerank_sizes)
-            times_k = [
-                row["median_seconds"]
-                for k in beam_sizes
-                for row in rows
-                if row["model"] == name and row["rerank_size"] == big_n and row["beam_size"] == k
-            ]
-            slope_vs_k[name] = _fit_slope(beam_sizes, times_k)
+            slope_vs_k[name] = _fit_slope(beam_sizes, [fastest[name, k, big_n] for k in beam_sizes])
     return LatencyProfile(rows=tuple(rows), slope_vs_n=slope_vs_n, slope_vs_k=slope_vs_k)

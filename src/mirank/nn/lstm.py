@@ -49,26 +49,25 @@ def lstm_step_batch(
     hidden = np.broadcast_to(np.atleast_2d(hidden), (x.shape[0], h_dim))
     cell = np.broadcast_to(np.atleast_2d(cell), (x.shape[0], h_dim))
     z = x @ params["Wx"].T + hidden @ params["Wh"].T + params["b"]
-    i = sigmoid(z[:, :h_dim])
-    f = sigmoid(z[:, h_dim : 2 * h_dim])
-    o = sigmoid(z[:, 2 * h_dim : 3 * h_dim])
-    g = np.tanh(z[:, 3 * h_dim :])
-    cell_new = f * cell + i * g
-    tanh_cell = np.tanh(cell_new)
-    hidden_new = o * tanh_cell
+    hidden_new, cell_new, (i, f, o, g, tanh_cell) = cell_update(z, cell)
     cache = (x, hidden, cell, i, f, o, g, tanh_cell)
     return hidden_new, cell_new, cache
 
 
-def lstm_step(
-    params: dict[str, np.ndarray],
-    hidden: np.ndarray,
-    cell_memory: np.ndarray,
-    x: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-vector recurrence step; pure, returns (hidden', cell_memory')."""
-    h_new, c_new, _ = lstm_step_batch(params, hidden, cell_memory, np.asarray(x)[None, :])
-    return h_new[0], c_new[0]
+def cell_update(z: np.ndarray, cell: np.ndarray):
+    """Cell and hidden update from stacked (..., 4H) gate pre-activations.
+
+    Returns (hidden', cell', (i, f, o, g, tanh(cell'))); the gate activations
+    are what :func:`lstm_step_backward` needs.
+    """
+    h_dim = z.shape[-1] // 4
+    i = sigmoid(z[..., :h_dim])
+    f = sigmoid(z[..., h_dim : 2 * h_dim])
+    o = sigmoid(z[..., 2 * h_dim : 3 * h_dim])
+    g = np.tanh(z[..., 3 * h_dim :])
+    cell_new = f * cell + i * g
+    tanh_cell = np.tanh(cell_new)
+    return o * tanh_cell, cell_new, (i, f, o, g, tanh_cell)
 
 
 def lstm_step_backward(

@@ -58,12 +58,6 @@ def mlp_forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
     return probs, (activations, pre_activations)
 
 
-def mlp_forward(params: dict[str, np.ndarray], x: np.ndarray) -> float:
-    """Purchase probability for a single feature vector; strictly inside (0, 1)."""
-    probs, _ = mlp_forward_batch(params, np.asarray(x)[None, :])
-    return float(probs[0])
-
-
 def mlp_backward(
     params: dict[str, np.ndarray],
     caches,

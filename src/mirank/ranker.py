@@ -20,6 +20,7 @@ from .core import CandidateSet, MirankError, Ranking
 from .features import extend_features
 from .models import (
     advance_entries,
+    input_projection,
     baseline_probabilities,
     score_midnn_batch,
     sequence_probabilities,
@@ -67,6 +68,26 @@ def expected_gmv(params: ModelParams, candidates: CandidateSet, ranking: Ranking
     return float(np.sum(candidates.prices[order] * probs))
 
 
+def _id_ranks(candidates: CandidateSet) -> np.ndarray:
+    """Dense rank of each item's id: equal ids share a rank."""
+    return np.unique([item.id for item in candidates.items], return_inverse=True)[1].ravel()
+
+
+def _descending(scores: np.ndarray, tie_ranks: np.ndarray) -> np.ndarray:
+    """Indices by descending score, ties by ascending ``tie_ranks``, then by
+    index. This is the tie rule of every ranking path."""
+    return np.lexsort((tie_ranks, -scores))
+
+
+def _sorted_result(candidates: CandidateSet, scores: np.ndarray, probs: np.ndarray) -> RankResult:
+    order = _descending(scores, _id_ranks(candidates))
+    return RankResult(
+        ranking=Ranking(tuple(order)),
+        expected_gmv=float((candidates.prices[order] * probs[order]).sum()),
+        per_position_probabilities=probs[order],
+    )
+
+
 def rank_by_sort(params: ModelParams, candidates: CandidateSet) -> RankResult:
     """Descending price-times-probability order for the feed-forward model.
 
@@ -77,31 +98,17 @@ def rank_by_sort(params: ModelParams, candidates: CandidateSet) -> RankResult:
     if params.variant != "midnn":
         raise MirankError(f"rank_by_sort requires a midnn model, got {params.variant!r}")
     probs = score_midnn_batch(params, extend_features(candidates))
-    scores = candidates.prices * probs
-    ids = [item.id for item in candidates.items]
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], ids[i]))
-    ranking = Ranking(tuple(order))
-    return RankResult(
-        ranking=ranking,
-        expected_gmv=float(scores[order].sum()),
-        per_position_probabilities=probs[order],
-    )
+    return _sorted_result(candidates, candidates.prices * probs, probs)
 
 
 def rank_by_baseline(params: ModelParams, candidates: CandidateSet, gamma: float = 1.0) -> RankResult:
     """Descending price^gamma times local-feature probability; ties by item id."""
     if params.variant != "baseline":
         raise MirankError(f"rank_by_baseline requires a baseline model, got {params.variant!r}")
+    if gamma < 0:
+        raise MirankError(f"gamma must be nonnegative, got {gamma}")
     probs = baseline_probabilities(params, candidates.feature_matrix)
-    scores = candidates.prices**gamma * probs
-    ids = [item.id for item in candidates.items]
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], ids[i]))
-    ranking = Ranking(tuple(order))
-    return RankResult(
-        ranking=ranking,
-        expected_gmv=float((candidates.prices[order] * probs[order]).sum()),
-        per_position_probabilities=probs[order],
-    )
+    return _sorted_result(candidates, candidates.prices**gamma * probs, probs)
 
 
 def _id_sequence(candidates: CandidateSet, order) -> tuple[int, ...]:
@@ -111,10 +118,10 @@ def _id_sequence(candidates: CandidateSet, order) -> tuple[int, ...]:
 def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankResult:
     """Top-k beam search over partial rankings for the recurrent models.
 
-    Each step expands every beam entry with every unused item in one batched
-    call, scores the extensions by accumulated expected GMV, and keeps the
-    pooled global top-k. Ties in the top-k and in the final selection break
-    by the lexicographic item-id sequence, so runs are reproducible.
+    Each step advances every beam entry with every item in one batched call,
+    scores the extensions by items the entry has not placed by accumulated
+    expected GMV, and keeps the pooled global top-k. Ties break by the
+    lexicographic item-id sequence, so runs are reproducible.
     """
     if params.variant not in ("mirnn", "mirnn_attention"):
         raise MirankError(f"beam_search requires a recurrent model, got {params.variant!r}")
@@ -124,56 +131,58 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
         raise MirankError(f"beam size must be >= 1, got {k}")
     n = len(candidates)
     feats = extend_features(candidates)
+    projected = input_projection(params, feats)
     prices = candidates.prices
-    ids = [item.id for item in candidates.items]
+    id_ranks = _id_ranks(candidates)
     h_dim = params.config.lstm_hidden
     with_attention = params.variant == "mirnn_attention"
-    # Per-entry state lives in stacked arrays indexed by entry; the order
-    # prefixes, per-position probabilities, and id-sequence tie keys stay as
-    # plain tuples per entry.
-    orders: list[tuple[int, ...]] = [()]
-    prob_lists: list[tuple[float, ...]] = [()]
-    prefix_ids: list[tuple[int, ...]] = [()]
+    # One row per beam entry. ``prefix_ranks`` orders the entries' item-id
+    # prefixes lexicographically (equal prefixes share a rank), which is all
+    # the tie rule needs of them.
+    prefix_ranks = np.zeros(1, dtype=int)
     masks = np.ones((1, n), dtype=bool)
     gmvs = np.zeros(1)
     hiddens = np.zeros((1, h_dim))
     cells = np.zeros((1, h_dim))
     histories = np.zeros((1, 0, h_dim))
     rep_caches = np.zeros((1, 0, params.config.attn_size)) if with_attention else None
+    # Per step: each kept entry's parent entry, placed item and probability.
+    parents, placed, placed_probs = [], [], []
     for step in range(n):
         step_probs, hidden_new, cell_new, reps_new = advance_entries(
-            params, hiddens, cells, histories, rep_caches, step + 1, feats
+            params, hiddens, cells, histories, rep_caches, step + 1, feats, projected=projected
         )
-        totals = gmvs[:, None] + prices[None, :] * step_probs
-        pool = [
-            (-totals[e, i], prefix_ids[e], ids[i], e, i)
-            for e, i in zip(*np.nonzero(masks))
-        ]
-        pool.sort()
-        chosen = pool[:k]
-        sel_e = np.array([entry[3] for entry in chosen])
-        sel_i = np.array([entry[4] for entry in chosen])
-        picked_hidden = hidden_new[sel_e, sel_i]
-        gmvs = totals[sel_e, sel_i]
-        hiddens = picked_hidden
+        # The pool: every (entry, item) pair whose item the entry has not placed.
+        pool = np.nonzero(masks)
+        totals = gmvs[pool[0]] + prices[pool[1]] * step_probs[pool]
+        # Orders the extended id sequences as (prefix, new id) would.
+        sequence_keys = prefix_ranks[pool[0]] * n + id_ranks[pool[1]]
+        chosen = _descending(totals, sequence_keys)[:k]
+        sel_e, sel_i = pool[0][chosen], pool[1][chosen]
+        parents.append(sel_e)
+        placed.append(sel_i)
+        placed_probs.append(step_probs[sel_e, sel_i])
+        gmvs = totals[chosen]
+        hiddens = hidden_new[sel_e, sel_i]
         cells = cell_new[sel_e, sel_i]
-        histories = np.concatenate([histories[sel_e], picked_hidden[:, None, :]], axis=1)
+        histories = np.concatenate([histories[sel_e], hiddens[:, None, :]], axis=1)
         if with_attention:
-            rep_caches = np.concatenate(
-                [rep_caches[sel_e], reps_new[sel_e, sel_i][:, None, :]], axis=1
-            )
-        masks = masks[sel_e].copy()
+            rep_caches = np.concatenate([rep_caches[sel_e], reps_new[sel_e, sel_i][:, None, :]], axis=1)
+        masks = masks[sel_e]
         masks[np.arange(len(chosen)), sel_i] = False
-        orders = [orders[e] + (int(i),) for e, i in zip(sel_e, sel_i)]
-        prob_lists = [
-            prob_lists[e] + (float(step_probs[e, i]),) for e, i in zip(sel_e, sel_i)
-        ]
-        prefix_ids = [pre + (new_id,) for _, pre, new_id, _, _ in chosen]
-    best = min(range(len(orders)), key=lambda e: (-gmvs[e], prefix_ids[e]))
+        kept_keys = sequence_keys[chosen]
+        prefix_ranks = np.searchsorted(np.sort(kept_keys), kept_keys)
+    # Entries are kept in tie-rule order, so the first one is the answer;
+    # its parent links give back the order.
+    order, probs, e = [], [], 0
+    for step in range(n - 1, -1, -1):
+        order.append(int(placed[step][e]))
+        probs.append(placed_probs[step][e])
+        e = parents[step][e]
     return RankResult(
-        ranking=Ranking(orders[best]),
-        expected_gmv=float(gmvs[best]),
-        per_position_probabilities=np.array(prob_lists[best]),
+        ranking=Ranking(tuple(order[::-1])),
+        expected_gmv=float(gmvs[0]),
+        per_position_probabilities=np.array(probs[::-1]),
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from mirank import CandidateSet, Item
 from mirank.core import QueryRecord, make_rng
+from mirank.models import advance_entries
 
 
 def random_candidates(rng: np.random.Generator, n: int, d: int) -> CandidateSet:
@@ -20,6 +21,42 @@ def random_candidates(rng: np.random.Generator, n: int, d: int) -> CandidateSet:
         for i in range(n)
     )
     return CandidateSet(items)
+
+
+def duplicated_candidates(rng: np.random.Generator, n: int, d: int, copies: int) -> CandidateSet:
+    """A random set of ``n - copies`` items followed by ``copies`` clones of
+    them, taken in turn, with the same price and features under new ids, so
+    scores can tie exactly. ``copies = n - 1`` makes every item alike."""
+    base = random_candidates(rng, n - copies, d).items
+    clones = tuple(
+        Item(id=n - copies + i, price=base[i % len(base)].price, local_features=base[i % len(base)].local_features)
+        for i in range(copies)
+    )
+    return CandidateSet(base + clones)
+
+
+def chain_entry(params, extended: np.ndarray, order):
+    """Place ``order`` one position at a time with :func:`advance_entries`:
+    one entry advanced with one item (a one-row feature matrix) per step.
+
+    Returns (per-position probabilities, final kernel state), the state being
+    the E=1 (hiddens, cells, histories, rep_caches) a next call takes.
+    """
+    h_dim = params.config.lstm_hidden
+    hidden, cell = np.zeros((1, h_dim)), np.zeros((1, h_dim))
+    history = np.zeros((1, 0, h_dim))
+    rep_cache = np.zeros((1, 0, params.config.attn_size)) if params.variant == "mirnn_attention" else None
+    probs = []
+    for position, item in enumerate(order, start=1):
+        prob, hidden, cell, rep = advance_entries(
+            params, hidden, cell, history, rep_cache, position, extended[item : item + 1]
+        )
+        hidden, cell = hidden[:, 0], cell[:, 0]
+        probs.append(prob[0, 0])
+        history = np.concatenate([history, hidden[:, None, :]], axis=1)
+        if rep_cache is not None:
+            rep_cache = np.concatenate([rep_cache, rep[:, 0][:, None, :]], axis=1)
+    return np.array(probs), (hidden, cell, history, rep_cache)
 
 
 def mixed_length_log(lengths, d: int, catalog_size: int = 40, seed: int = 31) -> list[QueryRecord]:

@@ -226,6 +226,14 @@ class TestExitCodes:
         bad_log.write_text("{broken\n")
         assert main(["rerank", str(out / "midnn.model"), str(bad_log)]) == EXIT_IO
 
+    def test_negative_gamma_is_validation(self, tmp_path):
+        out = tmp_path / "run"
+        assert _generate(out) == 0
+        save_model(init_model("baseline", ModelConfig(d=4, hidden_sizes=(4,)), seed=0), out / "baseline.model")
+        args = ["--output-dir", str(out), "rerank", str(out / "baseline.model"), str(out / "test.jsonl")]
+        assert main([*args, "--gamma", "-1"]) == EXIT_VALIDATION
+        assert main([*args, "--gamma", "0"]) == 0
+
     def test_empty_training_log_is_validation(self, tmp_path):
         log = tmp_path / "empty.jsonl"
         log.write_text("")

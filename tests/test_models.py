@@ -3,24 +3,19 @@
 import numpy as np
 import pytest
 
-from mirank import ModelConfig, init_model
+from mirank import CandidateSet, ModelConfig, init_model
 from mirank.core import MirankError, make_rng
 from mirank.features import extend_features
 from mirank.models import (
     advance_entries,
-    advance_sequence,
-    advance_sequence_batch,
-    branch_state,
-    initial_state,
-    score_baseline,
+    input_projection,
     score_baseline_batch,
-    score_midnn,
     score_midnn_batch,
     sequence_attention_weights,
     sequence_probabilities,
     sequence_probabilities_batch,
 )
-from conftest import random_candidates
+from conftest import chain_entry, random_candidates
 
 SMALL = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=12)
 RECURRENT = ("mirnn", "mirnn_attention")
@@ -46,7 +41,7 @@ class TestFeedForwardScoring:
         feats = extend_features(random_candidates(rng, 6, 3))
         batch = score_midnn_batch(params, feats)
         for row, expected in zip(feats, batch):
-            assert abs(score_midnn(params, row) - expected) < 1e-12
+            assert abs(score_midnn_batch(params, row[None, :])[0] - expected) < 1e-12
 
     def test_baseline_batch_matches_single_and_scales_with_gamma(self, rng):
         params = init_model("baseline", SMALL, seed=0)
@@ -54,7 +49,8 @@ class TestFeedForwardScoring:
         for gamma in (0.0, 1.0, 2.5):
             batch = score_baseline_batch(params, cs, gamma)
             for item, expected in zip(cs.items, batch):
-                assert abs(score_baseline(params, item, gamma) - expected) < 1e-10
+                single = score_baseline_batch(params, CandidateSet((item,)), gamma)[0]
+                assert abs(single - expected) < 1e-10
         # gamma = 0 removes the price factor entirely
         flat = score_baseline_batch(params, cs, 0.0)
         priced = score_baseline_batch(params, cs, 1.0)
@@ -74,7 +70,13 @@ class TestFeedForwardScoring:
         with pytest.raises(MirankError):
             score_midnn_batch(init_model("baseline", SMALL, seed=0), extend_features(cs))
         with pytest.raises(MirankError):
-            initial_state(midnn)
+            advance_entries(midnn, np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 0, 4)), None, 1, cs.feature_matrix)
+
+
+def _entries(params, feats, prefixes):
+    """Stacked kernel state of beam entries that placed ``prefixes`` (equal lengths)."""
+    states = [chain_entry(params, feats, prefix)[1] for prefix in prefixes]
+    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*states))
 
 
 class TestSequentialScoring:
@@ -84,69 +86,57 @@ class TestSequentialScoring:
         feats = extend_features(random_candidates(rng, 6, 3))
         order = list(rng.permutation(6))
         full = sequence_probabilities(params, feats, order)
-        state = initial_state(params)
-        for pos, item_idx in enumerate(order):
-            prob, state = advance_sequence(params, state, feats[item_idx])
-            assert abs(prob - full[pos]) < 1e-12
-        assert state.position == 7
+        assert np.allclose(chain_entry(params, feats, order)[0], full, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", RECURRENT)
     def test_batch_expansion_matches_single_advances(self, variant, rng):
+        """A call on a subset of the items equals the all-items call at those
+        items, down to a single item, with the projection given or not."""
         params = init_model(variant, SMALL, seed=4)
-        feats = extend_features(random_candidates(rng, 5, 3))
-        state = initial_state(params)
-        # walk two steps in so the attention history is non-trivial
-        _, state = advance_sequence(params, state, feats[0])
-        _, state = advance_sequence(params, state, feats[1])
-        probs, expansion = advance_sequence_batch(params, state, feats[2:])
-        for offset in range(3):
-            prob, nxt = advance_sequence(params, state, feats[2 + offset])
-            assert abs(probs[offset] - prob) < 1e-12
-            branched = branch_state(state, expansion, offset)
-            assert np.allclose(branched.hidden, nxt.hidden, atol=1e-14)
-            assert np.allclose(branched.cell, nxt.cell, atol=1e-14)
-            assert np.allclose(branched.hidden_history, nxt.hidden_history, atol=1e-14)
-            if variant == "mirnn_attention":
-                assert np.allclose(branched.rep_cache, nxt.rep_cache, atol=1e-14)
+        feats = extend_features(random_candidates(rng, 6, 3))
+        # three divergent beam entries, each two items deep
+        state = _entries(params, feats, [(0, 1), (2, 3), (4, 5)])
+        full = advance_entries(params, *state, 3, feats)
+        projected = input_projection(params, feats)
+        for subset in ([4, 0, 2], [5]):
+            for given in (None, projected[subset]):
+                part = advance_entries(params, *state, 3, feats[subset], projected=given)
+                for got, want in zip(part, full):
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert np.allclose(got, want[:, subset], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", RECURRENT)
     def test_entry_batch_matches_per_entry_expansion(self, variant, rng):
         params = init_model(variant, SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 6, 3))
-        # three divergent beam entries, each two items deep
-        prefixes = [(0, 1), (2, 3), (4, 5)]
-        states = []
-        for prefix in prefixes:
-            state = initial_state(params)
-            for item_idx in prefix:
-                _, state = advance_sequence(params, state, feats[item_idx])
-            states.append(state)
-        hiddens = np.stack([s.hidden for s in states])
-        cells = np.stack([s.cell for s in states])
-        histories = np.stack([s.hidden_history for s in states])
-        rep_caches = None
-        if variant == "mirnn_attention":
-            rep_caches = np.stack([s.rep_cache for s in states])
-        probs, hidden_new, cell_new, reps = advance_entries(
-            params, hiddens, cells, histories, rep_caches, 3, feats
-        )
-        for e, state in enumerate(states):
-            ref_probs, expansion = advance_sequence_batch(params, state, feats)
-            assert np.allclose(probs[e], ref_probs, atol=1e-12)
-            assert np.allclose(hidden_new[e], expansion.hidden, atol=1e-12)
-            assert np.allclose(cell_new[e], expansion.cell, atol=1e-12)
-            if variant == "mirnn_attention":
-                assert np.allclose(reps[e], expansion.reps, atol=1e-12)
+        hiddens, cells, histories, rep_caches = _entries(params, feats, [(0, 1), (2, 3), (4, 5)])
+        batch = advance_entries(params, hiddens, cells, histories, rep_caches, 3, feats)
+        for e in range(3):
+            single = advance_entries(
+                params, hiddens[e : e + 1], cells[e : e + 1], histories[e : e + 1],
+                None if rep_caches is None else rep_caches[e : e + 1], 3, feats,
+            )
+            for got, want in zip(single, batch):
+                if want is None:
+                    assert got is None
+                else:
+                    assert np.allclose(got[0], want[e], rtol=0, atol=1e-12)
 
     def test_first_position_attention_context_is_inactive(self, rng):
         """At position 1 there are no predecessors, so the attention logit
         reduces to the plain output projection of the hidden state."""
         params = init_model("mirnn_attention", SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 4, 3))
-        probs, expansion = advance_sequence_batch(params, initial_state(params), feats)
+        h_dim = SMALL.lstm_hidden
+        probs, hidden, _, _ = advance_entries(
+            params, np.zeros((1, h_dim)), np.zeros((1, h_dim)), np.zeros((1, 0, h_dim)),
+            np.zeros((1, 0, SMALL.attn_size)), 1, feats,
+        )
         from mirank.nn import sigmoid
 
-        assert np.allclose(probs, sigmoid(expansion.hidden @ params.blocks["w_out"]), atol=1e-14)
+        assert np.allclose(probs, sigmoid(hidden @ params.blocks["w_out"]), atol=1e-14)
 
     def test_sequence_batch_matches_per_order(self, rng):
         params = init_model("mirnn", SMALL, seed=4)

@@ -9,8 +9,8 @@ from mirank import Item, ModelConfig, QueryRecord, TrainConfig
 from mirank.core import MirankError, make_rng
 from mirank.nn.common import PROB_EPS, cross_entropy, cross_entropy_batch, glorot_uniform, relu, sigmoid
 from mirank.nn.gradcheck import gradient_check, relative_error
-from mirank.nn.lstm import lstm_step, lstm_step_batch
-from mirank.nn.mlp import mlp_forward, mlp_forward_batch
+from mirank.nn.lstm import lstm_step_batch
+from mirank.nn.mlp import mlp_forward_batch
 from mirank.nn.optim import AdamState, adam_step
 from mirank.nn.recurrent import sequence_forward
 from mirank.nn.train import TrainingDiverged, init_blocks, train
@@ -62,15 +62,15 @@ class TestMlp:
 
     def test_forward_hand_computed(self):
         # h = relu([2 + 0.5, -3 - 0.5]) = [2.5, 0]; logit = 2 * 2.5 + 0.25
-        prob = mlp_forward(self._tiny_params(), np.array([2.0, -3.0]))
-        assert abs(prob - _sig(5.25)) < 1e-12
+        probs, _ = mlp_forward_batch(self._tiny_params(), np.array([[2.0, -3.0]]))
+        assert abs(probs[0] - _sig(5.25)) < 1e-12
 
     def test_batch_matches_single(self, rng):
         params = init_blocks("midnn", ModelConfig(d=3, hidden_sizes=(4, 3)), rng)
         x = rng.standard_normal((6, 6))
         probs, _ = mlp_forward_batch(params, x)
         for row, expected in zip(x, probs):
-            assert abs(mlp_forward(params, row) - expected) < 1e-12
+            assert abs(mlp_forward_batch(params, row[None, :])[0][0] - expected) < 1e-12
 
     def test_rejects_wrong_input_dim(self):
         with pytest.raises(ValueError, match="input dimension"):
@@ -94,9 +94,9 @@ class TestLstm:
         g = math.tanh(1.2 * x + 0.4 * h0 + 0.3)
         c1 = f * c0 + i * g
         h1 = o * math.tanh(c1)
-        h_new, c_new = lstm_step(self._tiny_params(), np.array([h0]), np.array([c0]), np.array([x]))
-        assert abs(h_new[0] - h1) < 1e-12
-        assert abs(c_new[0] - c1) < 1e-12
+        h_new, c_new, _ = lstm_step_batch(self._tiny_params(), np.array([h0]), np.array([c0]), np.array([[x]]))
+        assert abs(h_new[0, 0] - h1) < 1e-12
+        assert abs(c_new[0, 0] - c1) < 1e-12
 
     def test_batch_broadcasts_shared_state(self, rng):
         params = self._tiny_params()
@@ -104,9 +104,9 @@ class TestLstm:
         h0, c0 = np.array([0.3]), np.array([-0.1])
         h_batch, c_batch, _ = lstm_step_batch(params, h0, c0, xs)
         for row in range(4):
-            h_one, c_one = lstm_step(params, h0, c0, xs[row])
-            assert np.allclose(h_batch[row], h_one, atol=1e-14)
-            assert np.allclose(c_batch[row], c_one, atol=1e-14)
+            h_one, c_one, _ = lstm_step_batch(params, h0[None, :], c0[None, :], xs[row : row + 1])
+            assert np.allclose(h_batch[row], h_one[0], atol=1e-14)
+            assert np.allclose(c_batch[row], c_one[0], atol=1e-14)
 
 
 class TestAdam:

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mirank import ModelConfig, Ranking, init_model
+from mirank import CandidateSet, ModelConfig, Ranking, init_model
+from mirank.features import extend_features
+from mirank.models import sequence_probabilities_batch
 from mirank.core import MirankError, make_rng
 from mirank.ranker import (
     MAX_ORACLE_ITEMS,
@@ -17,7 +19,7 @@ from mirank.ranker import (
     rank_by_sort,
     rerank_top_n,
 )
-from conftest import random_candidates
+from conftest import duplicated_candidates, random_candidates
 
 SMALL = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=12)
 RECURRENT = ("mirnn", "mirnn_attention")
@@ -67,6 +69,25 @@ class TestSortOptimality:
             rank_by_sort(init_model("baseline", SMALL, seed=0), cs)
         with pytest.raises(MirankError):
             rank_by_baseline(init_model("midnn", SMALL, seed=0), cs)
+
+    def test_negative_gamma_rejected(self, rng):
+        cs = random_candidates(rng, 4, 3)
+        with pytest.raises(MirankError, match="gamma"):
+            rank_by_baseline(init_model("baseline", SMALL, seed=0), cs, gamma=-2.0)
+
+    @pytest.mark.parametrize("variant", ("baseline", "midnn"))
+    def test_exact_ties_break_by_ascending_id(self, variant):
+        cs = duplicated_candidates(make_rng(3), 7, 3, copies=3)
+        # give the copies the smaller ids, so id order and index order differ
+        cs = CandidateSet(cs.items[4:] + cs.items[:4])
+        params = init_model(variant, SMALL, seed=1)
+        rank = rank_by_sort if variant == "midnn" else rank_by_baseline
+        result = rank(params, cs)
+        ids = [cs.items[i].id for i in result.ranking.order]
+        scores = cs.prices[list(result.ranking.order)] * result.per_position_probabilities
+        expected = sorted(range(len(cs)), key=lambda j: (-scores[j], ids[j]))
+        assert expected == list(range(len(cs)))
+        assert len(set(scores.tolist())) == len(cs) - 3  # three exact ties were broken
 
 
 class TestBeamSearch:
@@ -119,6 +140,55 @@ class TestBeamSearch:
             beam_search(recurrent, cs, k=0)
         with pytest.raises(MirankError):
             greedy_reference(init_model("midnn", SMALL, seed=0), cs)
+
+
+def reference_beam(params, cs, k):
+    """Beam search from scratch: every step rescores each kept prefix extended
+    by each unplaced item with ``sequence_probabilities_batch``, and keeps the
+    top k by GMV, ties by the item-id sequence, then by (entry, item)."""
+    feats = extend_features(cs)
+    ids = [item.id for item in cs.items]
+    kept = [()]
+    for _ in range(len(cs)):
+        grown = np.array([prefix + (i,) for prefix in kept for i in range(len(cs)) if i not in prefix])
+        probs = sequence_probabilities_batch(params, feats, grown)
+        gmvs = (cs.prices[grown] * probs).sum(axis=1)
+        best = sorted(range(len(grown)), key=lambda r: (-gmvs[r], [ids[i] for i in grown[r]]))[:k]
+        kept = [tuple(grown[r]) for r in best]
+    return kept[0], float(gmvs[best[0]])
+
+
+class TestBeamReference:
+    @pytest.mark.parametrize("variant", RECURRENT)
+    @pytest.mark.parametrize("k", (1, 3, 8))
+    def test_matches_from_scratch_beam(self, variant, k):
+        ties = 0
+        for trial in range(8):
+            rng = make_rng(700 + trial)
+            n = int(rng.integers(2, 13))
+            # trial 0: all items alike, so every step ties throughout
+            copies = n - 1 if trial == 0 else int(rng.integers(1, n // 2 + 1)) if trial % 2 else 0
+            cs = duplicated_candidates(rng, n, 3, copies) if copies else random_candidates(rng, n, 3)
+            # shuffle, so that id order and index order differ
+            cs = CandidateSet(tuple(cs.items[i] for i in rng.permutation(n)))
+            params = init_model(variant, SMALL, seed=trial)
+            result = beam_search(params, cs, k)
+            order, gmv = reference_beam(params, cs, k)
+            assert result.ranking.order == order
+            assert abs(result.expected_gmv - gmv) <= 1e-9 * abs(gmv)
+            ties += copies
+        assert ties > 0
+
+
+    def test_prefix_ids_decide_ties_before_the_new_item_id(self):
+        """A tie between (prefix P, item x) and (prefix Q, item y) with P < Q
+        but y < x, cut by the beam width: found by search over seeded cases."""
+        rng = make_rng(9006)
+        n = int(rng.integers(3, 7))
+        cs = duplicated_candidates(rng, n, 3, int(rng.integers(1, n // 2 + 1)))
+        cs = CandidateSet(tuple(cs.items[i] for i in rng.permutation(n)))
+        params = init_model("mirnn_attention", SMALL, seed=6)
+        assert beam_search(params, cs, 3).ranking.order == reference_beam(params, cs, 3)[0]
 
 
 class TestExhaustiveOracle:
