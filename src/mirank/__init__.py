@@ -12,7 +12,7 @@ from .metrics import attention_diagnostic, auc, compare_policies, latency_bench,
 from .models import init_model
 from .nn.train import train
 from .persistence import load_model, read_logs, save_model, write_logs
-from .ranker import RankResult, beam_search, exhaustive_oracle, expected_gmv, rank_by_sort
+from .ranker import RankResult, beam_search, exhaustive_oracle, expected_gmv, rank
 from .simgen import BehaviorConfig, Dataset, generate_catalog, generate_logs
 
 __version__ = "0.1.0"
@@ -41,7 +41,7 @@ __all__ = [
     "latency_bench",
     "load_model",
     "metric_report",
-    "rank_by_sort",
+    "rank",
     "read_logs",
     "rig",
     "save_model",

@@ -12,13 +12,14 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
 import numpy as np
 import yaml
 
-from .configs import ModelConfig, TrainConfig
+from .configs import VARIANTS, ModelConfig, TrainConfig
 from .core import MirankError, Ranking, ValidationError
 from .features import extend_features
 # evaluate scores through logged_predictions alone; perfbench/tracer.py still
@@ -42,16 +43,9 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 
 DEFAULTS: dict = {
-    "d": 23,
-    "hidden_sizes": [50, 50, 30],
-    "lstm_hidden": 50,
-    "attn_size": 10,
-    "pos_size": 5,
-    "max_positions": 100,
-    "epochs": 5,
-    "batch_size": 256,
-    "sequence_batch_size": 32,
-    "learning_rate": 1e-3,
+    **asdict(ModelConfig()),
+    # beta1 and beta2 stay fixed: they are not config keys.
+    **{key: value for key, value in asdict(TrainConfig()).items() if key not in ("beta1", "beta2")},
     "gamma": 1.0,
     "beam_size": 5,
     "items_per_query": 50,
@@ -59,11 +53,8 @@ DEFAULTS: dict = {
     "catalog_size": 500,
     "train_fraction": 0.8,
     "ranking_policy": "random",
-    "price_sensitivity": 0.0,
-    "position_bias_strength": 0.0,
-    "order_effect_strength": 0.0,
-    "primacy_strength": 0.0,
-    "base_rate": 0.1,
+    # The seed comes from --seed, not from the config.
+    **{key: value for key, value in asdict(BehaviorConfig()).items() if key != "seed"},
 }
 
 
@@ -91,6 +82,16 @@ def _model_config(cfg: dict) -> ModelConfig:
         pos_size=int(cfg["pos_size"]),
         max_positions=int(cfg["max_positions"]),
     )
+
+
+def _check_feature_dim(params, model_path, dataset, log_path) -> None:
+    """Reject a log whose feature dimension differs from the model's ``d``."""
+    dims = {record.displayed[0].local_features.shape[0] for record in dataset.records if record.displayed}
+    if dims - {params.config.d}:
+        raise ValidationError(
+            f"model {model_path} takes d={params.config.d} features, "
+            f"log {log_path} has d={sorted(dims)}"
+        )
 
 
 def _sha256(path: Path) -> str:
@@ -175,7 +176,7 @@ def generate(ctx, **flags):
 
 
 @cli.command("train")
-@click.argument("variant", type=click.Choice(["baseline", "midnn", "mirnn", "mirnn_attention"]))
+@click.argument("variant", type=click.Choice(VARIANTS))
 @click.argument("train_path", type=click.Path(exists=True))
 @click.option("--epochs", type=int, default=None)
 @click.option("--batch-size", type=int, default=None)
@@ -224,6 +225,7 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
     cfg = _resolve_config(ctx.obj["config_path"], flags)
     params = load_model(model_path)
     dataset = read_logs(log_path)
+    _check_feature_dim(params, model_path, dataset, log_path)
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
     reranked = []
@@ -267,13 +269,15 @@ def evaluate(ctx, test_path, model_paths, attention_size):
     dataset = read_logs(test_path, tag="test")
     if not dataset.records:
         raise ValidationError(f"test log {test_path} holds no records")
+    models = [(model_path, load_model(model_path)) for model_path in model_paths]
+    for model_path, params in models:
+        _check_feature_dim(params, model_path, dataset, test_path)
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
     extended = [extend_features(record.candidate_set) for record in dataset.records]
     labels = np.concatenate([np.array(record.labels) for record in dataset.records])
     report: dict = {}
-    for model_path in model_paths:
-        params = load_model(model_path)
+    for model_path, params in models:
         predictions, matrix = logged_predictions(params, extended, attention_size)
         metrics = metric_report(predictions, labels)
         name = Path(model_path).stem
@@ -332,6 +336,7 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
     """Compare beam-search GMV against the exhaustive oracle on small prefixes."""
     params = load_model(model_path)
     dataset = read_logs(log_path)
+    _check_feature_dim(params, model_path, dataset, log_path)
     beam_sizes = _parse_int_list(beams)
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)

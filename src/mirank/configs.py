@@ -39,7 +39,7 @@ def expected_block_shapes(variant: str, config: ModelConfig) -> dict[str, tuple[
     if variant not in VARIANTS:
         raise ValidationError(f"unknown model variant {variant!r}")
     f = config.input_dim(variant)
-    if variant in ("baseline", "midnn"):
+    if variant not in RECURRENT_VARIANTS:
         shapes: dict[str, tuple[int, ...]] = {}
         fan_in = f
         for k, size in enumerate(config.hidden_sizes, start=1):

@@ -15,7 +15,7 @@ from .core import CandidateSet, Item, MirankError, QueryRecord, Ranking, make_rn
 from .features import extend_features
 from .models import baseline_probabilities, logged_forward, score_midnn_batch
 from .nn.common import PROB_EPS
-from .ranker import beam_search, rank_by_baseline, rank_by_sort
+from .ranker import rank
 from .simgen import BehaviorConfig, session_probabilities
 
 __all__ = [
@@ -157,11 +157,7 @@ def compare_policies(
 
 def model_policy(params: ModelParams, beam_size: int = 5, gamma: float = 1.0):
     """Ranking callable for a trained model, usable with compare_policies."""
-    if params.variant == "midnn":
-        return lambda candidates: rank_by_sort(params, candidates).ranking
-    if params.variant == "baseline":
-        return lambda candidates: rank_by_baseline(params, candidates, gamma).ranking
-    return lambda candidates: beam_search(params, candidates, beam_size).ranking
+    return lambda candidates: rank(params, candidates, beam_size, gamma).ranking
 
 
 # ---------------------------------------------------------------------------

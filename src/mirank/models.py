@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .configs import ModelConfig, ModelParams
-from .core import CandidateSet, MirankError, make_rng
+from .configs import RECURRENT_VARIANTS, ModelConfig, ModelParams
+from .core import MirankError, make_rng
 from . import nn
 from .nn.attention import position_row, softmax
 from .nn.train import init_blocks
@@ -29,7 +29,6 @@ __all__ = [
     "init_model",
     "input_projection",
     "logged_forward",
-    "score_baseline_batch",
     "score_midnn_batch",
     "sequence_attention_weights",
     "sequence_probabilities",
@@ -57,14 +56,6 @@ def score_midnn_batch(params: ModelParams, extended: np.ndarray) -> np.ndarray:
     _require_variant(params, ("midnn",))
     probs, _ = nn.mlp_forward_batch(params.blocks, extended)
     return probs
-
-
-def score_baseline_batch(params: ModelParams, candidates: CandidateSet, gamma: float) -> np.ndarray:
-    _require_variant(params, ("baseline",))
-    if gamma < 0:
-        raise MirankError(f"gamma must be nonnegative, got {gamma}")
-    probs, _ = nn.mlp_forward_batch(params.blocks, candidates.feature_matrix)
-    return candidates.prices**gamma * probs
 
 
 def baseline_probabilities(params: ModelParams, local: np.ndarray) -> np.ndarray:
@@ -106,7 +97,7 @@ def advance_entries(
     At position 1 there are no predecessors and the attention context is zero,
     so the attention logit reduces to the plain recurrent one.
     """
-    _require_variant(params, ("mirnn", "mirnn_attention"))
+    _require_variant(params, RECURRENT_VARIANTS)
     blocks = params.blocks
     if projected is None:
         projected = input_projection(params, extended)
@@ -150,7 +141,7 @@ def sequence_probabilities_batch(
     params: ModelParams, extended: np.ndarray, orders: np.ndarray
 ) -> np.ndarray:
     """Per-position probabilities for a (Q, T) batch of orders over one set."""
-    _require_variant(params, ("mirnn", "mirnn_attention"))
+    _require_variant(params, RECURRENT_VARIANTS)
     x = np.asarray(extended, dtype=np.float64)[np.asarray(orders, dtype=int)]
     probs, _ = nn.sequence_forward(params.blocks, x)
     return probs
@@ -170,7 +161,7 @@ def logged_forward(params: ModelParams, extended: Sequence[np.ndarray]):
     chunk: ``indices`` locate its records in ``extended``; probs and caches
     are those of :func:`nn.sequence_forward`.
     """
-    _require_variant(params, ("mirnn", "mirnn_attention"))
+    _require_variant(params, RECURRENT_VARIANTS)
     buckets: dict[int, list[int]] = defaultdict(list)
     for index, feats in enumerate(extended):
         buckets[len(feats)].append(index)

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..configs import ModelConfig, ModelParams, TrainConfig, VARIANTS
+from ..configs import RECURRENT_VARIANTS, VARIANTS, ModelConfig, ModelParams, TrainConfig
 from ..core import MirankError, QueryRecord, make_rng
 from ..features import extend_feature_matrix
 from .attention import init_attention_params
@@ -27,7 +27,7 @@ def init_blocks(variant: str, config: ModelConfig, rng: np.random.Generator) -> 
     if variant not in VARIANTS:
         raise MirankError(f"unknown model variant {variant!r}")
     input_dim = config.input_dim(variant)
-    if variant in ("baseline", "midnn"):
+    if variant not in RECURRENT_VARIANTS:
         return init_mlp_params(input_dim, config.hidden_sizes, rng)
     blocks = init_lstm_params(input_dim, config.lstm_hidden, rng)
     if variant == "mirnn_attention":
@@ -47,7 +47,7 @@ def batch_loss_and_grads(variant: str, blocks: dict[str, np.ndarray], x: np.ndar
     prediction-minus-label, exact wherever the probability clamp is inactive.
     """
     labels = np.asarray(labels, dtype=np.float64)
-    if variant in ("baseline", "midnn"):
+    if variant not in RECURRENT_VARIANTS:
         probs, caches = mlp_forward_batch(blocks, x)
         loss = cross_entropy_batch(probs, labels)
         grads = mlp_backward(blocks, caches, probs - labels)
@@ -58,26 +58,26 @@ def batch_loss_and_grads(variant: str, blocks: dict[str, np.ndarray], x: np.ndar
     return loss, grads
 
 
-def _item_arrays(variant: str, records: Sequence[QueryRecord]):
-    xs, ys = [], []
+def _training_groups(variant: str, records: Sequence[QueryRecord]) -> list[tuple]:
+    """The (features, labels) groups that mini-batches are drawn from.
+
+    Feed-forward variants train on items: one group of all (n, F) item rows
+    and their (n,) labels. Recurrent variants train on whole records: one
+    group per record length, shortest first, holding one (T, F) array and one
+    (T,) label array per record, so that each batch stacks into (B, T, F).
+    """
+    recurrent = variant in RECURRENT_VARIANTS
+    groups: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
     for record in records:
         feats = np.stack([item.local_features for item in record.displayed])
         if variant != "baseline":
             feats = extend_feature_matrix(feats)
+        xs, ys = groups[len(record) if recurrent else 0]
         xs.append(feats)
         ys.append(np.array(record.labels, dtype=np.float64))
-    return np.vstack(xs), np.concatenate(ys)
-
-
-def _sequence_buckets(records: Sequence[QueryRecord]):
-    """Group records by length so each mini-batch stacks into one (B, T, F) array."""
-    buckets: dict[int, list[tuple[np.ndarray, np.ndarray]]] = defaultdict(list)
-    for record in records:
-        feats = extend_feature_matrix(
-            np.stack([item.local_features for item in record.displayed])
-        )
-        buckets[len(record)].append((feats, np.array(record.labels, dtype=np.float64)))
-    return buckets
+    if not recurrent:
+        return [(np.vstack(xs), np.concatenate(ys)) for xs, ys in groups.values()]
+    return [groups[length] for length in sorted(groups)]
 
 
 def train(
@@ -98,51 +98,31 @@ def train(
     rng = make_rng(seed)
     blocks = init_blocks(variant, model_config, rng)
     state = AdamState()
-    recurrent = variant in ("mirnn", "mirnn_attention")
+    recurrent = variant in RECURRENT_VARIANTS
+    batch_size = train_config.sequence_batch_size if recurrent else train_config.batch_size
+    groups = _training_groups(variant, records)
+    n_items = sum(len(record) for record in records)
     curve: list[float] = []
-
-    if recurrent:
-        buckets = _sequence_buckets(records)
-        for epoch in range(train_config.epochs):
-            total_loss, total_items, step = 0.0, 0, 0
-            for length in sorted(buckets):
-                entries = buckets[length]
-                order = rng.permutation(len(entries))
-                for start in range(0, len(entries), train_config.sequence_batch_size):
-                    chosen = order[start : start + train_config.sequence_batch_size]
-                    x = np.stack([entries[i][0] for i in chosen])
-                    y = np.stack([entries[i][1] for i in chosen])
-                    loss, grads = batch_loss_and_grads(variant, blocks, x, y)
-                    if not np.isfinite(loss):
-                        raise TrainingDiverged(
-                            f"non-finite loss at epoch {epoch}, step {step} ({variant})"
-                        )
-                    adam_step(
-                        blocks, grads, state,
-                        train_config.learning_rate, train_config.beta1, train_config.beta2,
-                    )
-                    total_loss += loss
-                    total_items += x.shape[0] * x.shape[1]
-                    step += 1
-            curve.append(total_loss / total_items)
-    else:
-        x_all, y_all = _item_arrays(variant, records)
-        for epoch in range(train_config.epochs):
-            order = rng.permutation(x_all.shape[0])
-            total_loss, step = 0.0, 0
-            for start in range(0, x_all.shape[0], train_config.batch_size):
-                chosen = order[start : start + train_config.batch_size]
-                loss, grads = batch_loss_and_grads(variant, blocks, x_all[chosen], y_all[chosen])
+    for epoch in range(train_config.epochs):
+        total_loss, step = 0.0, 0
+        for feats, labels in groups:
+            order = rng.permutation(len(feats))
+            for start in range(0, len(feats), batch_size):
+                chosen = order[start : start + batch_size]
+                if recurrent:
+                    # Stacked per batch from per-record arrays: stacking each
+                    # group up front measured slower.
+                    x, y = np.stack([feats[i] for i in chosen]), np.stack([labels[i] for i in chosen])
+                else:
+                    x, y = feats[chosen], labels[chosen]
+                loss, grads = batch_loss_and_grads(variant, blocks, x, y)
                 if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, step {step} ({variant})"
-                    )
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step} ({variant})")
                 adam_step(
                     blocks, grads, state,
                     train_config.learning_rate, train_config.beta1, train_config.beta2,
                 )
                 total_loss += loss
                 step += 1
-            curve.append(total_loss / x_all.shape[0])
-
+        curve.append(total_loss / n_items)
     return ModelParams(variant=variant, config=model_config, blocks=blocks), curve

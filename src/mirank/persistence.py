@@ -15,7 +15,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -119,14 +119,8 @@ def load_model(path) -> ModelParams:
     try:
         header = json.loads(payload[12 : 12 + header_len].decode("utf-8"))
         variant = header["variant"]
-        config = ModelConfig(
-            d=header["config"]["d"],
-            hidden_sizes=tuple(header["config"]["hidden_sizes"]),
-            lstm_hidden=header["config"]["lstm_hidden"],
-            attn_size=header["config"]["attn_size"],
-            pos_size=header["config"]["pos_size"],
-            max_positions=header["config"]["max_positions"],
-        )
+        stored = {f.name: header["config"][f.name] for f in fields(ModelConfig)}
+        config = ModelConfig(**{**stored, "hidden_sizes": tuple(stored["hidden_sizes"])})
         declared = [(entry["name"], tuple(entry["shape"])) for entry in header["blocks"]]
     except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: unparseable header ({exc})") from exc
@@ -198,6 +192,10 @@ def _parse_record(obj: dict, line_no: int) -> QueryRecord:
         raise LogFormatError(f"line {line_no}: invalid record ({exc})") from exc
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def read_logs(path, tag: str | None = None) -> Dataset:
     """Stream a JSONL log into a Dataset; malformed lines name their line number."""
     records: list[QueryRecord] = []
@@ -206,8 +204,8 @@ def read_logs(path, tag: str | None = None) -> Dataset:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = json.loads(line, parse_constant=_reject_constant)
+            except ValueError as exc:
                 raise LogFormatError(f"line {line_no}: malformed JSON ({exc})") from exc
             if not isinstance(obj, dict):
                 raise LogFormatError(f"line {line_no}: expected a JSON object")

@@ -33,8 +33,7 @@ __all__ = [
     "exhaustive_oracle",
     "expected_gmv",
     "greedy_reference",
-    "rank_by_baseline",
-    "rank_by_sort",
+    "rank",
     "rerank_top_n",
 ]
 
@@ -51,20 +50,20 @@ class RankResult:
     per_position_probabilities: np.ndarray
 
 
-def _order_probabilities(params: ModelParams, candidates: CandidateSet, order) -> np.ndarray:
-    """Model probability at each position of the given order."""
+def _item_probabilities(params: ModelParams, candidates: CandidateSet) -> np.ndarray:
+    """Order-independent purchase probability of each candidate (feed-forward models)."""
     if params.variant == "baseline":
-        return baseline_probabilities(params, candidates.feature_matrix)[np.asarray(order, dtype=int)]
-    feats = extend_features(candidates)
-    if params.variant == "midnn":
-        return score_midnn_batch(params, feats)[np.asarray(order, dtype=int)]
-    return sequence_probabilities(params, feats, order)
+        return baseline_probabilities(params, candidates.feature_matrix)
+    return score_midnn_batch(params, extend_features(candidates))
 
 
 def expected_gmv(params: ModelParams, candidates: CandidateSet, ranking: Ranking) -> float:
     """Sum of price times purchase probability along the ranking."""
     order = np.asarray(ranking.order, dtype=int)
-    probs = _order_probabilities(params, candidates, order)
+    if params.is_recurrent:
+        probs = sequence_probabilities(params, extend_features(candidates), order)
+    else:
+        probs = _item_probabilities(params, candidates)[order]
     return float(np.sum(candidates.prices[order] * probs))
 
 
@@ -79,36 +78,28 @@ def _descending(scores: np.ndarray, tie_ranks: np.ndarray) -> np.ndarray:
     return np.lexsort((tie_ranks, -scores))
 
 
-def _sorted_result(candidates: CandidateSet, scores: np.ndarray, probs: np.ndarray) -> RankResult:
-    order = _descending(scores, _id_ranks(candidates))
+def rank(params: ModelParams, candidates: CandidateSet, k: int = 5, gamma: float = 1.0) -> RankResult:
+    """The model's best order of the candidates: the one place where a variant
+    picks its search.
+
+    The recurrent models run :func:`beam_search` with beam size k. The
+    feed-forward models' probabilities do not depend on the order, so they
+    sort by descending price times probability (price^gamma for the
+    baseline), ties by ascending item id; this is optimal among all
+    permutations under any strictly decreasing position bias.
+    """
+    if gamma < 0:
+        raise MirankError(f"gamma must be nonnegative, got {gamma}")
+    if params.is_recurrent:
+        return beam_search(params, candidates, k)
+    probs = _item_probabilities(params, candidates)
+    weights = candidates.prices**gamma if params.variant == "baseline" else candidates.prices
+    order = _descending(weights * probs, _id_ranks(candidates))
     return RankResult(
         ranking=Ranking(tuple(order)),
         expected_gmv=float((candidates.prices[order] * probs[order]).sum()),
         per_position_probabilities=probs[order],
     )
-
-
-def rank_by_sort(params: ModelParams, candidates: CandidateSet) -> RankResult:
-    """Descending price-times-probability order for the feed-forward model.
-
-    Ties break by ascending item id. Optimal among all permutations under any
-    strictly decreasing position bias, because the probabilities do not
-    depend on the order.
-    """
-    if params.variant != "midnn":
-        raise MirankError(f"rank_by_sort requires a midnn model, got {params.variant!r}")
-    probs = score_midnn_batch(params, extend_features(candidates))
-    return _sorted_result(candidates, candidates.prices * probs, probs)
-
-
-def rank_by_baseline(params: ModelParams, candidates: CandidateSet, gamma: float = 1.0) -> RankResult:
-    """Descending price^gamma times local-feature probability; ties by item id."""
-    if params.variant != "baseline":
-        raise MirankError(f"rank_by_baseline requires a baseline model, got {params.variant!r}")
-    if gamma < 0:
-        raise MirankError(f"gamma must be nonnegative, got {gamma}")
-    probs = baseline_probabilities(params, candidates.feature_matrix)
-    return _sorted_result(candidates, candidates.prices**gamma * probs, probs)
 
 
 def _id_sequence(candidates: CandidateSet, order) -> tuple[int, ...]:
@@ -123,7 +114,7 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     expected GMV, and keeps the pooled global top-k. Ties break by the
     lexicographic item-id sequence, so runs are reproducible.
     """
-    if params.variant not in ("mirnn", "mirnn_attention"):
+    if not params.is_recurrent:
         raise MirankError(f"beam_search requires a recurrent model, got {params.variant!r}")
     if len(candidates) < 1:
         raise MirankError("beam_search needs a non-empty candidate set")
@@ -192,7 +183,7 @@ def greedy_reference(params: ModelParams, candidates: CandidateSet) -> RankResul
 
     Verification twin of beam_search(k=1); shares no incremental state with it.
     """
-    if params.variant not in ("mirnn", "mirnn_attention"):
+    if not params.is_recurrent:
         raise MirankError(f"greedy_reference requires a recurrent model, got {params.variant!r}")
     n = len(candidates)
     feats = extend_features(candidates)
@@ -228,12 +219,10 @@ def exhaustive_oracle(params: ModelParams, candidates: CandidateSet) -> RankResu
         raise MirankError(f"exhaustive oracle is limited to {MAX_ORACLE_ITEMS} items, got {n}")
     orders = np.array(list(itertools.permutations(range(n))), dtype=int)
     prices = candidates.prices
-    if params.variant in ("baseline", "midnn"):
-        item_probs = _order_probabilities(params, candidates, np.arange(n))
-        probs = item_probs[orders]
+    if params.is_recurrent:
+        probs = sequence_probabilities_batch(params, extend_features(candidates), orders)
     else:
-        feats = extend_features(candidates)
-        probs = sequence_probabilities_batch(params, feats, orders)
+        probs = _item_probabilities(params, candidates)[orders]
     gmvs = (prices[orders] * probs).sum(axis=1)
     best_value = gmvs.max()
     tied = np.flatnonzero(gmvs == best_value)
@@ -268,11 +257,6 @@ def rerank_top_n(
     if n == 1:
         return base_ranking
     subset = CandidateSet(tuple(candidates.items[i] for i in prefix))
-    if params.variant == "midnn":
-        sub_order = rank_by_sort(params, subset).ranking.order
-    elif params.variant == "baseline":
-        sub_order = rank_by_baseline(params, subset, gamma).ranking.order
-    else:
-        sub_order = beam_search(params, subset, k).ranking.order
+    sub_order = rank(params, subset, k, gamma).ranking.order
     reordered = tuple(prefix[j] for j in sub_order)
     return Ranking(reordered + base_ranking.order[n:])

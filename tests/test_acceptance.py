@@ -33,7 +33,7 @@ from mirank.models import sequence_probabilities
 from mirank.nn.common import cross_entropy
 from mirank.nn.gradcheck import gradient_check
 from mirank.persistence import ModelFileError
-from mirank.ranker import beam_search, exhaustive_oracle, greedy_reference, rank_by_sort
+from mirank.ranker import beam_search, exhaustive_oracle, greedy_reference, rank
 from conftest import chain_entry, random_candidates
 
 
@@ -144,7 +144,7 @@ def test_criterion_02_sort_optimality(capsys):
         n = int(rng.integers(2, 8))
         cs = random_candidates(rng, n, 6)
         params = init_model("midnn", TINY, seed=trial)
-        result = rank_by_sort(params, cs)
+        result = rank(params, cs)
         sorted_scores = cs.prices[list(result.ranking.order)] * result.per_position_probabilities
         item_scores = np.empty(n)
         item_scores[list(result.ranking.order)] = sorted_scores

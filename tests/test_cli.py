@@ -12,7 +12,8 @@ import pytest
 import yaml
 
 from mirank import ModelConfig, init_model
-from mirank.cli import EXIT_DIVERGED, EXIT_IO, EXIT_VALIDATION, main
+from mirank.cli import DEFAULTS, EXIT_DIVERGED, EXIT_IO, EXIT_VALIDATION, main
+from mirank.configs import VARIANTS
 from mirank.persistence import load_model, read_logs, save_model, write_logs
 from conftest import mixed_length_log
 
@@ -133,14 +134,12 @@ class TestPipeline:
 
 
 class TestEvaluate:
-    VARIANTS = ("baseline", "midnn", "mirnn", "mirnn_attention")
-
     def _inputs(self, tmp_path):
         log = tmp_path / "test.jsonl"
         write_logs(mixed_length_log((9, 4, 12, 6, 9, 15, 4, 7), d=3), log)
         config = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2)
         paths = []
-        for seed, variant in enumerate(self.VARIANTS):
+        for seed, variant in enumerate(VARIANTS):
             path = tmp_path / f"{variant}.model"
             save_model(init_model(variant, config, seed=seed), path)
             paths.append(str(path))
@@ -153,8 +152,8 @@ class TestEvaluate:
     def test_each_model_scores_as_if_alone(self, tmp_path):
         log, paths = self._inputs(tmp_path)
         together = self._evaluate(tmp_path / "all", log, paths)
-        assert set(together) == set(self.VARIANTS)
-        for variant, path in zip(self.VARIANTS, paths):
+        assert set(together) == set(VARIANTS)
+        for variant, path in zip(VARIANTS, paths):
             alone = self._evaluate(tmp_path / variant, log, [path])
             assert alone == {variant: together[variant]}
 
@@ -192,6 +191,17 @@ class TestConfigLayering:
         total = len(read_logs(out / "train.jsonl")) + len(read_logs(out / "test.jsonl"))
         assert total == 6
 
+    def test_config_keys_are_pinned(self):
+        """The defaults come from the config dataclasses; beta1, beta2 and the
+        behaviour seed must not become config keys."""
+        assert set(DEFAULTS) == {
+            "d", "hidden_sizes", "lstm_hidden", "attn_size", "pos_size", "max_positions",
+            "epochs", "batch_size", "sequence_batch_size", "learning_rate",
+            "gamma", "beam_size", "items_per_query", "n_queries", "catalog_size",
+            "train_fraction", "ranking_policy", "price_sensitivity", "position_bias_strength",
+            "order_effect_strength", "primacy_strength", "base_rate",
+        }
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump({"not_a_key": 1}))
@@ -226,13 +236,38 @@ class TestExitCodes:
         bad_log.write_text("{broken\n")
         assert main(["rerank", str(out / "midnn.model"), str(bad_log)]) == EXIT_IO
 
-    def test_negative_gamma_is_validation(self, tmp_path):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_negative_gamma_is_validation(self, variant, tmp_path):
         out = tmp_path / "run"
         assert _generate(out) == 0
-        save_model(init_model("baseline", ModelConfig(d=4, hidden_sizes=(4,)), seed=0), out / "baseline.model")
-        args = ["--output-dir", str(out), "rerank", str(out / "baseline.model"), str(out / "test.jsonl")]
+        config = ModelConfig(d=4, hidden_sizes=(4,), lstm_hidden=3, attn_size=2, pos_size=2)
+        save_model(init_model(variant, config, seed=0), out / "model.model")
+        args = ["--output-dir", str(out), "rerank", str(out / "model.model"), str(out / "test.jsonl")]
         assert main([*args, "--gamma", "-1"]) == EXIT_VALIDATION
         assert main([*args, "--gamma", "0"]) == 0
+
+    def test_non_finite_log_number_is_io(self, tmp_path, capsys):
+        save_model(init_model("midnn", ModelConfig(d=2, hidden_sizes=(3,)), seed=0), tmp_path / "midnn.model")
+        log = tmp_path / "nan.jsonl"
+        log.write_text(
+            '{"query_id": "q0", "items": ['
+            '{"id": 0, "price": 1.0, "features": [0.1, 0.2]}, '
+            '{"id": 1, "price": 2.0, "features": [NaN, 0.3]}], "labels": [1, 0]}\n'
+        )
+        out = tmp_path / "run"
+        assert main(["--output-dir", str(out), "rerank", str(tmp_path / "midnn.model"), str(log)]) == EXIT_IO
+        assert "line 1" in capsys.readouterr().err
+        assert not (out / "rerank_gmv.csv").exists()
+
+    @pytest.mark.parametrize("command", ("rerank", "evaluate", "oracle-compare"))
+    def test_model_feature_dim_mismatch_is_validation(self, command, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert _generate(out) == 0  # d=4 features
+        model, log = str(out / "mirnn.model"), str(out / "test.jsonl")
+        save_model(init_model("mirnn", ModelConfig(d=5, lstm_hidden=3), seed=0), model)
+        args = [log, model] if command == "evaluate" else [model, log]
+        assert main(["--output-dir", str(out), command, *args]) == EXIT_VALIDATION
+        assert "d=5" in capsys.readouterr().err
 
     def test_empty_training_log_is_validation(self, tmp_path):
         log = tmp_path / "empty.jsonl"

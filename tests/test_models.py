@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from mirank import CandidateSet, ModelConfig, init_model
+from mirank import ModelConfig, init_model
 from mirank.core import MirankError, make_rng
 from mirank.features import extend_features
 from mirank.models import (
     advance_entries,
     input_projection,
-    score_baseline_batch,
     score_midnn_batch,
     sequence_attention_weights,
     sequence_probabilities,
@@ -43,30 +42,9 @@ class TestFeedForwardScoring:
         for row, expected in zip(feats, batch):
             assert abs(score_midnn_batch(params, row[None, :])[0] - expected) < 1e-12
 
-    def test_baseline_batch_matches_single_and_scales_with_gamma(self, rng):
-        params = init_model("baseline", SMALL, seed=0)
-        cs = random_candidates(rng, 5, 3)
-        for gamma in (0.0, 1.0, 2.5):
-            batch = score_baseline_batch(params, cs, gamma)
-            for item, expected in zip(cs.items, batch):
-                single = score_baseline_batch(params, CandidateSet((item,)), gamma)[0]
-                assert abs(single - expected) < 1e-10
-        # gamma = 0 removes the price factor entirely
-        flat = score_baseline_batch(params, cs, 0.0)
-        priced = score_baseline_batch(params, cs, 1.0)
-        assert np.allclose(priced, cs.prices * flat)
-
-    def test_negative_gamma_rejected(self, rng):
-        params = init_model("baseline", SMALL, seed=0)
-        cs = random_candidates(rng, 3, 3)
-        with pytest.raises(MirankError, match="gamma"):
-            score_baseline_batch(params, cs, -0.5)
-
     def test_variant_guards(self, rng):
         midnn = init_model("midnn", SMALL, seed=0)
         cs = random_candidates(rng, 3, 3)
-        with pytest.raises(MirankError):
-            score_baseline_batch(midnn, cs, 1.0)
         with pytest.raises(MirankError):
             score_midnn_batch(init_model("baseline", SMALL, seed=0), extend_features(cs))
         with pytest.raises(MirankError):

@@ -164,6 +164,15 @@ class TestLogErrors:
         with pytest.raises(LogFormatError, match="line 2"):
             read_logs(path)
 
+    @pytest.mark.parametrize("constant", ("NaN", "Infinity", "-Infinity"))
+    def test_non_finite_constant_names_the_line(self, constant, tmp_path):
+        path = tmp_path / "logs.jsonl"
+        write_logs(self._one_record_logs(), path)
+        with open(path, "a") as handle:
+            handle.write('{"query_id": "q1", "items": [{"id": 0, "price": %s, "features": [0.5]}], "labels": [1]}\n' % constant)
+        with pytest.raises(LogFormatError, match=f"line 2.*{constant}"):
+            read_logs(path)
+
     def test_non_object_line(self, tmp_path):
         path = tmp_path / "logs.jsonl"
         path.write_text("[1, 2, 3]\n")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mirank import CandidateSet, ModelConfig, Ranking, init_model
+from mirank.configs import VARIANTS
 from mirank.features import extend_features
+from mirank.metrics import model_policy
 from mirank.models import sequence_probabilities_batch
 from mirank.core import MirankError, make_rng
 from mirank.ranker import (
@@ -15,8 +17,7 @@ from mirank.ranker import (
     exhaustive_oracle,
     expected_gmv,
     greedy_reference,
-    rank_by_baseline,
-    rank_by_sort,
+    rank,
     rerank_top_n,
 )
 from conftest import duplicated_candidates, random_candidates
@@ -34,7 +35,7 @@ class TestSortOptimality:
             rng = make_rng(seed)
             cs = random_candidates(rng, 5, 3)
             params = init_model("midnn", SMALL, seed=seed)
-            result = rank_by_sort(params, cs)
+            result = rank(params, cs)
             scores = np.array(
                 [cs.prices[i] * p for i, p in zip(result.ranking.order, result.per_position_probabilities)]
             )
@@ -52,28 +53,34 @@ class TestSortOptimality:
     def test_result_value_matches_expected_gmv(self, rng):
         cs = random_candidates(rng, 6, 3)
         params = init_model("midnn", SMALL, seed=1)
-        result = rank_by_sort(params, cs)
+        result = rank(params, cs)
         assert abs(result.expected_gmv - expected_gmv(params, cs, result.ranking)) < 1e-10
 
     def test_baseline_order_is_descending_in_score(self, rng):
+        """The baseline weighs price^gamma; gamma = 0 ranks by probability alone."""
         cs = random_candidates(rng, 6, 3)
         params = init_model("baseline", SMALL, seed=1)
-        result = rank_by_baseline(params, cs, gamma=1.5)
-        probs = result.per_position_probabilities
-        scores = cs.prices[list(result.ranking.order)] ** 1.5 * probs
-        assert np.all(np.diff(scores) <= 1e-12)
-
-    def test_variant_guards(self, rng):
-        cs = random_candidates(rng, 4, 3)
-        with pytest.raises(MirankError):
-            rank_by_sort(init_model("baseline", SMALL, seed=0), cs)
-        with pytest.raises(MirankError):
-            rank_by_baseline(init_model("midnn", SMALL, seed=0), cs)
+        item_probs = {}
+        for gamma in (0.0, 1.0, 1.5, 2.5):
+            result = rank(params, cs, gamma=gamma)
+            order = list(result.ranking.order)
+            probs = np.empty(len(cs))
+            probs[order] = result.per_position_probabilities
+            scores = cs.prices**gamma * probs
+            assert order == sorted(range(len(cs)), key=lambda i: (-scores[i], cs.items[i].id))
+            for item, expected in zip(cs.items, probs):
+                single = rank(params, CandidateSet((item,)), gamma=gamma).per_position_probabilities[0]
+                assert abs(single - expected) < 1e-10
+            item_probs[gamma] = probs
+        # gamma weighs the prices, never the probabilities
+        for probs in item_probs.values():
+            assert np.array_equal(probs, item_probs[0.0])
 
     def test_negative_gamma_rejected(self, rng):
         cs = random_candidates(rng, 4, 3)
-        with pytest.raises(MirankError, match="gamma"):
-            rank_by_baseline(init_model("baseline", SMALL, seed=0), cs, gamma=-2.0)
+        for variant in VARIANTS:
+            with pytest.raises(MirankError, match="gamma"):
+                rank(init_model(variant, SMALL, seed=0), cs, gamma=-2.0)
 
     @pytest.mark.parametrize("variant", ("baseline", "midnn"))
     def test_exact_ties_break_by_ascending_id(self, variant):
@@ -81,13 +88,24 @@ class TestSortOptimality:
         # give the copies the smaller ids, so id order and index order differ
         cs = CandidateSet(cs.items[4:] + cs.items[:4])
         params = init_model(variant, SMALL, seed=1)
-        rank = rank_by_sort if variant == "midnn" else rank_by_baseline
         result = rank(params, cs)
         ids = [cs.items[i].id for i in result.ranking.order]
         scores = cs.prices[list(result.ranking.order)] * result.per_position_probabilities
         expected = sorted(range(len(cs)), key=lambda j: (-scores[j], ids[j]))
         assert expected == list(range(len(cs)))
         assert len(set(scores.tolist())) == len(cs) - 3  # three exact ties were broken
+
+
+class TestRankDispatch:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_entry_point_gives_the_same_order(self, variant, rng):
+        cs = random_candidates(rng, 7, 3)
+        params = init_model(variant, SMALL, seed=2)
+        order = rank(params, cs, k=3, gamma=1.5).ranking.order
+        assert rerank_top_n(params, Ranking(tuple(range(7))), cs, n=7, k=3, gamma=1.5).order == order
+        assert model_policy(params, beam_size=3, gamma=1.5)(cs).order == order
+        if params.is_recurrent:
+            assert beam_search(params, cs, k=3).ranking.order == order
 
 
 class TestBeamSearch:
@@ -200,11 +218,11 @@ class TestExhaustiveOracle:
     def test_feedforward_oracle_agrees_with_sort(self, rng):
         cs = random_candidates(rng, 5, 3)
         params = init_model("midnn", SMALL, seed=2)
-        assert abs(exhaustive_oracle(params, cs).expected_gmv - rank_by_sort(params, cs).expected_gmv) < 1e-10
+        assert abs(exhaustive_oracle(params, cs).expected_gmv - rank(params, cs).expected_gmv) < 1e-10
 
 
 class TestRerankTopN:
-    @pytest.mark.parametrize("variant", ("baseline", "midnn", "mirnn", "mirnn_attention"))
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_suffix_is_untouched_and_prefix_is_permuted(self, variant, rng):
         cs = random_candidates(rng, 8, 3)
         params = init_model(variant, SMALL, seed=5)
