@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from mirank import ModelConfig, init_model
-from mirank.core import MirankError, make_rng
+from mirank.core import MirankError, Ranking, make_rng
 from mirank.features import extend_features
 from mirank.models import (
     advance_entries,
+    baseline_probabilities,
     input_projection,
     score_midnn_batch,
     sequence_attention_weights,
     sequence_probabilities,
     sequence_probabilities_batch,
 )
+from mirank.ranker import rank, rerank_top_n
 from conftest import chain_entry, random_candidates
 
 SMALL = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=12)
@@ -41,6 +43,28 @@ class TestFeedForwardScoring:
         batch = score_midnn_batch(params, feats)
         for row, expected in zip(feats, batch):
             assert abs(score_midnn_batch(params, row[None, :])[0] - expected) < 1e-12
+
+    def test_baseline_batch_matches_single_and_scales_with_gamma(self, rng):
+        params = init_model("baseline", SMALL, seed=0)
+        cs = random_candidates(rng, 5, 3)
+        batch = baseline_probabilities(params, cs.feature_matrix)
+        for row, expected in zip(cs.feature_matrix, batch):
+            assert abs(baseline_probabilities(params, row[None, :])[0] - expected) < 1e-12
+        for gamma in (0.0, 1.0, 2.5):
+            result = rank(params, cs, gamma=gamma)
+            order = list(result.ranking.order)
+            assert np.allclose(result.per_position_probabilities, batch[order], rtol=0, atol=1e-12)
+            # the baseline weighs price^gamma * p; gamma = 0 removes the price factor
+            scores = cs.prices**gamma * batch
+            assert order == sorted(range(len(cs)), key=lambda i: (-scores[i], cs.items[i].id))
+
+    def test_negative_gamma_rejected(self, rng):
+        params = init_model("baseline", SMALL, seed=0)
+        cs = random_candidates(rng, 3, 3)
+        with pytest.raises(MirankError, match="gamma"):
+            rank(params, cs, gamma=-0.5)
+        with pytest.raises(MirankError, match="gamma"):
+            rerank_top_n(params, Ranking(tuple(range(len(cs)))), cs, n=3, gamma=-0.5)
 
     def test_variant_guards(self, rng):
         midnn = init_model("midnn", SMALL, seed=0)
