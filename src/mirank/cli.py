@@ -19,7 +19,7 @@ import click
 import numpy as np
 import yaml
 
-from .configs import VARIANTS, ModelConfig, TrainConfig
+from .configs import VARIANTS, ModelConfig, TrainConfig, coerce, config_from
 from .core import MirankError, Ranking, ValidationError
 from .features import extend_features
 # evaluate scores through logged_predictions alone; perfbench/tracer.py still
@@ -70,23 +70,12 @@ def _resolve_config(config_path: str | None, overrides: dict) -> dict:
             raise ValidationError(f"unknown config keys in {config_path}: {sorted(unknown)}")
         resolved.update(loaded)
     resolved.update({key: value for key, value in overrides.items() if value is not None})
-    return resolved
-
-
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        d=int(cfg["d"]),
-        hidden_sizes=tuple(int(s) for s in cfg["hidden_sizes"]),
-        lstm_hidden=int(cfg["lstm_hidden"]),
-        attn_size=int(cfg["attn_size"]),
-        pos_size=int(cfg["pos_size"]),
-        max_positions=int(cfg["max_positions"]),
-    )
+    return {key: coerce(key, value, DEFAULTS[key]) for key, value in resolved.items()}
 
 
 def _check_feature_dim(params, model_path, dataset, log_path) -> None:
     """Reject a log whose feature dimension differs from the model's ``d``."""
-    dims = {record.displayed[0].local_features.shape[0] for record in dataset.records if record.displayed}
+    dims = {record.displayed[0].local_features.shape[0] for record in dataset.records}
     if dims - {params.config.d}:
         raise ValidationError(
             f"model {model_path} takes d={params.config.d} features, "
@@ -147,23 +136,16 @@ def generate(ctx, **flags):
     """Generate synthetic train/test query logs."""
     cfg = _resolve_config(ctx.obj["config_path"], flags)
     seed = ctx.obj["seed"]
-    behavior = BehaviorConfig(
-        price_sensitivity=cfg["price_sensitivity"],
-        position_bias_strength=cfg["position_bias_strength"],
-        order_effect_strength=cfg["order_effect_strength"],
-        primacy_strength=cfg["primacy_strength"],
-        base_rate=cfg["base_rate"],
-        seed=seed,
-    )
-    catalog = generate_catalog(int(cfg["catalog_size"]), int(cfg["d"]), seed)
+    behavior = config_from(BehaviorConfig, {**cfg, "seed": seed})
+    catalog = generate_catalog(cfg["catalog_size"], cfg["d"], seed)
     dataset = generate_logs(
         behavior,
         catalog,
-        n_queries=int(cfg["n_queries"]),
-        items_per_query=int(cfg["items_per_query"]),
+        n_queries=cfg["n_queries"],
+        items_per_query=cfg["items_per_query"],
         ranking_policy=cfg["ranking_policy"],
         seed=seed,
-        train_fraction=float(cfg["train_fraction"]),
+        train_fraction=cfg["train_fraction"],
     )
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
@@ -187,19 +169,13 @@ def generate(ctx, **flags):
 def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
     """Train a model variant on a JSONL training log."""
     if hidden_sizes is not None:
-        flags["hidden_sizes"] = _parse_int_list(hidden_sizes)
+        flags["hidden_sizes"] = [part for part in hidden_sizes.split(",") if part.strip()]
     cfg = _resolve_config(ctx.obj["config_path"], flags)
     seed = ctx.obj["seed"]
     dataset = read_logs(train_path, tag="train")
-    if dataset.records and dataset.records[0].displayed:
+    if dataset.records:
         cfg["d"] = dataset.records[0].displayed[0].local_features.shape[0]
-    train_config = TrainConfig(
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        sequence_batch_size=int(cfg["sequence_batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-    )
-    params, curve = train(variant, dataset.records, _model_config(cfg), train_config, seed)
+    params, curve = train(variant, dataset.records, config_from(ModelConfig, cfg), config_from(TrainConfig, cfg), seed)
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / f"{variant}.model"
@@ -235,7 +211,7 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
         n = len(record) if rerank_size is None else min(rerank_size, len(record))
         base = Ranking(tuple(range(len(record))))
         ranking = rerank_top_n(
-            params, base, candidates, n, k=int(cfg["beam_size"]), gamma=float(cfg["gamma"])
+            params, base, candidates, n, k=cfg["beam_size"], gamma=cfg["gamma"]
         )
         reranked.append(
             type(record)(

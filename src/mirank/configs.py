@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -35,7 +36,11 @@ class ModelConfig:
 
 
 def expected_block_shapes(variant: str, config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Parameter block names and shapes for a variant; the persistence contract."""
+    """Parameter block names and shapes for a variant; the persistence contract.
+
+    The order is also the order in which ``nn.train.init_blocks`` draws the
+    blocks, so reordering it changes every fresh and trained model.
+    """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown model variant {variant!r}")
     f = config.input_dim(variant)
@@ -95,3 +100,35 @@ class TrainConfig:
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
+
+    def __post_init__(self):
+        for key in ("epochs", "batch_size", "sequence_batch_size"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValidationError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+
+
+def coerce(key: str, value: Any, default: Any) -> Any:
+    """``value`` converted to the type of ``default``: a tuple default takes a
+    list of ints, any other default's type is called on the value.
+
+    Raises:
+        ValidationError: naming ``key`` when the value does not convert.
+    """
+    try:
+        if not isinstance(default, tuple):
+            return type(default)(value)
+        if not isinstance(value, (list, tuple)):
+            raise TypeError("expected a list")
+        return tuple(int(v) for v in value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"config key {key!r}: invalid value {value!r} ({exc})") from None
+
+
+def config_from(cls: type, values: Mapping[str, Any]):
+    """Build the config dataclass ``cls`` from untyped values (YAML, flags, a
+    model header): each field in ``values`` is coerced to the type of its
+    default, fields not in ``values`` keep their defaults, and keys that are
+    not fields are ignored."""
+    return cls(**{f.name: coerce(f.name, values[f.name], f.default) for f in fields(cls) if f.name in values})

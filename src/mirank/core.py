@@ -147,28 +147,41 @@ class QueryRecord:
 def validate_candidate_set(candidates: CandidateSet) -> CandidateSet:
     """Check all candidate-set invariants and return the set unchanged.
 
+    Each invariant is checked over the whole set's id, price and feature
+    arrays at once.
+
     Raises:
-        ValidationError: on duplicate ids, non-positive prices, non-finite
-            feature values, or mismatched feature dimensions; the message
-            names the offending item id.
+        ValidationError: on negative or duplicate ids, prices that are not
+            positive and finite, features that are not vectors of one
+            dimension, or non-finite feature values; the message names the
+            first offending item id.
     """
-    if len(candidates) < 1:
+    items = candidates.items
+    if not items:
         raise ValidationError("candidate set must contain at least one item")
-    seen: set[int] = set()
-    dim = candidates.items[0].local_features.shape[0] if candidates.items[0].local_features.ndim else -1
-    for item in candidates.items:
-        if item.id < 0:
-            raise ValidationError(f"item {item.id}: id must be non-negative")
-        if item.id in seen:
-            raise ValidationError(f"duplicate item id {item.id} in candidate set")
-        seen.add(item.id)
-        if not (item.price > 0) or not np.isfinite(item.price):
-            raise ValidationError(f"item {item.id}: price must be positive, got {item.price}")
-        if item.local_features.ndim != 1 or item.local_features.shape[0] != dim:
-            raise ValidationError(
-                f"item {item.id}: feature dimension {item.local_features.shape} "
-                f"does not match the set's dimension {dim}"
-            )
-        if not np.all(np.isfinite(item.local_features)):
-            raise ValidationError(f"item {item.id}: local features contain non-finite values")
+    ids = [item.id for item in items]
+    if min(ids) < 0:
+        raise ValidationError(f"item {next(i for i in ids if i < 0)}: id must be non-negative")
+    if len(set(ids)) < len(ids):
+        duplicate = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise ValidationError(f"duplicate item id {duplicate} in candidate set")
+    prices = candidates.prices
+    valid = np.isfinite(prices) & (prices > 0)
+    if not valid.all():
+        i = np.argmin(valid)
+        raise ValidationError(f"item {ids[i]}: price must be positive and finite, got {prices[i]}")
+    shapes = [item.local_features.shape for item in items]
+    if len(shapes[0]) != 1:
+        raise ValidationError(f"item {ids[0]}: local features must be a vector, got shape {shapes[0]}")
+    if shapes.count(shapes[0]) != len(shapes):
+        i = next(i for i, shape in enumerate(shapes) if shape != shapes[0])
+        raise ValidationError(
+            f"item {ids[i]}: feature dimension {shapes[i]} differs from the set's dimension {shapes[0]}"
+        )
+    # The shapes are equal, so one concatenation holds every feature; it costs
+    # a fraction of np.stack on a 20-item set.
+    finite = np.isfinite(np.concatenate([item.local_features for item in items]))
+    if not finite.all():
+        i = np.argmin(finite) // shapes[0][0]
+        raise ValidationError(f"item {ids[i]}: local features contain non-finite values")
     return candidates

@@ -1,9 +1,8 @@
 """From-scratch neural primitives: MLP, LSTM, attention, hand-derived gradients."""
 
 from .common import cross_entropy, cross_entropy_batch, relu, sigmoid
-from .mlp import init_mlp_params, mlp_backward, mlp_forward_batch
-from .lstm import cell_update, init_lstm_params, lstm_step_batch
-from .attention import init_attention_params
+from .mlp import mlp_backward, mlp_forward_batch
+from .lstm import cell_update, lstm_step_batch
 from .recurrent import sequence_backward, sequence_forward
 from .gradcheck import GradientReport, gradient_check
 from .optim import AdamState, adam_step
@@ -19,9 +18,6 @@ __all__ = [
     "cross_entropy",
     "cross_entropy_batch",
     "gradient_check",
-    "init_attention_params",
-    "init_lstm_params",
-    "init_mlp_params",
     "lstm_step_batch",
     "mlp_backward",
     "mlp_forward_batch",

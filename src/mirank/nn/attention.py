@@ -10,24 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import glorot_uniform
-
-
-def init_attention_params(
-    hidden_dim: int,
-    attn_dim: int,
-    pos_dim: int,
-    max_positions: int,
-    rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """Attention-specific blocks; combined with LSTM blocks in the full model."""
-    return {
-        "w_ctx": glorot_uniform(rng, (hidden_dim,)),
-        "W_a": glorot_uniform(rng, (attn_dim, pos_dim + hidden_dim)),
-        "w_g": glorot_uniform(rng, (2 * attn_dim,)),
-        "pos_emb": rng.uniform(-0.05, 0.05, size=(max_positions, pos_dim)),
-    }
-
 
 def position_row(params: dict[str, np.ndarray], position_index: int) -> int:
     """0-based embedding row for a 1-based position; indices beyond the table clamp."""

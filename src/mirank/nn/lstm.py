@@ -10,23 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import glorot_uniform, sigmoid
-
-
-def init_lstm_params(
-    input_dim: int,
-    hidden_dim: int,
-    rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    h = hidden_dim
-    params = {
-        "Wx": glorot_uniform(rng, (4 * h, input_dim)),
-        "Wh": glorot_uniform(rng, (4 * h, h)),
-        "b": np.zeros(4 * h),
-        "w_out": glorot_uniform(rng, (h,)),
-    }
-    params["b"][h : 2 * h] = 1.0  # forget gate open at init
-    return params
+from .common import sigmoid
 
 
 def hidden_dim(params: dict[str, np.ndarray]) -> int:

@@ -10,23 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import glorot_uniform, sigmoid
-
-
-def init_mlp_params(
-    input_dim: int,
-    hidden_sizes: tuple[int, ...],
-    rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    fan_in = input_dim
-    for k, size in enumerate(hidden_sizes, start=1):
-        params[f"W{k}"] = glorot_uniform(rng, (size, fan_in))
-        params[f"b{k}"] = np.zeros(size)
-        fan_in = size
-    params["W_out"] = glorot_uniform(rng, (1, fan_in))
-    params["b_out"] = np.zeros(1)
-    return params
+from .common import sigmoid
 
 
 def _num_hidden(params: dict[str, np.ndarray]) -> int:

@@ -7,13 +7,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..configs import RECURRENT_VARIANTS, VARIANTS, ModelConfig, ModelParams, TrainConfig
+from ..configs import RECURRENT_VARIANTS, ModelConfig, ModelParams, TrainConfig, expected_block_shapes
 from ..core import MirankError, QueryRecord, make_rng
 from ..features import extend_feature_matrix
-from .attention import init_attention_params
-from .common import cross_entropy_batch
-from .lstm import init_lstm_params
-from .mlp import init_mlp_params, mlp_backward, mlp_forward_batch
+from .common import cross_entropy_batch, glorot_uniform
+from .mlp import mlp_backward, mlp_forward_batch
 from .optim import AdamState, adam_step
 from .recurrent import sequence_backward, sequence_forward
 
@@ -23,19 +21,22 @@ class TrainingDiverged(MirankError):
 
 
 def init_blocks(variant: str, config: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Freshly initialized parameter blocks for a variant."""
-    if variant not in VARIANTS:
-        raise MirankError(f"unknown model variant {variant!r}")
-    input_dim = config.input_dim(variant)
-    if variant not in RECURRENT_VARIANTS:
-        return init_mlp_params(input_dim, config.hidden_sizes, rng)
-    blocks = init_lstm_params(input_dim, config.lstm_hidden, rng)
-    if variant == "mirnn_attention":
-        blocks.update(
-            init_attention_params(
-                config.lstm_hidden, config.attn_size, config.pos_size, config.max_positions, rng
-            )
-        )
+    """Freshly initialized parameter blocks for a variant.
+
+    Blocks are drawn in the order of :func:`expected_block_shapes`: biases
+    (``b*``) are zero, ``pos_emb`` is uniform in +-0.05, and every other block
+    is Glorot-uniform.
+    """
+    blocks: dict[str, np.ndarray] = {}
+    for name, shape in expected_block_shapes(variant, config).items():
+        if name.startswith("b"):
+            blocks[name] = np.zeros(shape)
+            if name == "b":  # the LSTM's stacked gate biases: the forget gate starts open
+                blocks[name][shape[0] // 4 : shape[0] // 2] = 1.0
+        elif name == "pos_emb":
+            blocks[name] = rng.uniform(-0.05, 0.05, size=shape)
+        else:
+            blocks[name] = glorot_uniform(rng, shape)
     return blocks
 
 

@@ -21,8 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .configs import ModelConfig, ModelParams, expected_block_shapes
-from .core import Item, MirankError, QueryRecord, ValidationError
+from .configs import ModelConfig, ModelParams, config_from, expected_block_shapes
+from .core import CandidateSet, Item, MirankError, QueryRecord, ValidationError, validate_candidate_set
 from .simgen import Dataset
 
 __all__ = [
@@ -119,10 +119,10 @@ def load_model(path) -> ModelParams:
     try:
         header = json.loads(payload[12 : 12 + header_len].decode("utf-8"))
         variant = header["variant"]
-        stored = {f.name: header["config"][f.name] for f in fields(ModelConfig)}
-        config = ModelConfig(**{**stored, "hidden_sizes": tuple(stored["hidden_sizes"])})
+        # Every field is stored: a missing one is a format error, not a default.
+        config = config_from(ModelConfig, {f.name: header["config"][f.name] for f in fields(ModelConfig)})
         declared = [(entry["name"], tuple(entry["shape"])) for entry in header["blocks"]]
-    except (KeyError, TypeError, ValueError, UnicodeDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, UnicodeDecodeError, ValidationError) as exc:
         raise ModelFormatError(f"{path}: unparseable header ({exc})") from exc
     try:
         expected = expected_block_shapes(variant, config)
@@ -179,16 +179,14 @@ def _parse_record(obj: dict, line_no: int) -> QueryRecord:
             Item(id=entry["id"], price=entry["price"], local_features=np.array(entry["features"], dtype=np.float64))
             for entry in obj["items"]
         )
-        dims = {item.local_features.shape[0] for item in items}
-        if len(dims) > 1:
-            raise ValidationError(f"feature lengths {sorted(dims)} differ within the record")
+        validate_candidate_set(CandidateSet(items))
         return QueryRecord(
             query_id=str(obj["query_id"]),
             displayed=items,
             labels=tuple(obj["labels"]),
             ground_truth_probs=tuple(obj["ground_truth_probs"]) if "ground_truth_probs" in obj else None,
         )
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise LogFormatError(f"line {line_no}: invalid record ({exc})") from exc
 
 

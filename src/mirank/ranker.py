@@ -254,8 +254,6 @@ def rerank_top_n(
             f"rerank size {n} exceeds the candidate set size {len(candidates)}"
         )
     prefix = base_ranking.order[:n]
-    if n == 1:
-        return base_ranking
     subset = CandidateSet(tuple(candidates.items[i] for i in prefix))
     sub_order = rank(params, subset, k, gamma).ranking.order
     reordered = tuple(prefix[j] for j in sub_order)

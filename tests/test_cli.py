@@ -178,7 +178,7 @@ class TestConfigLayering:
         config.write_text(yaml.safe_dump({
             "n_queries": 10, "items_per_query": 4, "catalog_size": 25,
             "d": 3, "base_rate": 0.35,
-        }))
+        }) + "price_sensitivity: 1e-3\n")  # PyYAML reads 1e-3 as a string
         out = tmp_path / "run"
         assert main([
             "--seed", "3", "--config", str(config), "--output-dir", str(out),
@@ -188,6 +188,7 @@ class TestConfigLayering:
         assert manifest["resolved_config"]["n_queries"] == 6  # flag wins
         assert manifest["resolved_config"]["items_per_query"] == 4  # file wins
         assert manifest["resolved_config"]["ranking_policy"] == "random"  # default
+        assert manifest["resolved_config"]["price_sensitivity"] == 1e-3
         total = len(read_logs(out / "train.jsonl")) + len(read_logs(out / "test.jsonl"))
         assert total == 6
 
@@ -236,13 +237,17 @@ class TestExitCodes:
         bad_log.write_text("{broken\n")
         assert main(["rerank", str(out / "midnn.model"), str(bad_log)]) == EXIT_IO
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_negative_gamma_is_validation(self, variant, tmp_path):
+    @pytest.mark.parametrize(
+        "variant, extra",
+        [pytest.param(variant, (), id=variant) for variant in VARIANTS]
+        + [pytest.param(variant, ("--rerank-size", "1"), id=f"{variant}-rerank-size-1") for variant in VARIANTS],
+    )
+    def test_negative_gamma_is_validation(self, variant, extra, tmp_path):
         out = tmp_path / "run"
         assert _generate(out) == 0
         config = ModelConfig(d=4, hidden_sizes=(4,), lstm_hidden=3, attn_size=2, pos_size=2)
         save_model(init_model(variant, config, seed=0), out / "model.model")
-        args = ["--output-dir", str(out), "rerank", str(out / "model.model"), str(out / "test.jsonl")]
+        args = ["--output-dir", str(out), "rerank", str(out / "model.model"), str(out / "test.jsonl"), *extra]
         assert main([*args, "--gamma", "-1"]) == EXIT_VALIDATION
         assert main([*args, "--gamma", "0"]) == 0
 
@@ -257,6 +262,26 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main(["--output-dir", str(out), "rerank", str(tmp_path / "midnn.model"), str(log)]) == EXIT_IO
         assert "line 1" in capsys.readouterr().err
+        assert not (out / "rerank_gmv.csv").exists()
+
+    @pytest.mark.parametrize("item", (
+        '{"id": 1, "price": 1e999, "features": [0.3, 0.4]}',
+        '{"id": 1, "price": 2.0, "features": [1e999, 0.4]}',
+        '{"id": 0, "price": 2.0, "features": [0.3, 0.4]}',
+        '{"id": 1, "price": 0.0, "features": [0.3, 0.4]}',
+        '{"id": 1, "price": -2.0, "features": [0.3, 0.4]}',
+    ), ids=("price-overflow", "feature-overflow", "duplicate-id", "zero-price", "negative-price"))
+    def test_invalid_candidate_set_is_io(self, item, tmp_path, capsys):
+        save_model(init_model("midnn", ModelConfig(d=2, hidden_sizes=(3,)), seed=0), tmp_path / "midnn.model")
+        log = tmp_path / "bad.jsonl"
+        log.write_text(
+            '{"query_id": "q0", "items": [{"id": 0, "price": 1.0, "features": [0.1, 0.2]}], "labels": [1]}\n'
+            '{"query_id": "q1", "items": [{"id": 0, "price": 1.0, "features": [0.1, 0.2]}, %s], '
+            '"labels": [1, 0]}\n' % item
+        )
+        out = tmp_path / "run"
+        assert main(["--output-dir", str(out), "rerank", str(tmp_path / "midnn.model"), str(log)]) == EXIT_IO
+        assert "line 2" in capsys.readouterr().err
         assert not (out / "rerank_gmv.csv").exists()
 
     @pytest.mark.parametrize("command", ("rerank", "evaluate", "oracle-compare"))
@@ -275,14 +300,31 @@ class TestExitCodes:
         assert main(["--output-dir", str(tmp_path), "train", "midnn", str(log)]) == EXIT_VALIDATION
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_exit_code(self, tmp_path):
-        log = tmp_path / "inf.jsonl"
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
         log.write_text(
             '{"query_id": "q0", "items": ['
-            '{"id": 0, "price": 1.0, "features": [1e400, -1e400]}, '
+            '{"id": 0, "price": 1.0, "features": [1.0, -1.0]}, '
             '{"id": 1, "price": 1.0, "features": [0.0, 1.0]}], "labels": [1, 0]}\n'
         )
         assert main([
-            "--output-dir", str(tmp_path),
-            "train", "midnn", str(log), "--epochs", "1", "--hidden-sizes", "3",
+            "--output-dir", str(tmp_path), "train", "midnn", str(log),
+            "--epochs", "3", "--hidden-sizes", "3", "--learning-rate", "1e308",
         ]) == EXIT_DIVERGED
+        assert "non-finite loss" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, config", (
+        (("--epochs", "0"), ""),
+        (("--batch-size", "0"), ""),
+        ((), "hidden_sizes: 8\n"),
+        ((), "lstm_hidden: abc\n"),
+    ), ids=("epochs-0", "batch-size-0", "scalar-hidden-sizes", "text-lstm-hidden"))
+    def test_bad_train_config_is_validation(self, flags, config, tmp_path):
+        out = tmp_path / "run"
+        assert _generate(out) == 0
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(config)
+        assert main([
+            "--config", str(config_path), "--output-dir", str(out),
+            "train", "mirnn", str(out / "train.jsonl"), *flags,
+        ]) == EXIT_VALIDATION

@@ -1,11 +1,13 @@
 """Numerical kernels: hand-computed oracles, gradient checks, training loop."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mirank import Item, ModelConfig, QueryRecord, TrainConfig
+from mirank.configs import VARIANTS
 from mirank.core import MirankError, make_rng
 from mirank.nn.common import PROB_EPS, cross_entropy, cross_entropy_batch, glorot_uniform, relu, sigmoid
 from mirank.nn.gradcheck import gradient_check, relative_error
@@ -49,6 +51,35 @@ def test_glorot_bounds():
     limit = math.sqrt(6.0 / 50.0)
     assert np.all(np.abs(w) <= limit)
     assert w.std() > 0
+
+
+# SHA-256 over each fresh block's name and little-endian float64 bytes, in
+# table order, from init_blocks(variant, config, make_rng(11)).
+INIT_DIGESTS = {
+    ("default", "baseline"): "9c6ff535495cf7cbabbde75acfd059d911cdd96908d92b862cc0e4c0ea0d3eff",
+    ("default", "midnn"): "5179634df4c2c59c6291ff89e2cb6f58ec53e1923d9d75e0296c1b4ef4326415",
+    ("default", "mirnn"): "a12f5ab4b85a45d885d1d69db9c3ca8706a556f115e0a8462920d775bc739779",
+    ("default", "mirnn_attention"): "2ddcc59497af34eb237e0eff4ede5f9384d153efb9a3d203418900c18cae851e",
+    ("small", "baseline"): "0d997a1e5a113cf5f11f3af7a387f3709833040a2d14056b9833dd03eeba7378",
+    ("small", "midnn"): "cd4b371f5de99632e512d1d313b6fbc1996a82fea86aef00467a7eb437873333",
+    ("small", "mirnn"): "0af9b884da2f6e925931045f990fc9ff4f8e00a0b5e6765acdab8b367b2f58c6",
+    ("small", "mirnn_attention"): "183138142a19e0bdec8f5463c5728dcba764d5ee844e0dd49e78213ef25fd699",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fresh_blocks_are_pinned(variant):
+    """The draw order and every init rule are part of each variant's numbers."""
+    configs = {
+        "default": ModelConfig(),
+        "small": ModelConfig(d=3, hidden_sizes=(4, 2), lstm_hidden=3, attn_size=2, pos_size=2, max_positions=6),
+    }
+    for name, config in configs.items():
+        digest = hashlib.sha256()
+        for block_name, block in init_blocks(variant, config, make_rng(11)).items():
+            digest.update(block_name.encode())
+            digest.update(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        assert digest.hexdigest() == INIT_DIGESTS[name, variant], name
 
 
 class TestMlp:

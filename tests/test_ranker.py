@@ -234,7 +234,7 @@ class TestRerankTopN:
     def test_single_item_prefix_returns_base(self, rng):
         cs = random_candidates(rng, 4, 3)
         base = Ranking((3, 1, 0, 2))
-        assert rerank_top_n(init_model("midnn", SMALL, seed=0), base, cs, n=1) is base
+        assert rerank_top_n(init_model("midnn", SMALL, seed=0), base, cs, n=1) == base
 
     def test_size_guards(self, rng):
         cs = random_candidates(rng, 4, 3)
