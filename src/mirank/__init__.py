@@ -6,7 +6,7 @@ maximizing expected GMV.
 """
 
 from .configs import ModelConfig, ModelParams, TrainConfig
-from .core import CandidateSet, Item, QueryRecord, Ranking, validate_candidate_set
+from .core import CandidateSet, Item, QueryRecord, Ranking
 from .features import extend_features
 from .metrics import attention_diagnostic, auc, compare_policies, latency_bench, metric_report, rig
 from .models import init_model
@@ -46,6 +46,5 @@ __all__ = [
     "rig",
     "save_model",
     "train",
-    "validate_candidate_set",
     "write_logs",
 ]

@@ -75,7 +75,7 @@ def _resolve_config(config_path: str | None, overrides: dict) -> dict:
 
 def _check_feature_dim(params, model_path, dataset, log_path) -> None:
     """Reject a log whose feature dimension differs from the model's ``d``."""
-    dims = {record.displayed[0].local_features.shape[0] for record in dataset.records}
+    dims = {record.candidate_set.feature_matrix.shape[1] for record in dataset.records}
     if dims - {params.config.d}:
         raise ValidationError(
             f"model {model_path} takes d={params.config.d} features, "
@@ -174,7 +174,7 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
     seed = ctx.obj["seed"]
     dataset = read_logs(train_path, tag="train")
     if dataset.records:
-        cfg["d"] = dataset.records[0].displayed[0].local_features.shape[0]
+        cfg["d"] = dataset.records[0].candidate_set.feature_matrix.shape[1]
     params, curve = train(variant, dataset.records, config_from(ModelConfig, cfg), config_from(TrainConfig, cfg), seed)
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
@@ -213,18 +213,7 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
         ranking = rerank_top_n(
             params, base, candidates, n, k=cfg["beam_size"], gamma=cfg["gamma"]
         )
-        reranked.append(
-            type(record)(
-                query_id=record.query_id,
-                displayed=tuple(record.displayed[i] for i in ranking.order),
-                labels=tuple(record.labels[i] for i in ranking.order),
-                ground_truth_probs=(
-                    tuple(record.ground_truth_probs[i] for i in ranking.order)
-                    if record.ground_truth_probs is not None
-                    else None
-                ),
-            )
-        )
+        reranked.append(record.take(ranking.order))
         rows.append([record.query_id, repr(expected_gmv(params, candidates, ranking))])
     write_logs(reranked, out / "reranked.jsonl")
     with open(out / "rerank_gmv.csv", "w", newline="") as handle:
@@ -251,7 +240,7 @@ def evaluate(ctx, test_path, model_paths, attention_size):
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
     extended = [extend_features(record.candidate_set) for record in dataset.records]
-    labels = np.concatenate([np.array(record.labels) for record in dataset.records])
+    labels = np.concatenate([record.labels for record in dataset.records])
     report: dict = {}
     for model_path, params in models:
         predictions, matrix = logged_predictions(params, extended, attention_size)
@@ -317,10 +306,8 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    from .core import CandidateSet
-
     for record in dataset.records:
-        subset = CandidateSet(record.displayed[:max_n])
+        subset = record.candidate_set.take(np.arange(min(max_n, len(record))))
         oracle = exhaustive_oracle(params, subset)
         greedy = greedy_reference(params, subset)
         for k in beam_sizes:

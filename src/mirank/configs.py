@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -13,6 +13,13 @@ from .core import ValidationError
 #: only; the mutual-influence models consume the global feature extension.
 VARIANTS = ("baseline", "midnn", "mirnn", "mirnn_attention")
 RECURRENT_VARIANTS = ("mirnn", "mirnn_attention")
+
+
+def _require_positive(config, keys) -> None:
+    """Raise unless every named integer field of ``config`` is at least 1."""
+    for key in keys:
+        if getattr(config, key) < 1:
+            raise ValidationError(f"{key} must be >= 1, got {getattr(config, key)}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,11 @@ class ModelConfig:
     attn_size: int = 10
     pos_size: int = 5
     max_positions: int = 100
+
+    def __post_init__(self):
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ValidationError(f"hidden_sizes must list one or more sizes >= 1, got {self.hidden_sizes}")
+        _require_positive(self, ("d", "lstm_hidden", "attn_size", "pos_size", "max_positions"))
 
     def input_dim(self, variant: str) -> int:
         return self.d if variant == "baseline" else 2 * self.d
@@ -85,10 +97,6 @@ class ModelParams:
     def is_recurrent(self) -> bool:
         return self.variant in RECURRENT_VARIANTS
 
-    def with_blocks(self, overrides: dict[str, np.ndarray]) -> "ModelParams":
-        """A copy with the named parameter blocks replaced; shapes re-checked."""
-        return replace(self, blocks={**self.blocks, **overrides})
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -102,9 +110,7 @@ class TrainConfig:
     beta2: float = 0.999
 
     def __post_init__(self):
-        for key in ("epochs", "batch_size", "sequence_batch_size"):
-            if getattr(self, key) < 1:
-                raise ValidationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        _require_positive(self, ("epochs", "batch_size", "sequence_batch_size"))
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 

@@ -8,7 +8,8 @@ public function boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -20,7 +21,6 @@ __all__ = [
     "MirankError",
     "ValidationError",
     "make_rng",
-    "validate_candidate_set",
 ]
 
 
@@ -41,7 +41,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Item:
-    """One ranking unit: an id, a price, and a local feature vector.
+    """One ranking unit: an id, a price, and a local feature vector; a row of
+    a :class:`CandidateSet`, built by ``CandidateSet.of`` and ``.items``.
 
     Attributes:
         id: Unique non-negative integer within a candidate set.
@@ -62,26 +63,97 @@ class Item:
         object.__setattr__(self, "id", int(self.id))
 
 
-@dataclass(frozen=True)
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy, so no caller keeps a writable view of a set's data."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
 class CandidateSet:
-    """The ordered list of items to be ranked for one query."""
+    """The ordered items to be ranked for one query, held as three read-only
+    arrays: ``ids`` (N,), ``prices`` (N,) and ``feature_matrix`` (N, d).
 
-    items: tuple[Item, ...]
+    Construction checks every invariant once, over whole arrays; only a
+    failing check searches for the first offending item. ``feature_matrix``
+    may also be given as N per-item vectors.
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+    Raises:
+        ValidationError: on an empty set, negative or duplicate ids, prices
+            that are not positive and finite, features that are not vectors of
+            one dimension, or non-finite feature values; the message names the
+            first offending item id.
+    """
+
+    __slots__ = ("_ids", "_prices", "_features")
+
+    def __init__(self, ids, prices, feature_matrix):
+        ids, prices = _frozen(ids, np.int64), _frozen(prices, np.float64)
+        if not ids.size:
+            raise ValidationError("candidate set must contain at least one item")
+        if ids.ndim != 1 or prices.shape != ids.shape:
+            raise ValidationError(f"ids must be a vector with one price each, got shapes {ids.shape}, {prices.shape}")
+        listed = ids.tolist()  # builtin min and set beat their numpy forms on short sets
+        if min(listed) < 0:
+            raise ValidationError(f"item {next(i for i in listed if i < 0)}: id must be non-negative")
+        if len(set(listed)) < len(listed):
+            duplicate = next(i for k, i in enumerate(listed) if i in listed[:k])
+            raise ValidationError(f"duplicate item id {duplicate} in candidate set")
+        valid = np.isfinite(prices) & (prices > 0)
+        if not valid.all():
+            i = np.argmin(valid)
+            raise ValidationError(f"item {ids[i]}: price must be positive and finite, got {prices[i]}")
+        try:
+            features = _frozen(feature_matrix, np.float64)
+        except ValueError:  # ragged rows name the first item off the first row's shape
+            shapes = [np.shape(row) for row in feature_matrix]
+            for item_id, shape in zip(listed, shapes):
+                if shape != shapes[0]:
+                    raise ValidationError(
+                        f"item {item_id}: feature dimension {shape} differs from the set's dimension {shapes[0]}"
+                    ) from None
+            raise
+        if features.ndim != 2:
+            raise ValidationError(f"item {ids[0]}: local features must be a vector, got shape {features.shape[1:]}")
+        if len(features) != len(ids):
+            raise ValidationError(f"{len(ids)} items but {len(features)} feature rows")
+        finite = np.isfinite(features)
+        if not finite.all():
+            i = np.argmin(finite.all(axis=1))
+            raise ValidationError(f"item {ids[i]}: local features contain non-finite values")
+        self._ids, self._prices, self._features = ids, prices, features
+
+    @classmethod
+    def of(cls, items: Iterable[Item]) -> CandidateSet:
+        """The set of the given row views, in their order."""
+        items = tuple(items)
+        return cls([item.id for item in items], [item.price for item in items], [item.local_features for item in items])
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._ids)
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._ids
 
     @property
     def prices(self) -> np.ndarray:
-        return np.array([item.price for item in self.items])
+        return self._prices
 
     @property
     def feature_matrix(self) -> np.ndarray:
-        """Local features stacked row-wise, shape (N, d)."""
-        return np.stack([item.local_features for item in self.items])
+        """Local features, one row per item, shape (N, d)."""
+        return self._features
+
+    @property
+    def items(self) -> tuple[Item, ...]:
+        """Row views of the set, in set order."""
+        return tuple(map(Item, self._ids.tolist(), self._prices.tolist(), self._features))
+
+    def take(self, order) -> CandidateSet:
+        """The items at positions ``order`` of this set, in that order."""
+        order = np.asarray(order, dtype=np.intp)
+        return CandidateSet(self._ids[order], self._prices[order], self._features[order])
 
 
 @dataclass(frozen=True)
@@ -100,88 +172,56 @@ class Ranking:
         return len(self.order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryRecord:
-    """One logged impression: displayed items in display order plus purchase labels.
+    """One logged impression: the displayed items in display order plus
+    purchase labels.
 
     Attributes:
         query_id: Identifier of the query.
-        displayed: Items in the order shown to the user.
-        labels: Binary purchase labels, parallel to ``displayed``.
-        ground_truth_probs: Optional simulator purchase probabilities, parallel
-            to ``displayed``; present for synthetic data only.
+        candidate_set: The items in the order shown to the user.
+        labels: Read-only binary purchase labels, parallel to the set.
+        ground_truth_probs: Optional read-only simulator purchase
+            probabilities in [0, 1], parallel to the set; present for
+            synthetic data only.
     """
 
     query_id: str
-    displayed: tuple[Item, ...]
-    labels: tuple[int, ...]
-    ground_truth_probs: tuple[float, ...] | None = None
+    candidate_set: CandidateSet
+    labels: np.ndarray
+    ground_truth_probs: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "displayed", tuple(self.displayed))
-        object.__setattr__(self, "labels", tuple(int(y) for y in self.labels))
-        if len(self.labels) != len(self.displayed):
-            raise ValidationError(
-                f"record {self.query_id}: {len(self.labels)} labels for "
-                f"{len(self.displayed)} items"
-            )
-        if any(y not in (0, 1) for y in self.labels):
+        n = len(self.candidate_set)
+        labels = _frozen(self.labels, np.int64)
+        if labels.shape != (n,):
+            raise ValidationError(f"record {self.query_id}: {labels.size} labels for {n} items")
+        if labels.min() < 0 or labels.max() > 1:
             raise ValidationError(f"record {self.query_id}: labels must be 0 or 1")
+        object.__setattr__(self, "labels", labels)
         if self.ground_truth_probs is not None:
-            probs = tuple(float(p) for p in self.ground_truth_probs)
-            if len(probs) != len(self.displayed):
+            probs = _frozen(self.ground_truth_probs, np.float64)
+            if probs.shape != (n,):
                 raise ValidationError(
-                    f"record {self.query_id}: {len(probs)} ground-truth probabilities "
-                    f"for {len(self.displayed)} items"
+                    f"record {self.query_id}: {probs.size} ground-truth probabilities for {n} items"
+                )
+            valid = (probs >= 0.0) & (probs <= 1.0)
+            if not valid.all():
+                i = np.argmin(valid)
+                raise ValidationError(
+                    f"record {self.query_id}: item {self.candidate_set.ids[i]}: "
+                    f"ground-truth probability must be in [0, 1], got {probs[i]}"
                 )
             object.__setattr__(self, "ground_truth_probs", probs)
 
-    @property
-    def candidate_set(self) -> CandidateSet:
-        return CandidateSet(self.displayed)
-
     def __len__(self) -> int:
-        return len(self.displayed)
+        return len(self.candidate_set)
 
-
-def validate_candidate_set(candidates: CandidateSet) -> CandidateSet:
-    """Check all candidate-set invariants and return the set unchanged.
-
-    Each invariant is checked over the whole set's id, price and feature
-    arrays at once.
-
-    Raises:
-        ValidationError: on negative or duplicate ids, prices that are not
-            positive and finite, features that are not vectors of one
-            dimension, or non-finite feature values; the message names the
-            first offending item id.
-    """
-    items = candidates.items
-    if not items:
-        raise ValidationError("candidate set must contain at least one item")
-    ids = [item.id for item in items]
-    if min(ids) < 0:
-        raise ValidationError(f"item {next(i for i in ids if i < 0)}: id must be non-negative")
-    if len(set(ids)) < len(ids):
-        duplicate = next(i for k, i in enumerate(ids) if i in ids[:k])
-        raise ValidationError(f"duplicate item id {duplicate} in candidate set")
-    prices = candidates.prices
-    valid = np.isfinite(prices) & (prices > 0)
-    if not valid.all():
-        i = np.argmin(valid)
-        raise ValidationError(f"item {ids[i]}: price must be positive and finite, got {prices[i]}")
-    shapes = [item.local_features.shape for item in items]
-    if len(shapes[0]) != 1:
-        raise ValidationError(f"item {ids[0]}: local features must be a vector, got shape {shapes[0]}")
-    if shapes.count(shapes[0]) != len(shapes):
-        i = next(i for i, shape in enumerate(shapes) if shape != shapes[0])
-        raise ValidationError(
-            f"item {ids[i]}: feature dimension {shapes[i]} differs from the set's dimension {shapes[0]}"
+    def take(self, order) -> QueryRecord:
+        """The record with its items, labels and probabilities at positions
+        ``order``, in that order."""
+        order = np.asarray(order, dtype=np.intp)
+        probs = self.ground_truth_probs
+        return QueryRecord(
+            self.query_id, self.candidate_set.take(order), self.labels[order], None if probs is None else probs[order]
         )
-    # The shapes are equal, so one concatenation holds every feature; it costs
-    # a fraction of np.stack on a 20-item set.
-    finite = np.isfinite(np.concatenate([item.local_features for item in items]))
-    if not finite.all():
-        i = np.argmin(finite) // shapes[0][0]
-        raise ValidationError(f"item {ids[i]}: local features contain non-finite values")
-    return candidates

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .configs import ModelParams
-from .core import CandidateSet, Item, MirankError, QueryRecord, Ranking, make_rng
+from .core import CandidateSet, MirankError, QueryRecord, Ranking, make_rng
 from .features import extend_features
 from .models import baseline_probabilities, logged_forward, score_midnn_batch
 from .nn.common import PROB_EPS
@@ -120,19 +120,17 @@ class PolicyComparison:
 def compare_policies(
     policies: dict[str, Callable[[CandidateSet], Ranking]],
     config: BehaviorConfig,
-    catalog: Sequence[Item],
+    catalog: CandidateSet,
     n_queries: int,
     items_per_query: int,
     seed: int,
-    use_sampled_labels: bool = False,
     subset_sampling: str = "price_band",
 ) -> PolicyComparison:
     """Rank the same candidate sets with every policy and score the results
     against the simulator's ground truth.
 
-    By default the GMV is the sum of price times ground-truth probability
-    under each policy's order, which removes Monte-Carlo label noise; pass
-    use_sampled_labels=True to score sampled purchases instead.
+    The GMV is the sum of price times ground-truth probability under each
+    policy's order, which removes Monte-Carlo label noise.
     """
     from .simgen import _subset_sampler
 
@@ -141,17 +139,10 @@ def compare_policies(
     names = tuple(policies)
     gmv = np.zeros((n_queries, len(names)))
     for q in range(n_queries):
-        candidates = CandidateSet(tuple(catalog[i] for i in sampler(rng)))
-        prices = candidates.prices
+        candidates = catalog.take(sampler(rng))
         for column, name in enumerate(names):
-            ranking = policies[name](candidates)
-            displayed = [candidates.items[i] for i in ranking.order]
-            probs = session_probabilities(config, displayed)
-            if use_sampled_labels:
-                outcomes = (rng.random(len(probs)) < probs).astype(float)
-                gmv[q, column] = float(np.sum(prices[list(ranking.order)] * outcomes))
-            else:
-                gmv[q, column] = float(np.sum(prices[list(ranking.order)] * probs))
+            displayed = candidates.take(policies[name](candidates).order)
+            gmv[q, column] = float(np.sum(displayed.prices * session_probabilities(config, displayed)))
     return PolicyComparison(policy_names=names, gmv=gmv)
 
 
@@ -282,10 +273,7 @@ def latency_bench(
     from .simgen import generate_catalog
 
     first_params = next(iter(models.values()))
-    catalogs = {
-        n: CandidateSet(tuple(generate_catalog(n, first_params.config.d, seed + n)))
-        for n in rerank_sizes
-    }
+    catalogs = {n: generate_catalog(n, first_params.config.d, seed + n) for n in rerank_sizes}
     policies = {
         (name, k): model_policy(params, beam_size=k)
         for name, params in models.items()

@@ -1,6 +1,6 @@
 """From-scratch neural primitives: MLP, LSTM, attention, hand-derived gradients."""
 
-from .common import cross_entropy, cross_entropy_batch, relu, sigmoid
+from .common import cross_entropy, cross_entropy_batch, sigmoid
 from .mlp import mlp_backward, mlp_forward_batch
 from .lstm import cell_update, lstm_step_batch
 from .recurrent import sequence_backward, sequence_forward
@@ -21,7 +21,6 @@ __all__ = [
     "lstm_step_batch",
     "mlp_backward",
     "mlp_forward_batch",
-    "relu",
     "sequence_backward",
     "sequence_forward",
     "sigmoid",

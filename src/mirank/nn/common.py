@@ -13,10 +13,6 @@ def sigmoid(x):
     return expit(x)
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
 def cross_entropy(prediction: float, label: int) -> float:
     """Binary cross-entropy -[y ln p + (1-y) ln(1-p)] with internal clamping."""
     p = min(max(float(prediction), PROB_EPS), 1.0 - PROB_EPS)

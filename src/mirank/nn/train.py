@@ -70,12 +70,12 @@ def _training_groups(variant: str, records: Sequence[QueryRecord]) -> list[tuple
     recurrent = variant in RECURRENT_VARIANTS
     groups: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
     for record in records:
-        feats = np.stack([item.local_features for item in record.displayed])
+        feats = record.candidate_set.feature_matrix
         if variant != "baseline":
             feats = extend_feature_matrix(feats)
         xs, ys = groups[len(record) if recurrent else 0]
         xs.append(feats)
-        ys.append(np.array(record.labels, dtype=np.float64))
+        ys.append(record.labels.astype(np.float64))
     if not recurrent:
         return [(np.vstack(xs), np.concatenate(ys)) for xs, ys in groups.values()]
     return [groups[length] for length in sorted(groups)]

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .configs import ModelConfig, ModelParams, config_from, expected_block_shapes
-from .core import CandidateSet, Item, MirankError, QueryRecord, ValidationError, validate_candidate_set
+from .core import CandidateSet, MirankError, QueryRecord, ValidationError
 from .simgen import Dataset
 
 __all__ = [
@@ -153,16 +153,15 @@ def load_model(path) -> ModelParams:
 
 
 def _record_to_json(record: QueryRecord) -> dict:
+    candidates = record.candidate_set
+    columns = (candidates.ids.tolist(), candidates.prices.tolist(), candidates.feature_matrix.tolist())
     obj = {
         "query_id": record.query_id,
-        "items": [
-            {"id": item.id, "price": item.price, "features": item.local_features.tolist()}
-            for item in record.displayed
-        ],
-        "labels": list(record.labels),
+        "items": [{"id": i, "price": price, "features": features} for i, price, features in zip(*columns)],
+        "labels": record.labels.tolist(),
     }
     if record.ground_truth_probs is not None:
-        obj["ground_truth_probs"] = list(record.ground_truth_probs)
+        obj["ground_truth_probs"] = record.ground_truth_probs.tolist()
     return obj
 
 
@@ -175,17 +174,13 @@ def write_logs(dataset: Dataset | Iterable[QueryRecord], path) -> None:
 
 def _parse_record(obj: dict, line_no: int) -> QueryRecord:
     try:
-        items = tuple(
-            Item(id=entry["id"], price=entry["price"], local_features=np.array(entry["features"], dtype=np.float64))
-            for entry in obj["items"]
+        entries = obj["items"]
+        candidates = CandidateSet(
+            [entry["id"] for entry in entries],
+            [entry["price"] for entry in entries],
+            [entry["features"] for entry in entries],
         )
-        validate_candidate_set(CandidateSet(items))
-        return QueryRecord(
-            query_id=str(obj["query_id"]),
-            displayed=items,
-            labels=tuple(obj["labels"]),
-            ground_truth_probs=tuple(obj["ground_truth_probs"]) if "ground_truth_probs" in obj else None,
-        )
+        return QueryRecord(str(obj["query_id"]), candidates, obj["labels"], obj.get("ground_truth_probs"))
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise LogFormatError(f"line {line_no}: invalid record ({exc})") from exc
 

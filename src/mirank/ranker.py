@@ -67,15 +67,10 @@ def expected_gmv(params: ModelParams, candidates: CandidateSet, ranking: Ranking
     return float(np.sum(candidates.prices[order] * probs))
 
 
-def _id_ranks(candidates: CandidateSet) -> np.ndarray:
-    """Dense rank of each item's id: equal ids share a rank."""
-    return np.unique([item.id for item in candidates.items], return_inverse=True)[1].ravel()
-
-
-def _descending(scores: np.ndarray, tie_ranks: np.ndarray) -> np.ndarray:
-    """Indices by descending score, ties by ascending ``tie_ranks``, then by
+def _descending(scores: np.ndarray, tie_keys: np.ndarray) -> np.ndarray:
+    """Indices by descending score, ties by ascending ``tie_keys``, then by
     index. This is the tie rule of every ranking path."""
-    return np.lexsort((tie_ranks, -scores))
+    return np.lexsort((tie_keys, -scores))
 
 
 def rank(params: ModelParams, candidates: CandidateSet, k: int = 5, gamma: float = 1.0) -> RankResult:
@@ -94,16 +89,12 @@ def rank(params: ModelParams, candidates: CandidateSet, k: int = 5, gamma: float
         return beam_search(params, candidates, k)
     probs = _item_probabilities(params, candidates)
     weights = candidates.prices**gamma if params.variant == "baseline" else candidates.prices
-    order = _descending(weights * probs, _id_ranks(candidates))
+    order = _descending(weights * probs, candidates.ids)
     return RankResult(
         ranking=Ranking(tuple(order)),
         expected_gmv=float((candidates.prices[order] * probs[order]).sum()),
         per_position_probabilities=probs[order],
     )
-
-
-def _id_sequence(candidates: CandidateSet, order) -> tuple[int, ...]:
-    return tuple(candidates.items[i].id for i in order)
 
 
 def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankResult:
@@ -124,7 +115,7 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     feats = extend_features(candidates)
     projected = input_projection(params, feats)
     prices = candidates.prices
-    id_ranks = _id_ranks(candidates)
+    id_ranks = np.argsort(np.argsort(candidates.ids))  # ids ranked 0..n-1
     h_dim = params.config.lstm_hidden
     with_attention = params.variant == "mirnn_attention"
     # One row per beam entry. ``prefix_ranks`` orders the entries' item-id
@@ -196,7 +187,7 @@ def greedy_reference(params: ModelParams, candidates: CandidateSet) -> RankResul
         for item_idx in unused:
             trial = order + [item_idx]
             p = float(sequence_probabilities(params, feats, trial)[-1])
-            key = (-prices[item_idx] * p, candidates.items[item_idx].id)
+            key = (-prices[item_idx] * p, candidates.ids[item_idx])
             if best is None or key < best[0]:
                 best = (key, item_idx, p)
         order.append(best[1])
@@ -226,7 +217,7 @@ def exhaustive_oracle(params: ModelParams, candidates: CandidateSet) -> RankResu
     gmvs = (prices[orders] * probs).sum(axis=1)
     best_value = gmvs.max()
     tied = np.flatnonzero(gmvs == best_value)
-    best_row = min(tied, key=lambda row: _id_sequence(candidates, orders[row]))
+    best_row = min(tied, key=lambda row: candidates.ids[orders[row]].tolist())
     return RankResult(
         ranking=Ranking(tuple(orders[best_row])),
         expected_gmv=float(best_value),
@@ -254,7 +245,7 @@ def rerank_top_n(
             f"rerank size {n} exceeds the candidate set size {len(candidates)}"
         )
     prefix = base_ranking.order[:n]
-    subset = CandidateSet(tuple(candidates.items[i] for i in prefix))
+    subset = candidates.take(prefix)
     sub_order = rank(params, subset, k, gamma).ranking.order
     reordered = tuple(prefix[j] for j in sub_order)
     return Ranking(reordered + base_ranking.order[n:])

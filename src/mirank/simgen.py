@@ -9,11 +9,11 @@ for any displayed order, enabling exact-oracle evaluation of learned models.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import Item, MirankError, QueryRecord, ValidationError, make_rng
+from .core import CandidateSet, MirankError, QueryRecord, ValidationError, make_rng
 from .nn.common import sigmoid
 
 __all__ = [
@@ -83,14 +83,11 @@ def _relative_prices(prices: np.ndarray) -> np.ndarray:
     return (prices - lo) / (hi - lo)
 
 
-def session_probabilities(config: BehaviorConfig, displayed: Sequence[Item]) -> np.ndarray:
+def session_probabilities(config: BehaviorConfig, displayed: CandidateSet) -> np.ndarray:
     """Ground-truth purchase probability per displayed position, all in (0, 1)."""
-    if not displayed:
-        raise MirankError("session needs at least one displayed item")
-    prices = np.array([item.price for item in displayed])
-    feats = np.stack([item.local_features for item in displayed])
+    feats = displayed.feature_matrix
     n = len(displayed)
-    rel = _relative_prices(prices)
+    rel = _relative_prices(displayed.prices)
     quality = feats @ config.quality_weights(feats.shape[1])
     logits = np.log(config.base_rate / (1.0 - config.base_rate)) + quality
     logits += config.price_sensitivity * (0.5 - rel)
@@ -105,7 +102,7 @@ def session_probabilities(config: BehaviorConfig, displayed: Sequence[Item]) -> 
 
 def simulate_session(
     config: BehaviorConfig,
-    displayed: Sequence[Item],
+    displayed: CandidateSet,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Sample one binary purchase label per item, independently per position."""
@@ -120,8 +117,8 @@ def generate_catalog(
     d: int,
     seed: int,
     price_range: tuple[float, float] = (1.0, 100.0),
-) -> list[Item]:
-    """Deterministic catalog: log-uniform prices, standard-normal features.
+) -> CandidateSet:
+    """Deterministic catalog of ids 0..n-1: log-uniform prices, standard-normal features.
 
     Feature dimension 0 carries the item's price, mirroring real catalogs
     where price is the first local feature; this is what lets the global
@@ -133,7 +130,7 @@ def generate_catalog(
     prices = np.exp(rng.uniform(np.log(price_range[0]), np.log(price_range[1]), size=n_items))
     feats = rng.standard_normal((n_items, d))
     feats[:, 0] = prices / price_range[1]  # scaled so it trains well; min-max is scale-invariant
-    return [Item(id=i, price=prices[i], local_features=feats[i]) for i in range(n_items)]
+    return CandidateSet(np.arange(n_items), prices, feats)
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ class Dataset:
         return len(self.records)
 
 
-def _subset_sampler(catalog: Sequence[Item], items_per_query: int, mode: str) -> Callable:
+def _subset_sampler(catalog: CandidateSet, items_per_query: int, mode: str) -> Callable:
     """Candidate-subset sampler: uniform over the catalog, or from a random
     contiguous band of the price-sorted catalog.
 
@@ -179,7 +176,7 @@ def _subset_sampler(catalog: Sequence[Item], items_per_query: int, mode: str) ->
     if mode == "uniform":
         return lambda rng: rng.choice(len(catalog), size=items_per_query, replace=False)
     if mode == "price_band":
-        by_price = np.argsort([item.price for item in catalog], kind="stable")
+        by_price = np.argsort(catalog.prices, kind="stable")
         window = min(len(catalog), 3 * items_per_query)
 
         def sample(rng):
@@ -191,10 +188,10 @@ def _subset_sampler(catalog: Sequence[Item], items_per_query: int, mode: str) ->
 
 
 RANKING_POLICIES: dict[str, Callable] = {
-    "random": lambda items, rng: rng.permutation(len(items)),
-    "as_sampled": lambda items, rng: np.arange(len(items)),
-    "price_desc": lambda items, rng: np.argsort([-item.price for item in items], kind="stable"),
-    "price_asc": lambda items, rng: np.argsort([item.price for item in items], kind="stable"),
+    "random": lambda candidates, rng: rng.permutation(len(candidates)),
+    "as_sampled": lambda candidates, rng: np.arange(len(candidates)),
+    "price_desc": lambda candidates, rng: np.argsort(-candidates.prices, kind="stable"),
+    "price_asc": lambda candidates, rng: np.argsort(candidates.prices, kind="stable"),
 }
 
 # Give up if fewer than 1 in _MAX_REJECT_FACTOR candidate train records
@@ -204,7 +201,7 @@ _MAX_REJECT_FACTOR = 200
 
 def generate_logs(
     config: BehaviorConfig,
-    catalog: Sequence[Item],
+    catalog: CandidateSet,
     n_queries: int,
     items_per_query: int = 50,
     ranking_policy: str = "random",
@@ -244,7 +241,7 @@ def generate_logs(
                 "raise base_rate or items_per_query"
             )
         record = _sample_record(config, catalog, sampler, policy, rng, f"q{len(records):06d}")
-        if not any(record.labels):
+        if not record.labels.any():
             continue
         accepted += 1
         records.append(record)
@@ -270,14 +267,8 @@ def generate_logs(
 
 
 def _sample_record(config, catalog, sampler, policy, rng, query_id) -> QueryRecord:
-    subset = [catalog[i] for i in sampler(rng)]
-    order = policy(subset, rng)
-    displayed = tuple(subset[i] for i in order)
+    subset = catalog.take(sampler(rng))
+    displayed = subset.take(policy(subset, rng))
     probs = session_probabilities(config, displayed)
     labels = (rng.random(len(displayed)) < probs).astype(int)
-    return QueryRecord(
-        query_id=query_id,
-        displayed=displayed,
-        labels=tuple(labels),
-        ground_truth_probs=tuple(probs),
-    )
+    return QueryRecord(query_id, displayed, labels, probs)

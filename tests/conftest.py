@@ -5,34 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mirank import CandidateSet, Item
+from mirank import CandidateSet
 from mirank.core import QueryRecord, make_rng
 from mirank.models import advance_entries
 
 
 def random_candidates(rng: np.random.Generator, n: int, d: int) -> CandidateSet:
     """A valid random candidate set with distinct ids and positive prices."""
-    items = tuple(
-        Item(
-            id=i,
-            price=float(np.exp(rng.uniform(0.0, np.log(100.0)))),
-            local_features=rng.standard_normal(d),
-        )
-        for i in range(n)
-    )
-    return CandidateSet(items)
+    prices, features = [], []
+    for _ in range(n):  # one price, then one feature vector, per item
+        prices.append(np.exp(rng.uniform(0.0, np.log(100.0))))
+        features.append(rng.standard_normal(d))
+    return CandidateSet(np.arange(n), prices, features)
 
 
 def duplicated_candidates(rng: np.random.Generator, n: int, d: int, copies: int) -> CandidateSet:
     """A random set of ``n - copies`` items followed by ``copies`` clones of
     them, taken in turn, with the same price and features under new ids, so
     scores can tie exactly. ``copies = n - 1`` makes every item alike."""
-    base = random_candidates(rng, n - copies, d).items
-    clones = tuple(
-        Item(id=n - copies + i, price=base[i % len(base)].price, local_features=base[i % len(base)].local_features)
-        for i in range(copies)
-    )
-    return CandidateSet(base + clones)
+    base = random_candidates(rng, n - copies, d)
+    sources = np.concatenate([np.arange(n - copies), np.arange(copies) % (n - copies)])
+    return CandidateSet(np.arange(n), base.prices[sources], base.feature_matrix[sources])
 
 
 def chain_entry(params, extended: np.ndarray, order):
@@ -63,16 +56,17 @@ def mixed_length_log(lengths, d: int, catalog_size: int = 40, seed: int = 31) ->
     """Records of the given lengths drawn from one shared catalog, so the same
     item recurs at different positions in records of different lengths."""
     rng = make_rng(seed)
-    catalog = [
-        Item(id=i, price=float(rng.uniform(1.0, 50.0)), local_features=rng.standard_normal(d))
-        for i in range(catalog_size)
-    ]
+    prices, features = [], []
+    for _ in range(catalog_size):
+        prices.append(rng.uniform(1.0, 50.0))
+        features.append(rng.standard_normal(d))
+    catalog = CandidateSet(np.arange(catalog_size), prices, features)
     records = []
     for q, n in enumerate(lengths):
         chosen = rng.choice(catalog_size, size=n, replace=False)
         labels = (rng.random(n) < 0.4).astype(int)
         labels[0], labels[-1] = 1, 0
-        records.append(QueryRecord(f"q{q}", tuple(catalog[i] for i in chosen), tuple(labels)))
+        records.append(QueryRecord(f"q{q}", catalog.take(chosen), labels))
     return records
 
 

@@ -66,8 +66,9 @@ class TestPipeline:
         original = read_logs(out / "test.jsonl")
         assert len(reranked) == len(original)
         for a, b in zip(original.records, reranked.records):
-            assert sorted(i.id for i in a.displayed) == sorted(i.id for i in b.displayed)
-            assert [i.id for i in a.displayed[3:]] == [i.id for i in b.displayed[3:]]
+            a_ids, b_ids = a.candidate_set.ids, b.candidate_set.ids
+            assert sorted(a_ids.tolist()) == sorted(b_ids.tolist())
+            assert a_ids[3:].tolist() == b_ids[3:].tolist()
 
         assert main([
             "--output-dir", str(out),
@@ -264,20 +265,25 @@ class TestExitCodes:
         assert "line 1" in capsys.readouterr().err
         assert not (out / "rerank_gmv.csv").exists()
 
-    @pytest.mark.parametrize("item", (
-        '{"id": 1, "price": 1e999, "features": [0.3, 0.4]}',
-        '{"id": 1, "price": 2.0, "features": [1e999, 0.4]}',
-        '{"id": 0, "price": 2.0, "features": [0.3, 0.4]}',
-        '{"id": 1, "price": 0.0, "features": [0.3, 0.4]}',
-        '{"id": 1, "price": -2.0, "features": [0.3, 0.4]}',
-    ), ids=("price-overflow", "feature-overflow", "duplicate-id", "zero-price", "negative-price"))
-    def test_invalid_candidate_set_is_io(self, item, tmp_path, capsys):
+    @pytest.mark.parametrize("item, probs", (
+        ('{"id": 1, "price": 1e999, "features": [0.3, 0.4]}', ""),
+        ('{"id": 1, "price": 2.0, "features": [1e999, 0.4]}', ""),
+        ('{"id": 0, "price": 2.0, "features": [0.3, 0.4]}', ""),
+        ('{"id": 1, "price": 0.0, "features": [0.3, 0.4]}', ""),
+        ('{"id": 1, "price": -2.0, "features": [0.3, 0.4]}', ""),
+        ('{"id": 1, "price": 2.0, "features": [0.3, 0.4]}', ', "ground_truth_probs": [1e999, 0.5]'),
+        ('{"id": 1, "price": 2.0, "features": [0.3, 0.4]}', ', "ground_truth_probs": [0.5, -3.0]'),
+    ), ids=(
+        "price-overflow", "feature-overflow", "duplicate-id", "zero-price", "negative-price",
+        "truth-overflow", "negative-truth",
+    ))
+    def test_invalid_candidate_set_is_io(self, item, probs, tmp_path, capsys):
         save_model(init_model("midnn", ModelConfig(d=2, hidden_sizes=(3,)), seed=0), tmp_path / "midnn.model")
         log = tmp_path / "bad.jsonl"
         log.write_text(
             '{"query_id": "q0", "items": [{"id": 0, "price": 1.0, "features": [0.1, 0.2]}], "labels": [1]}\n'
             '{"query_id": "q1", "items": [{"id": 0, "price": 1.0, "features": [0.1, 0.2]}, %s], '
-            '"labels": [1, 0]}\n' % item
+            '"labels": [1, 0]%s}\n' % (item, probs)
         )
         out = tmp_path / "run"
         assert main(["--output-dir", str(out), "rerank", str(tmp_path / "midnn.model"), str(log)]) == EXIT_IO
@@ -318,7 +324,13 @@ class TestExitCodes:
         (("--batch-size", "0"), ""),
         ((), "hidden_sizes: 8\n"),
         ((), "lstm_hidden: abc\n"),
-    ), ids=("epochs-0", "batch-size-0", "scalar-hidden-sizes", "text-lstm-hidden"))
+        (("--hidden-sizes", ","), ""),
+        (("--hidden-sizes", "0,4"), ""),
+        (("--lstm-hidden", "0"), ""),
+    ), ids=(
+        "epochs-0", "batch-size-0", "scalar-hidden-sizes", "text-lstm-hidden",
+        "empty-hidden-sizes", "zero-hidden-size", "lstm-hidden-0",
+    ))
     def test_bad_train_config_is_validation(self, flags, config, tmp_path):
         out = tmp_path / "run"
         assert _generate(out) == 0

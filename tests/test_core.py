@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mirank import CandidateSet, Item, QueryRecord, Ranking, validate_candidate_set
+from mirank import CandidateSet, Item, QueryRecord, Ranking
 from mirank.core import ValidationError, make_rng
 
 
@@ -41,11 +41,42 @@ class TestItem:
 class TestCandidateSet:
     def test_prices_and_feature_matrix(self, rng):
         items = tuple(Item(id=i, price=float(i + 1), local_features=rng.standard_normal(4)) for i in range(3))
-        cs = CandidateSet(items)
+        cs = CandidateSet.of(items)
         assert len(cs) == 3
+        assert np.array_equal(cs.ids, [0, 1, 2])
         assert np.array_equal(cs.prices, [1.0, 2.0, 3.0])
         assert cs.feature_matrix.shape == (3, 4)
         assert np.array_equal(cs.feature_matrix[1], items[1].local_features)
+        rows = cs.items
+        assert [(row.id, row.price) for row in rows] == [(item.id, item.price) for item in items]
+        assert np.array_equal(rows[2].local_features, items[2].local_features)
+
+    def test_arrays_are_read_only_copies(self):
+        features = np.zeros((2, 3))
+        cs = CandidateSet([0, 1], [1.0, 2.0], features)
+        features[0, 0] = 9.0
+        assert cs.feature_matrix[0, 0] == 0.0
+        for array in (cs.ids, cs.prices, cs.feature_matrix):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_take_keeps_columns_aligned(self, rng):
+        from conftest import random_candidates
+
+        cs = random_candidates(rng, 7, 3)
+        labels = (rng.random(7) < 0.5).astype(int)
+        probs = rng.random(7)
+        record = QueryRecord("q", cs, labels, probs)
+        order = rng.permutation(7)
+        for taken in (cs.take(order), record.take(order).candidate_set):
+            assert np.array_equal(taken.ids, cs.ids[order])
+            assert np.array_equal(taken.prices, cs.prices[order])
+            assert np.array_equal(taken.feature_matrix, cs.feature_matrix[order])
+        taken = record.take(order)
+        assert np.array_equal(taken.labels, labels[order])
+        assert np.array_equal(taken.ground_truth_probs, probs[order])
+        subset = record.take(order[:3])
+        assert len(subset) == 3 and np.array_equal(subset.candidate_set.ids, cs.ids[order[:3]])
 
 
 class TestRanking:
@@ -65,12 +96,14 @@ class TestRanking:
 
 class TestQueryRecord:
     def _items(self, n):
-        return tuple(Item(id=i, price=1.0, local_features=np.zeros(2)) for i in range(n))
+        return CandidateSet.of(Item(id=i, price=1.0, local_features=np.zeros(2)) for i in range(n))
 
     def test_candidate_set_roundtrip(self):
-        rec = QueryRecord("q1", self._items(2), (0, 1))
+        cs = self._items(2)
+        rec = QueryRecord("q1", cs, (0, 1))
         assert len(rec) == 2
-        assert rec.candidate_set.items == rec.displayed
+        assert rec.candidate_set is cs
+        assert rec.labels.tolist() == [0, 1]
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -84,38 +117,55 @@ class TestQueryRecord:
         with pytest.raises(ValidationError):
             QueryRecord("q1", self._items(2), (0, 1), ground_truth_probs=(0.5,))
 
+    @pytest.mark.parametrize("prob", [float("inf"), float("nan"), -3.0, 1.5])
+    def test_rejects_bad_ground_truth(self, prob):
+        with pytest.raises(ValidationError, match="ground-truth probability"):
+            QueryRecord("q1", self._items(2), (0, 1), ground_truth_probs=(0.5, prob))
+
 
 class TestValidateCandidateSet:
+    """Construction checks every invariant, naming the offending item."""
+
     def test_accepts_valid_set(self, rng):
         from conftest import random_candidates
 
         cs = random_candidates(rng, 4, 3)
-        assert validate_candidate_set(cs) is cs
+        rebuilt = CandidateSet(cs.ids, cs.prices, cs.feature_matrix)
+        assert np.array_equal(rebuilt.feature_matrix, cs.feature_matrix) and len(rebuilt) == 4
 
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            validate_candidate_set(CandidateSet(()))
+        with pytest.raises(ValidationError, match="at least one item"):
+            CandidateSet.of(())
 
     def test_rejects_duplicate_ids(self):
         items = (Item(0, 1.0, np.zeros(2)), Item(0, 2.0, np.zeros(2)))
         with pytest.raises(ValidationError, match="duplicate"):
-            validate_candidate_set(CandidateSet(items))
+            CandidateSet.of(items)
 
     def test_rejects_negative_id(self):
         with pytest.raises(ValidationError, match="non-negative"):
-            validate_candidate_set(CandidateSet((Item(-1, 1.0, np.zeros(2)),)))
+            CandidateSet.of((Item(-1, 1.0, np.zeros(2)),))
 
     @pytest.mark.parametrize("price", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_price(self, price):
         with pytest.raises(ValidationError, match="price"):
-            validate_candidate_set(CandidateSet((Item(0, price, np.zeros(2)),)))
+            CandidateSet.of((Item(0, price, np.zeros(2)),))
 
     def test_rejects_mismatched_dimensions(self):
         items = (Item(0, 1.0, np.zeros(2)), Item(1, 1.0, np.zeros(3)))
-        with pytest.raises(ValidationError, match="dimension"):
-            validate_candidate_set(CandidateSet(items))
+        with pytest.raises(ValidationError, match="item 1: feature dimension .* differs"):
+            CandidateSet.of(items)
 
     def test_rejects_non_finite_features(self):
-        items = (Item(0, 1.0, np.array([1.0, np.nan])),)
-        with pytest.raises(ValidationError, match="non-finite"):
-            validate_candidate_set(CandidateSet(items))
+        items = (Item(0, 1.0, np.array([1.0, 2.0])), Item(1, 1.0, np.array([1.0, np.nan])))
+        with pytest.raises(ValidationError, match="item 1: local features contain non-finite"):
+            CandidateSet.of(items)
+
+    def test_rejects_infinite_features(self):
+        items = (Item(0, 1.0, np.array([np.inf, -np.inf])), Item(1, 1.0, np.array([0.0, 1.0])))
+        with pytest.raises(ValidationError, match="item 0: local features contain non-finite"):
+            CandidateSet.of(items)
+
+    def test_rejects_features_that_are_not_vectors(self):
+        with pytest.raises(ValidationError, match="must be a vector"):
+            CandidateSet([0, 1], [1.0, 1.0], np.zeros((2, 2, 2)))

@@ -1,5 +1,7 @@
 """Evaluation metrics: exact small-case values, invariances, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,7 +112,7 @@ class TestAttentionDiagnostic:
         records = []
         for q in range(count):
             cs = random_candidates(rng, length, 3)
-            records.append(QueryRecord(f"q{q}", cs.items, tuple([1] + [0] * (length - 1))))
+            records.append(QueryRecord(f"q{q}", cs, [1] + [0] * (length - 1)))
         return records
 
     def test_two_position_row_is_exactly_one(self):
@@ -127,7 +129,7 @@ class TestAttentionDiagnostic:
 
     def test_zero_score_weights_give_uniform_rows(self):
         params = init_model("mirnn_attention", SMALL, seed=1)
-        params = params.with_blocks({"w_g": np.zeros_like(params.blocks["w_g"])})
+        params = dataclasses.replace(params, blocks={**params.blocks, "w_g": np.zeros_like(params.blocks["w_g"])})
         matrix = attention_diagnostic(params, self._records(5), size=5)
         for i in range(2, 6):
             assert np.allclose(matrix.row(i), 1.0 / (i - 1))
@@ -178,7 +180,7 @@ class TestLoggedPredictions:
         params = init_model("baseline", ModelConfig(d=23), seed=3)
         probs, _ = logged_predictions(params, [extend_features(r.candidate_set) for r in records])
         by_item: dict[int, set] = {}
-        ids = [item.id for r in records for item in r.displayed]
+        ids = [item_id for r in records for item_id in r.candidate_set.ids.tolist()]
         for item_id, p in zip(ids, probs):
             by_item.setdefault(item_id, set()).add(float(p))
         repeated = [item_id for item_id in by_item if ids.count(item_id) > 1]

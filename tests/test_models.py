@@ -56,7 +56,7 @@ class TestFeedForwardScoring:
             assert np.allclose(result.per_position_probabilities, batch[order], rtol=0, atol=1e-12)
             # the baseline weighs price^gamma * p; gamma = 0 removes the price factor
             scores = cs.prices**gamma * batch
-            assert order == sorted(range(len(cs)), key=lambda i: (-scores[i], cs.items[i].id))
+            assert order == sorted(range(len(cs)), key=lambda i: (-scores[i], cs.ids[i]))
 
     def test_negative_gamma_rejected(self, rng):
         params = init_model("baseline", SMALL, seed=0)

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from mirank import Item, ModelConfig, QueryRecord, TrainConfig
+from mirank import CandidateSet, ModelConfig, QueryRecord, TrainConfig
 from mirank.configs import VARIANTS
-from mirank.core import MirankError, make_rng
-from mirank.nn.common import PROB_EPS, cross_entropy, cross_entropy_batch, glorot_uniform, relu, sigmoid
+from mirank.core import MirankError, ValidationError, make_rng
+from mirank.nn.common import PROB_EPS, cross_entropy, cross_entropy_batch, glorot_uniform, sigmoid
 from mirank.nn.gradcheck import gradient_check, relative_error
 from mirank.nn.lstm import lstm_step_batch
 from mirank.nn.mlp import mlp_forward_batch
@@ -26,9 +26,6 @@ class TestActivationsAndLoss:
     def test_sigmoid_values(self):
         assert sigmoid(0.0) == 0.5
         assert abs(sigmoid(2.0) - _sig(2.0)) < 1e-15
-
-    def test_relu(self):
-        assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
     def test_cross_entropy_half_is_ln2(self):
         assert abs(cross_entropy(0.5, 1) - math.log(2.0)) < 1e-12
@@ -212,14 +209,14 @@ def _tiny_records(n_records, length, d, seed):
     rng = make_rng(seed)
     records = []
     for q in range(n_records):
-        items = tuple(
-            Item(id=i, price=float(rng.uniform(1, 10)), local_features=rng.standard_normal(d))
-            for i in range(length)
-        )
-        labels = tuple(int(b) for b in rng.integers(0, 2, size=length))
-        if not any(labels):
-            labels = (1,) + labels[1:]
-        records.append(QueryRecord(f"q{q}", items, labels))
+        prices, features = [], []
+        for _ in range(length):
+            prices.append(rng.uniform(1, 10))
+            features.append(rng.standard_normal(d))
+        labels = rng.integers(0, 2, size=length)
+        if not labels.any():
+            labels[0] = 1
+        records.append(QueryRecord(f"q{q}", CandidateSet(np.arange(length), prices, features), labels))
     return records
 
 
@@ -248,13 +245,11 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_input_raises_diverged(self):
-        bad = QueryRecord(
-            "q0",
-            (
-                Item(0, 1.0, np.array([np.inf, -np.inf])),
-                Item(1, 1.0, np.array([0.0, 1.0])),
-            ),
-            (1, 0),
-        )
-        with pytest.raises(TrainingDiverged):
-            train("midnn", [bad], ModelConfig(d=2, hidden_sizes=(3,)), TrainConfig(epochs=1), seed=0)
+        # Non-finite features cannot reach training: construction rejects them.
+        with pytest.raises(ValidationError, match="non-finite"):
+            CandidateSet([0, 1], [1.0, 1.0], [[np.inf, -np.inf], [0.0, 1.0]])
+        # A huge step size still drives finite inputs to a non-finite loss.
+        record = QueryRecord("q0", CandidateSet([0, 1], [1.0, 1.0], [[1.0, -1.0], [0.0, 1.0]]), (1, 0))
+        config = TrainConfig(learning_rate=1e308, epochs=3)
+        with pytest.raises(TrainingDiverged, match="non-finite loss"):
+            train("midnn", [record], ModelConfig(d=2, hidden_sizes=(3,)), config, seed=0)

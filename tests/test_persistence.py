@@ -1,12 +1,13 @@
 """File formats: bit-exact round trips and typed rejection of corrupt input."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from mirank import BehaviorConfig, ModelConfig, generate_catalog, generate_logs, init_model, load_model, save_model
-from mirank.core import Item, QueryRecord, make_rng
+from mirank.core import CandidateSet, QueryRecord, make_rng
 from mirank.persistence import (
     LogFormatError,
     ModelChecksumError,
@@ -88,6 +89,22 @@ class TestModelCorruption:
         with pytest.raises(ModelShapeError):
             load_model(path)
 
+    @pytest.mark.parametrize("field, bad", (
+        (b'"hidden_sizes": [5, 4]', b'"hidden_sizes": []'),
+        (b'"hidden_sizes": [5, 4]', b'"hidden_sizes": [0, 4]'),
+        (b'"lstm_hidden": 4', b'"lstm_hidden": 0'),
+    ), ids=("empty-hidden-sizes", "zero-hidden-size", "lstm-hidden-0"))
+    def test_header_sizes_below_one_are_format_errors(self, field, bad, saved):
+        data = saved.read_bytes()
+        header_len = struct.unpack("<II", data[4:12])[1]
+        header = data[12 : 12 + header_len]
+        assert field in header
+        header = header.replace(field, bad)
+        payload = data[:4] + struct.pack("<II", 1, len(header)) + header + data[12 + header_len : -32]
+        saved.write_bytes(payload + hashlib.sha256(payload).digest())
+        with pytest.raises(ModelFormatError, match="must"):
+            load_model(saved)
+
     def test_all_errors_share_a_catchable_base(self):
         for exc in (ModelFormatError, ModelVersionError, ModelChecksumError, ModelShapeError):
             assert issubclass(exc, ModelFileError)
@@ -131,11 +148,24 @@ class TestLogRoundTrip:
         assert len(loaded) == len(data)
         for a, b in zip(data.records, loaded.records):
             assert a.query_id == b.query_id
-            assert a.labels == b.labels
-            assert a.ground_truth_probs == b.ground_truth_probs
-            for x, y in zip(a.displayed, b.displayed):
-                assert x.id == y.id and x.price == y.price
-                assert np.array_equal(x.local_features, y.local_features)
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.ground_truth_probs, b.ground_truth_probs)
+            x, y = a.candidate_set, b.candidate_set
+            assert np.array_equal(x.ids, y.ids) and np.array_equal(x.prices, y.prices)
+            assert np.array_equal(x.feature_matrix, y.feature_matrix)
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        """The JSONL bytes of a fixed simulated dataset, ground-truth
+        probabilities included, are pinned by their SHA-256."""
+        config = BehaviorConfig(
+            price_sensitivity=1.5, position_bias_strength=0.5, order_effect_strength=1.0,
+            primacy_strength=0.5, base_rate=0.3, seed=3,
+        )
+        data = generate_logs(config, generate_catalog(40, 3, seed=4), n_queries=12, items_per_query=7, seed=5)
+        path = tmp_path / "logs.jsonl"
+        write_logs(data, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "28698e75ec996f1d1ab66dd1edefb5f1b5cbf251c3b590f14f03a8683f767689"
 
     def test_tagging_on_read(self, tmp_path):
         path = tmp_path / "logs.jsonl"
@@ -148,7 +178,7 @@ class TestLogRoundTrip:
         path = tmp_path / "logs.jsonl"
         write_logs([], path)
         assert read_logs(path).records == ()
-        record = QueryRecord("q0", (Item(0, 2.0, np.array([0.25, -1.5])),), (1,))
+        record = QueryRecord("q0", CandidateSet([0], [2.0], [[0.25, -1.5]]), (1,))
         write_logs([record], path)
         loaded = read_logs(path).records[0]
         assert loaded.query_id == "q0"
@@ -192,7 +222,7 @@ class TestLogErrors:
             '{"id": 0, "price": 1.0, "features": [1.0]}, '
             '{"id": 1, "price": 1.0, "features": [1.0, 2.0]}], "labels": [0, 1]}\n'
         )
-        with pytest.raises(LogFormatError, match="differ"):
+        with pytest.raises(LogFormatError, match="line 1.*item 1: feature dimension .* differs"):
             read_logs(path)
 
     def test_blank_lines_are_skipped(self, tmp_path):
@@ -203,4 +233,4 @@ class TestLogErrors:
 
     @staticmethod
     def _one_record_logs():
-        return [QueryRecord("q0", (Item(0, 2.0, np.array([0.5])),), (1,))]
+        return [QueryRecord("q0", CandidateSet([0], [2.0], [[0.5]]), (1,))]

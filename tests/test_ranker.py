@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mirank import CandidateSet, ModelConfig, Ranking, init_model
+from mirank import ModelConfig, Ranking, init_model
 from mirank.configs import VARIANTS
 from mirank.features import extend_features
 from mirank.metrics import model_policy
@@ -67,9 +67,9 @@ class TestSortOptimality:
             probs = np.empty(len(cs))
             probs[order] = result.per_position_probabilities
             scores = cs.prices**gamma * probs
-            assert order == sorted(range(len(cs)), key=lambda i: (-scores[i], cs.items[i].id))
-            for item, expected in zip(cs.items, probs):
-                single = rank(params, CandidateSet((item,)), gamma=gamma).per_position_probabilities[0]
+            assert order == sorted(range(len(cs)), key=lambda i: (-scores[i], cs.ids[i]))
+            for i, expected in enumerate(probs):
+                single = rank(params, cs.take([i]), gamma=gamma).per_position_probabilities[0]
                 assert abs(single - expected) < 1e-10
             item_probs[gamma] = probs
         # gamma weighs the prices, never the probabilities
@@ -86,10 +86,10 @@ class TestSortOptimality:
     def test_exact_ties_break_by_ascending_id(self, variant):
         cs = duplicated_candidates(make_rng(3), 7, 3, copies=3)
         # give the copies the smaller ids, so id order and index order differ
-        cs = CandidateSet(cs.items[4:] + cs.items[:4])
+        cs = cs.take(np.roll(np.arange(len(cs)), -4))
         params = init_model(variant, SMALL, seed=1)
         result = rank(params, cs)
-        ids = [cs.items[i].id for i in result.ranking.order]
+        ids = cs.ids[list(result.ranking.order)].tolist()
         scores = cs.prices[list(result.ranking.order)] * result.per_position_probabilities
         expected = sorted(range(len(cs)), key=lambda j: (-scores[j], ids[j]))
         assert expected == list(range(len(cs)))
@@ -165,7 +165,7 @@ def reference_beam(params, cs, k):
     by each unplaced item with ``sequence_probabilities_batch``, and keeps the
     top k by GMV, ties by the item-id sequence, then by (entry, item)."""
     feats = extend_features(cs)
-    ids = [item.id for item in cs.items]
+    ids = cs.ids.tolist()
     kept = [()]
     for _ in range(len(cs)):
         grown = np.array([prefix + (i,) for prefix in kept for i in range(len(cs)) if i not in prefix])
@@ -188,7 +188,7 @@ class TestBeamReference:
             copies = n - 1 if trial == 0 else int(rng.integers(1, n // 2 + 1)) if trial % 2 else 0
             cs = duplicated_candidates(rng, n, 3, copies) if copies else random_candidates(rng, n, 3)
             # shuffle, so that id order and index order differ
-            cs = CandidateSet(tuple(cs.items[i] for i in rng.permutation(n)))
+            cs = cs.take(rng.permutation(n))
             params = init_model(variant, SMALL, seed=trial)
             result = beam_search(params, cs, k)
             order, gmv = reference_beam(params, cs, k)
@@ -204,7 +204,7 @@ class TestBeamReference:
         rng = make_rng(9006)
         n = int(rng.integers(3, 7))
         cs = duplicated_candidates(rng, n, 3, int(rng.integers(1, n // 2 + 1)))
-        cs = CandidateSet(tuple(cs.items[i] for i in rng.permutation(n)))
+        cs = cs.take(rng.permutation(n))
         params = init_model("mirnn_attention", SMALL, seed=6)
         assert beam_search(params, cs, 3).ranking.order == reference_beam(params, cs, 3)[0]
 

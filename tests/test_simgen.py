@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from mirank import BehaviorConfig, Dataset, generate_catalog, generate_logs
-from mirank.core import Item, MirankError, ValidationError, make_rng
+from mirank.core import CandidateSet, MirankError, ValidationError, make_rng
 from mirank.simgen import RANKING_POLICIES, session_probabilities, simulate_session
 
 
 def _flat_items(prices):
     """Items with zero features so only price-driven effects are active."""
-    return [Item(id=i, price=float(p), local_features=np.zeros(3)) for i, p in enumerate(prices)]
+    return CandidateSet(np.arange(len(prices)), prices, np.zeros((len(prices), 3)))
 
 
 class TestBehaviorConfig:
@@ -60,34 +60,36 @@ class TestSessionProbabilities:
 
     def test_order_effect_contrast_with_expensive_predecessor(self):
         config = BehaviorConfig(order_effect_strength=3.0, base_rate=0.2)
-        cheap, target, pricey = _flat_items([1.0, 50.0, 100.0])
-        after_pricey = session_probabilities(config, [pricey, target, cheap])
-        after_cheap = session_probabilities(config, [cheap, target, pricey])
+        cheap_target_pricey = _flat_items([1.0, 50.0, 100.0])
+        after_pricey = session_probabilities(config, cheap_target_pricey.take([2, 1, 0]))
+        after_cheap = session_probabilities(config, cheap_target_pricey)
         assert after_pricey[1] > after_cheap[1]
 
     def test_primacy_expensive_leaders_lift_the_tail(self):
         config = BehaviorConfig(primacy_strength=4.0, base_rate=0.2)
-        a, b, c, d = _flat_items([100.0, 90.0, 1.0, 2.0])
-        rich_top = session_probabilities(config, [a, b, c, d])
-        poor_top = session_probabilities(config, [c, d, a, b])
+        rich_top_items = _flat_items([100.0, 90.0, 1.0, 2.0])
+        rich_top = session_probabilities(config, rich_top_items)
+        poor_top = session_probabilities(config, rich_top_items.take([2, 3, 0, 1]))
         # items have zero features, so only the leaders' prices matter
         assert np.all(rich_top[2:] > poor_top[2:])
 
     def test_order_invariance_without_sequential_effects(self):
         config = BehaviorConfig(price_sensitivity=2.0, base_rate=0.25, seed=3)
         rng = make_rng(0)
-        items = [
-            Item(id=i, price=float(rng.uniform(1, 100)), local_features=rng.standard_normal(3))
-            for i in range(6)
-        ]
+        prices, features = [], []
+        for _ in range(6):
+            prices.append(rng.uniform(1, 100))
+            features.append(rng.standard_normal(3))
+        items = CandidateSet(np.arange(6), prices, features)
         base = session_probabilities(config, items)
         perm = rng.permutation(6)
-        shuffled = session_probabilities(config, [items[i] for i in perm])
+        shuffled = session_probabilities(config, items.take(perm))
         assert np.allclose(shuffled, base[perm])
 
     def test_empty_session_rejected(self):
+        # An empty session cannot be built: the candidate set rejects it.
         with pytest.raises(MirankError):
-            session_probabilities(BehaviorConfig(), [])
+            session_probabilities(BehaviorConfig(), CandidateSet.of([]))
 
 
 class TestSimulateSession:
@@ -111,13 +113,11 @@ class TestGenerateCatalog:
     def test_deterministic_with_price_in_feature_zero(self):
         a = generate_catalog(20, 4, seed=9)
         b = generate_catalog(20, 4, seed=9)
-        for x, y in zip(a, b):
-            assert x.id == y.id and x.price == y.price
-            assert np.array_equal(x.local_features, y.local_features)
-        prices = np.array([item.price for item in a])
-        assert np.all((prices >= 1.0) & (prices <= 100.0))
-        feats0 = np.array([item.local_features[0] for item in a])
-        assert np.allclose(feats0, prices / 100.0)
+        assert isinstance(a, CandidateSet) and np.array_equal(a.ids, np.arange(20))
+        assert np.array_equal(a.prices, b.prices)
+        assert np.array_equal(a.feature_matrix, b.feature_matrix)
+        assert np.all((a.prices >= 1.0) & (a.prices <= 100.0))
+        assert np.allclose(a.feature_matrix[:, 0], a.prices / 100.0)
 
     def test_rejects_empty_catalog(self):
         with pytest.raises(MirankError):
@@ -144,7 +144,7 @@ class TestGenerateLogs:
         catalog = generate_catalog(40, 3, seed=3)
         data = generate_logs(BehaviorConfig(base_rate=0.25), catalog, n_queries=20, items_per_query=6, seed=4)
         for record in data.train_records:
-            assert any(record.labels)
+            assert record.labels.any()
         for record in data.records:
             assert record.ground_truth_probs is not None
             assert len(record.ground_truth_probs) == 6
@@ -157,19 +157,19 @@ class TestGenerateLogs:
         b = generate_logs(config, catalog, n_queries=12, items_per_query=5, seed=6)
         for ra, rb in zip(a.records, b.records):
             assert ra.query_id == rb.query_id
-            assert ra.labels == rb.labels
-            assert [i.id for i in ra.displayed] == [i.id for i in rb.displayed]
+            assert np.array_equal(ra.labels, rb.labels)
+            assert np.array_equal(ra.candidate_set.ids, rb.candidate_set.ids)
 
     def test_price_policies_order_by_price(self):
         catalog = generate_catalog(40, 3, seed=3)
         config = BehaviorConfig(base_rate=0.4)
         desc = generate_logs(config, catalog, n_queries=5, items_per_query=6, ranking_policy="price_desc", seed=8)
         for record in desc.records:
-            prices = [item.price for item in record.displayed]
+            prices = record.candidate_set.prices.tolist()
             assert prices == sorted(prices, reverse=True)
         asc = generate_logs(config, catalog, n_queries=5, items_per_query=6, ranking_policy="price_asc", seed=8)
         for record in asc.records:
-            prices = [item.price for item in record.displayed]
+            prices = record.candidate_set.prices.tolist()
             assert prices == sorted(prices)
 
     def test_price_band_subsets_are_narrow(self):
@@ -177,11 +177,8 @@ class TestGenerateLogs:
         data = generate_logs(
             BehaviorConfig(base_rate=0.4), catalog, n_queries=30, items_per_query=10, seed=9
         )
-        catalog_span = max(i.price for i in catalog) - min(i.price for i in catalog)
-        spans = [
-            max(i.price for i in r.displayed) - min(i.price for i in r.displayed)
-            for r in data.records
-        ]
+        catalog_span = np.ptp(catalog.prices)
+        spans = [np.ptp(r.candidate_set.prices) for r in data.records]
         assert np.median(spans) < 0.5 * catalog_span
 
     def test_input_guards(self):
