@@ -60,7 +60,7 @@ class Item:
         feats.setflags(write=False)
         object.__setattr__(self, "local_features", feats)
         object.__setattr__(self, "price", float(self.price))
-        object.__setattr__(self, "id", int(self.id))
+        object.__setattr__(self, "id", int(_frozen_integers(self.id, "item id")))
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -68,6 +68,22 @@ def _frozen(values, dtype) -> np.ndarray:
     array = np.array(values, dtype=dtype)
     array.setflags(write=False)
     return array
+
+
+def _frozen_integers(values, what: str) -> np.ndarray:
+    """A read-only int64 copy of ``values``, which must all be whole numbers:
+    a fraction, a string or any other non-number raises instead of being cast."""
+    array = np.array(values)
+    kind = array.dtype.kind
+    if kind in "biu" or kind == "f" and ((np.abs(array) < 2.0**63) & (np.trunc(array) == array)).all():
+        array = array.astype(np.int64, copy=False)
+        array.setflags(write=False)
+        return array
+    # Only a failing check walks the values, to name the first offender.
+    for value in np.array(values, dtype=object).ravel():
+        if not isinstance(value, (int, np.integer)) and not (isinstance(value, float) and value.is_integer()):
+            raise ValidationError(f"{what} must be integers, got {value!r}")
+    raise ValidationError(f"{what} must be integers within the int64 range")
 
 
 class CandidateSet:
@@ -79,16 +95,17 @@ class CandidateSet:
     may also be given as N per-item vectors.
 
     Raises:
-        ValidationError: on an empty set, negative or duplicate ids, prices
-            that are not positive and finite, features that are not vectors of
-            one dimension, or non-finite feature values; the message names the
-            first offending item id.
+        ValidationError: on an empty set, ids that are not whole numbers,
+            negative or duplicate ids, prices that are not positive and
+            finite, features that are not vectors of one dimension, or
+            non-finite feature values; the message names the first offending
+            item id or value.
     """
 
     __slots__ = ("_ids", "_prices", "_features")
 
     def __init__(self, ids, prices, feature_matrix):
-        ids, prices = _frozen(ids, np.int64), _frozen(prices, np.float64)
+        ids, prices = _frozen_integers(ids, "item ids"), _frozen(prices, np.float64)
         if not ids.size:
             raise ValidationError("candidate set must contain at least one item")
         if ids.ndim != 1 or prices.shape != ids.shape:
@@ -193,7 +210,7 @@ class QueryRecord:
 
     def __post_init__(self):
         n = len(self.candidate_set)
-        labels = _frozen(self.labels, np.int64)
+        labels = _frozen_integers(self.labels, f"record {self.query_id}: labels")
         if labels.shape != (n,):
             raise ValidationError(f"record {self.query_id}: {labels.size} labels for {n} items")
         if labels.min() < 0 or labels.max() > 1:

@@ -5,8 +5,9 @@
 probabilities depend on the candidate set but not on display order.
 ``mirnn`` and ``mirnn_attention`` are sequential: the probability at each
 position conditions on the items ranked before it. Beam search advances many
-partial rankings one position at a time through :func:`advance_entries`;
-every other caller scores whole orders through :func:`nn.sequence_forward`.
+partial rankings one position at a time through :func:`advance_entries`,
+each with only the items it has not placed; every other caller scores whole
+orders through :func:`nn.sequence_forward`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "input_projection",
     "logged_forward",
     "score_midnn_batch",
-    "sequence_attention_weights",
     "sequence_probabilities",
     "sequence_probabilities_batch",
 ]
@@ -84,15 +84,25 @@ def advance_entries(
     extended: np.ndarray,
     *,
     projected: np.ndarray | None = None,
+    items: np.ndarray | None = None,
 ):
-    """Advance E beam entries, each against all N candidate items, at once.
+    """Advance E beam entries at once, each against M of the N candidate items.
 
     ``hiddens``/``cells`` are (E, H), ``histories`` is (E, t, H) with
     t = position - 1, ``rep_caches`` is (E, t, A) for the attention variant,
     ``extended`` is the shared (N, F) feature matrix and ``projected`` its
-    :func:`input_projection`, computed here if not given. Returns
-    (probs (E, N), hidden' (E, N, H), cell' (E, N, H), reps (E, N, A) or
-    None); cell (e, i) is entry e advanced with item i.
+    :func:`input_projection`, computed here if not given. ``items`` is an
+    (E, M) array of item indices, row e naming the items entry e is advanced
+    with (beam search passes each entry's unplaced items); by default every
+    entry is advanced with all N items. Returns (probs (E, M), hidden'
+    (E, M, H), cell' (E, M, H), reps (E, M, A) or None); cell (e, j) is entry
+    e advanced with item ``items[e, j]``.
+
+    The cell update runs on the E*M requested pairs only. Every matrix
+    product runs on the full (E, N) layout, the other pairs' hidden rows left
+    at zero: OpenBLAS rounds a row differently depending on how many rows the
+    call has, so this keeps each pair's result bit-identical to the all-items
+    call. The attention pair scores, softmax and context also span all N.
 
     At position 1 there are no predecessors and the attention context is zero,
     so the attention logit reduces to the plain recurrent one.
@@ -101,16 +111,22 @@ def advance_entries(
     blocks = params.blocks
     if projected is None:
         projected = input_projection(params, extended)
-    z = projected[None, :, :] + (hiddens @ blocks["Wh"].T + blocks["b"])[:, None, :]
+    n_entries, n_items = len(hiddens), len(projected)
+    if items is None:
+        items = np.broadcast_to(np.arange(n_items), (n_entries, n_items))
+    rows = np.arange(n_entries)[:, None]
+    z = projected[items] + (hiddens @ blocks["Wh"].T + blocks["b"])[:, None, :]
     hidden_new, cell_new, _ = nn.cell_update(z, cells[:, None, :])
-    logits = hidden_new @ blocks["w_out"]
+    hidden_all = np.zeros((n_entries, n_items, hidden_new.shape[2]))
+    hidden_all[rows, items] = hidden_new
+    logits = hidden_all @ blocks["w_out"]
     reps = None
     if params.variant == "mirnn_attention":
         attn_dim = params.config.attn_size
         pos_dim = params.config.pos_size
         pos = blocks["pos_emb"][position_row(blocks, position)]
         reps = np.maximum(
-            hidden_new @ blocks["W_a"][:, pos_dim:].T + blocks["W_a"][:, :pos_dim] @ pos,
+            hidden_all @ blocks["W_a"][:, pos_dim:].T + blocks["W_a"][:, :pos_dim] @ pos,
             0.0,
         )
         if position > 1:
@@ -118,14 +134,15 @@ def advance_entries(
             # The pair tensor is built one entry at a time into a reused
             # buffer, so peak memory stays at (N, t, 2A) however wide the beam.
             scores = np.empty(reps.shape[:2] + (t,))
-            pairs = np.empty((reps.shape[1], t, 2 * attn_dim))
-            for e in range(len(hiddens)):
+            pairs = np.empty((n_items, t, 2 * attn_dim))
+            for e in range(n_entries):
                 pairs[:, :, :attn_dim] = reps[e, :, None, :]
                 pairs[:, :, attn_dim:] = rep_caches[e, None, :, :]
                 np.matmul(pairs, blocks["w_g"], out=scores[e])
             alpha = softmax(np.maximum(scores, 0.0), axis=2)
             logits = logits + (alpha @ histories) @ blocks["w_ctx"]
-    return nn.sigmoid(logits), hidden_new, cell_new, reps
+        reps = reps[rows, items]
+    return nn.sigmoid(logits[rows, items]), hidden_new, cell_new, reps
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +188,3 @@ def logged_forward(params: ModelParams, extended: Sequence[np.ndarray]):
             chunk = indices[start : start + LOG_CHUNK]
             probs, caches = nn.sequence_forward(params.blocks, np.stack([extended[i] for i in chunk]))
             yield chunk, probs, caches
-
-
-def sequence_attention_weights(params: ModelParams, extended: np.ndarray, order) -> list[np.ndarray]:
-    """Attention weight vectors per position for one order (empty at position 1)."""
-    _require_variant(params, ("mirnn_attention",))
-    x = np.asarray(extended, dtype=np.float64)[np.asarray(order, dtype=int)][None]
-    _, caches = nn.sequence_forward(params.blocks, x)
-    weights = [np.zeros(0)]
-    for alpha in caches["alphas"][1:]:
-        weights.append(alpha[0])
-    return weights

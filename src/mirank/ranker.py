@@ -100,10 +100,10 @@ def rank(params: ModelParams, candidates: CandidateSet, k: int = 5, gamma: float
 def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankResult:
     """Top-k beam search over partial rankings for the recurrent models.
 
-    Each step advances every beam entry with every item in one batched call,
-    scores the extensions by items the entry has not placed by accumulated
-    expected GMV, and keeps the pooled global top-k. Ties break by the
-    lexicographic item-id sequence, so runs are reproducible.
+    Each step advances every beam entry with each item it has not placed, in
+    one batched call, scores those extensions by accumulated expected GMV,
+    and keeps the pooled global top-k. Ties break by the lexicographic
+    item-id sequence, so runs are reproducible.
     """
     if not params.is_recurrent:
         raise MirankError(f"beam_search requires a recurrent model, got {params.variant!r}")
@@ -131,25 +131,27 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     # Per step: each kept entry's parent entry, placed item and probability.
     parents, placed, placed_probs = [], [], []
     for step in range(n):
+        # Each entry's unplaced items, ascending: the step's pool is every
+        # (entry, item) pair of them, in row-major order.
+        items = np.nonzero(masks)[1].reshape(len(masks), n - step)
         step_probs, hidden_new, cell_new, reps_new = advance_entries(
-            params, hiddens, cells, histories, rep_caches, step + 1, feats, projected=projected
+            params, hiddens, cells, histories, rep_caches, step + 1, feats, projected=projected, items=items
         )
-        # The pool: every (entry, item) pair whose item the entry has not placed.
-        pool = np.nonzero(masks)
-        totals = gmvs[pool[0]] + prices[pool[1]] * step_probs[pool]
+        totals = (gmvs[:, None] + prices[items] * step_probs).ravel()
         # Orders the extended id sequences as (prefix, new id) would.
-        sequence_keys = prefix_ranks[pool[0]] * n + id_ranks[pool[1]]
+        sequence_keys = (prefix_ranks[:, None] * n + id_ranks[items]).ravel()
         chosen = _descending(totals, sequence_keys)[:k]
-        sel_e, sel_i = pool[0][chosen], pool[1][chosen]
+        sel_e, sel_j = np.divmod(chosen, n - step)
+        sel_i = items[sel_e, sel_j]
         parents.append(sel_e)
         placed.append(sel_i)
-        placed_probs.append(step_probs[sel_e, sel_i])
+        placed_probs.append(step_probs[sel_e, sel_j])
         gmvs = totals[chosen]
-        hiddens = hidden_new[sel_e, sel_i]
-        cells = cell_new[sel_e, sel_i]
+        hiddens = hidden_new[sel_e, sel_j]
+        cells = cell_new[sel_e, sel_j]
         histories = np.concatenate([histories[sel_e], hiddens[:, None, :]], axis=1)
         if with_attention:
-            rep_caches = np.concatenate([rep_caches[sel_e], reps_new[sel_e, sel_i][:, None, :]], axis=1)
+            rep_caches = np.concatenate([rep_caches[sel_e], reps_new[sel_e, sel_j][:, None, :]], axis=1)
         masks = masks[sel_e]
         masks[np.arange(len(chosen)), sel_i] = False
         kept_keys = sequence_keys[chosen]

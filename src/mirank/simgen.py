@@ -22,7 +22,6 @@ __all__ = [
     "generate_catalog",
     "generate_logs",
     "session_probabilities",
-    "simulate_session",
 ]
 
 
@@ -98,18 +97,6 @@ def session_probabilities(config: BehaviorConfig, displayed: CandidateSet) -> np
     if n > 2 and config.primacy_strength != 0.0:
         logits[2:] += config.primacy_strength * (rel[:2].mean() - 0.5)
     return sigmoid(logits)
-
-
-def simulate_session(
-    config: BehaviorConfig,
-    displayed: CandidateSet,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Sample one binary purchase label per item, independently per position."""
-    if rng is None:
-        rng = make_rng(config.seed)
-    probs = session_probabilities(config, displayed)
-    return (rng.random(len(probs)) < probs).astype(int)
 
 
 def generate_catalog(

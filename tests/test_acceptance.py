@@ -5,7 +5,9 @@ variants and the primacy-dominant dataset with a trained attention model) are
 session scoped, so the directional-replication criteria share them.
 """
 
+import collections
 import math
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from mirank import (
 )
 from mirank.core import make_rng
 from mirank.features import DEGENERATE_FILL, extend_feature_matrix, extend_features
-from mirank.metrics import logged_predictions, model_policy
+from mirank.metrics import _fit_slope, logged_predictions, model_policy
 from mirank.models import sequence_probabilities
 from mirank.nn.common import cross_entropy
 from mirank.nn.gradcheck import gradient_check
@@ -358,6 +360,66 @@ def test_criterion_08_complexity_slopes(capsys):
         and abs(slopes["attention_k"] - 1.0) <= 0.3
     )
     detail = ", ".join(f"{name}={value:.2f}" for name, value in slopes.items())
+    _report(8, ok, detail, capsys)
+
+
+# The wall-clock half's cases: variant -> (config, beam sizes, counted work).
+CRITERION_08_CASES = {
+    "midnn": (ModelConfig(d=800, hidden_sizes=(48, 48)), [1], "mlp_rows"),
+    "mirnn": (ModelConfig(d=23, lstm_hidden=128), [12, 24], "cell_updates"),
+    "mirnn_attention": (ModelConfig(d=4, lstm_hidden=4, attn_size=384, pos_size=1), [4, 8], "pair_scores"),
+}
+
+
+def test_criterion_08_counted_work_slopes(monkeypatch, capsys):
+    """Criterion 8 on counted work in place of wall time, with the wall-clock
+    half's sizes, beam sizes, configs, targets and bounds. Counts come from
+    the kernels' call arguments: MLP rows for midnn, LSTM cell updates
+    (E times the width of ``items``) for mirnn, and attention pair scores
+    (E*N*(p-1) at position p) for mirnn_attention. A count repeats exactly,
+    so load on the machine cannot move these slopes."""
+    import mirank.nn
+    import mirank.ranker
+
+    counts = collections.Counter()
+    advance, mlp = mirank.ranker.advance_entries, mirank.nn.mlp_forward_batch
+
+    def counted_advance(params, hiddens, cells, histories, rep_caches, position, extended, **kwargs):
+        items = kwargs.get("items")
+        counts["cell_updates"] += len(hiddens) * len(extended) if items is None else items.size
+        if rep_caches is not None and position > 1:
+            counts["pair_scores"] += len(hiddens) * len(extended) * (position - 1)
+        return advance(params, hiddens, cells, histories, rep_caches, position, extended, **kwargs)
+
+    def counted_mlp(blocks, x):
+        counts["mlp_rows"] += len(x)
+        return mlp(blocks, x)
+
+    monkeypatch.setattr(mirank.ranker, "advance_entries", counted_advance)
+    monkeypatch.setattr(mirank.nn, "mlp_forward_batch", counted_mlp)
+    sizes = [10, 20, 40, 80]
+    slopes = {}
+    for variant, (config, beam_sizes, counter) in CRITERION_08_CASES.items():
+        params = init_model(variant, config, seed=0)
+        catalogs = {n: generate_catalog(n, config.d, 1 + n) for n in sizes}
+        work = {}
+        for k in beam_sizes:
+            for n in sizes:
+                counts.clear()
+                model_policy(params, beam_size=k)(catalogs[n])
+                work[k, n] = counts[counter]
+        name = "attention" if variant == "mirnn_attention" else variant
+        slopes[f"{name}_n"] = _fit_slope(sizes, [work[min(beam_sizes), n] for n in sizes])
+        if params.is_recurrent:
+            slopes[f"{name}_k"] = _fit_slope(beam_sizes, [work[k, max(sizes)] for k in beam_sizes])
+    ok = (
+        abs(slopes["midnn_n"] - 1.0) <= 0.4
+        and abs(slopes["mirnn_n"] - 2.0) <= 0.4
+        and abs(slopes["attention_n"] - 3.0) <= 0.4
+        and abs(slopes["mirnn_k"] - 1.0) <= 0.3
+        and abs(slopes["attention_k"] - 1.0) <= 0.3
+    )
+    detail = "counted " + ", ".join(f"{name}={value:.2f}" for name, value in slopes.items())
     _report(8, ok, detail, capsys)
 
 

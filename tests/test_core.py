@@ -32,6 +32,11 @@ class TestItem:
         assert isinstance(item.id, int) and isinstance(item.price, float)
         assert item.local_features.dtype == np.float64
 
+    @pytest.mark.parametrize("bad_id", [1.9, "2"])
+    def test_rejects_non_integer_id(self, bad_id):
+        with pytest.raises(ValidationError, match="must be integers"):
+            Item(id=bad_id, price=1.0, local_features=np.zeros(2))
+
     def test_features_are_read_only(self):
         item = Item(id=0, price=1.0, local_features=np.arange(3.0))
         with pytest.raises(ValueError):
@@ -113,6 +118,15 @@ class TestQueryRecord:
         with pytest.raises(ValidationError):
             QueryRecord("q1", self._items(2), (0, 2))
 
+    @pytest.mark.parametrize("labels", [(0.7, 1), ("1", 0), (float("nan"), 1)])
+    def test_rejects_non_integer_labels(self, labels):
+        """A fractional or textual label raises; it is not truncated to 0 or 1."""
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            QueryRecord("q1", self._items(2), labels)
+
+    def test_whole_float_labels_are_accepted(self):
+        assert QueryRecord("q1", self._items(2), (1.0, 0.0)).labels.tolist() == [1, 0]
+
     def test_ground_truth_length_mismatch(self):
         with pytest.raises(ValidationError):
             QueryRecord("q1", self._items(2), (0, 1), ground_truth_probs=(0.5,))
@@ -141,6 +155,16 @@ class TestValidateCandidateSet:
         items = (Item(0, 1.0, np.zeros(2)), Item(0, 2.0, np.zeros(2)))
         with pytest.raises(ValidationError, match="duplicate"):
             CandidateSet.of(items)
+
+    @pytest.mark.parametrize("bad_id", [1.9, "2", None, float("inf"), 2**70])
+    def test_rejects_non_integer_ids(self, bad_id):
+        """An id that is not a whole number in the int64 range raises; it is
+        not truncated or parsed."""
+        with pytest.raises(ValidationError, match="item ids must be integers"):
+            CandidateSet([0, bad_id], [1.0, 1.0], np.zeros((2, 2)))
+
+    def test_whole_float_ids_are_accepted(self):
+        assert CandidateSet([0.0, 2.0], [1.0, 1.0], np.zeros((2, 2))).ids.tolist() == [0, 2]
 
     def test_rejects_negative_id(self):
         with pytest.raises(ValidationError, match="non-negative"):

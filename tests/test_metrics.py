@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mirank import BehaviorConfig, ModelConfig, extend_features, generate_catalog, init_model
-from mirank import models
+from mirank import models, nn
 from mirank.core import MirankError, QueryRecord, Ranking, make_rng
 from mirank.metrics import (
     DegenerateLabelsError,
@@ -196,11 +196,10 @@ class TestBatchedAttentionDiagnostic:
         total = np.zeros((size, size))
         qualifying = [r for r in records if len(r) >= size]
         for record in qualifying:
-            weights = models.sequence_attention_weights(
-                params, extend_features(record.candidate_set), range(size)
-            )
+            feats = extend_features(record.candidate_set)[:size]
+            alphas = nn.sequence_forward(params.blocks, feats[None])[1]["alphas"]
             for i in range(2, size + 1):
-                total[i - 1, : i - 1] += weights[i - 1]
+                total[i - 1, : i - 1] += alphas[i - 1][0]
         return total / len(qualifying), len(qualifying)
 
     def test_matches_per_record_average(self, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mirank import ModelConfig, init_model
+from mirank import ModelConfig, init_model, nn
 from mirank.core import MirankError, Ranking, make_rng
 from mirank.features import extend_features
 from mirank.models import (
@@ -11,7 +11,6 @@ from mirank.models import (
     baseline_probabilities,
     input_projection,
     score_midnn_batch,
-    sequence_attention_weights,
     sequence_probabilities,
     sequence_probabilities_batch,
 )
@@ -110,6 +109,22 @@ class TestSequentialScoring:
                         assert np.allclose(got, want[:, subset], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", RECURRENT)
+    def test_unplaced_items_match_the_all_items_call_bit_for_bit(self, variant, rng):
+        """``items`` restricts each entry to its unplaced items, as beam search
+        passes them; every requested pair equals the all-items call exactly."""
+        params = init_model(variant, SMALL, seed=4)
+        feats = extend_features(random_candidates(rng, 6, 3))
+        state = _entries(params, feats, [(0, 1), (2, 3), (4, 5)])
+        full = advance_entries(params, *state, 3, feats)
+        items = np.array([[2, 3, 4, 5], [0, 1, 4, 5], [0, 1, 2, 3]])
+        part = advance_entries(params, *state, 3, feats, items=items)
+        for got, want in zip(part, full):
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, want[np.arange(3)[:, None], items])
+
+    @pytest.mark.parametrize("variant", RECURRENT)
     def test_entry_batch_matches_per_entry_expansion(self, variant, rng):
         params = init_model(variant, SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 6, 3))
@@ -151,16 +166,15 @@ class TestSequentialScoring:
     def test_attention_weights_shape_and_normalization(self, rng):
         params = init_model("mirnn_attention", SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 5, 3))
-        weights = sequence_attention_weights(params, feats, range(5))
-        assert len(weights) == 5
-        assert weights[0].size == 0
-        for pos, alpha in enumerate(weights[1:], start=1):
-            assert alpha.shape == (pos,)
+        alphas = nn.sequence_forward(params.blocks, feats[None])[1]["alphas"]
+        assert len(alphas) == 5
+        assert alphas[0] is None
+        for pos, alpha in enumerate(alphas[1:], start=1):
+            assert alpha.shape == (1, pos)
             assert abs(alpha.sum() - 1.0) < 1e-12
             assert np.all(alpha >= 0.0)
 
     def test_attention_weights_require_attention_variant(self, rng):
         params = init_model("mirnn", SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 4, 3))
-        with pytest.raises(MirankError):
-            sequence_attention_weights(params, feats, range(4))
+        assert nn.sequence_forward(params.blocks, feats[None])[1]["alphas"] == []

@@ -225,6 +225,15 @@ class TestLogErrors:
         with pytest.raises(LogFormatError, match="line 1.*item 1: feature dimension .* differs"):
             read_logs(path)
 
+    def test_fractional_label_names_the_line(self, tmp_path):
+        """A label of 0.7 is rejected; it used to read as 0, a non-purchase."""
+        path = tmp_path / "logs.jsonl"
+        write_logs(self._one_record_logs(), path)
+        with open(path, "a") as handle:
+            handle.write('{"query_id": "q1", "items": [{"id": 0, "price": 1.0, "features": [0.5]}], "labels": [0.7]}\n')
+        with pytest.raises(LogFormatError, match="line 2.*labels must be integers, got 0.7"):
+            read_logs(path)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "logs.jsonl"
         write_logs(self._one_record_logs(), path)

@@ -1,5 +1,6 @@
 """Permutation search: optimality, beam/oracle/greedy agreement, rerank guards."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -207,6 +208,27 @@ class TestBeamReference:
         cs = cs.take(rng.permutation(n))
         params = init_model("mirnn_attention", SMALL, seed=6)
         assert beam_search(params, cs, 3).ranking.order == reference_beam(params, cs, 3)[0]
+
+
+# SHA-256 over (order as int64, expected GMV, per-position probabilities) of
+# beam_search with the default ModelConfig, taken before the beam step was
+# restricted to unplaced pairs: any last-bit drift in the beam fails here.
+PINNED_BEAM_DIGESTS = {
+    ("mirnn", 50, 5): "43fe4f5ccdb9330401a7246e886f306408af6f03f90a35b6ea2ba8deaa3c3bf5",
+    ("mirnn", 20, 20): "2c5aa08a7cbf6710a422fc33ee8fe3518196393bf587068bc596abeeb836dad1",
+    ("mirnn_attention", 50, 5): "ebd0ce1c16f2487e440ade551383aaed24519947e703097fa9de6fb4c0dca609",
+    ("mirnn_attention", 20, 20): "e6b31f322b76ce0fcd452774fd86396f4f9421e8fd5b02ccb9d97465393bc79f",
+}
+
+
+@pytest.mark.parametrize("variant, n, k", sorted(PINNED_BEAM_DIGESTS))
+def test_beam_output_bits_are_pinned(variant, n, k):
+    cs = random_candidates(make_rng(n * 100 + k), n, ModelConfig().d)
+    result = beam_search(init_model(variant, ModelConfig(), seed=n + k), cs, k)
+    digest = hashlib.sha256(np.asarray(result.ranking.order, dtype=np.int64).tobytes())
+    digest.update(np.float64(result.expected_gmv).tobytes())
+    digest.update(np.asarray(result.per_position_probabilities, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == PINNED_BEAM_DIGESTS[variant, n, k]
 
 
 class TestExhaustiveOracle:

@@ -5,7 +5,7 @@ import pytest
 
 from mirank import BehaviorConfig, Dataset, generate_catalog, generate_logs
 from mirank.core import CandidateSet, MirankError, ValidationError, make_rng
-from mirank.simgen import RANKING_POLICIES, session_probabilities, simulate_session
+from mirank.simgen import RANKING_POLICIES, session_probabilities
 
 
 def _flat_items(prices):
@@ -92,21 +92,24 @@ class TestSessionProbabilities:
             session_probabilities(BehaviorConfig(), CandidateSet.of([]))
 
 
-class TestSimulateSession:
+class TestSessionLabels:
+    """Labels that generate_logs samples from the session probabilities."""
+
     def test_labels_binary_and_reproducible(self):
         config = BehaviorConfig(price_sensitivity=1.0, base_rate=0.4, seed=7)
-        items = _flat_items([1.0, 10.0, 100.0])
-        a = simulate_session(config, items, make_rng(11))
-        b = simulate_session(config, items, make_rng(11))
-        assert np.array_equal(a, b)
-        assert set(np.unique(a)) <= {0, 1}
+        catalog = _flat_items([1.0, 10.0, 100.0])
+        a, b = (generate_logs(config, catalog, 20, items_per_query=3, seed=11) for _ in range(2))
+        for ra, rb in zip(a.records, b.records):
+            assert np.array_equal(ra.labels, rb.labels)
+            assert set(np.unique(ra.labels)) <= {0, 1}
 
     def test_label_rate_tracks_probabilities(self):
         config = BehaviorConfig(base_rate=0.3)
-        items = _flat_items([5.0] * 50)
-        rng = make_rng(2)
-        rate = np.mean([simulate_session(config, items, rng).mean() for _ in range(200)])
-        assert abs(rate - 0.3) < 0.02
+        # No train records, so no purchase filter skews the rate.
+        logs = generate_logs(config, _flat_items([5.0] * 60), 200, items_per_query=50, seed=2, train_fraction=0.0)
+        probs = np.concatenate([r.ground_truth_probs for r in logs.records])
+        assert np.allclose(probs, 0.3)
+        assert abs(np.mean([r.labels.mean() for r in logs.records]) - 0.3) < 0.02
 
 
 class TestGenerateCatalog:
