@@ -56,16 +56,24 @@ class Item:
     local_features: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.local_features, dtype=np.float64)
-        feats.setflags(write=False)
-        object.__setattr__(self, "local_features", feats)
-        object.__setattr__(self, "price", float(self.price))
+        object.__setattr__(self, "local_features", _frozen(self.local_features, "local features"))
+        object.__setattr__(self, "price", float(_frozen(self.price, "price")))
         object.__setattr__(self, "id", int(_frozen_integers(self.id, "item id")))
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only copy, so no caller keeps a writable view of a set's data."""
-    array = np.array(values, dtype=dtype)
+def _frozen(values, what: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, so no caller keeps a writable
+    view of a set's data. The values must all be numbers: a string, a null or
+    any other non-number raises instead of being cast."""
+    array = np.array(values)
+    if array.dtype.kind not in "biuf":
+        # Only a failing check walks the values, to name the first offender;
+        # Python ints beyond int64 are numbers, cast below.
+        for value in np.array(values, dtype=object).ravel():
+            if not isinstance(value, (int, float, np.number)):
+                raise ValidationError(f"{what} must be numbers, got {value!r}")
+        array = np.array(values, dtype=np.float64)
+    array = array.astype(np.float64, copy=False)
     array.setflags(write=False)
     return array
 
@@ -105,7 +113,7 @@ class CandidateSet:
     __slots__ = ("_ids", "_prices", "_features")
 
     def __init__(self, ids, prices, feature_matrix):
-        ids, prices = _frozen_integers(ids, "item ids"), _frozen(prices, np.float64)
+        ids, prices = _frozen_integers(ids, "item ids"), _frozen(prices, "prices")
         if not ids.size:
             raise ValidationError("candidate set must contain at least one item")
         if ids.ndim != 1 or prices.shape != ids.shape:
@@ -121,7 +129,7 @@ class CandidateSet:
             i = np.argmin(valid)
             raise ValidationError(f"item {ids[i]}: price must be positive and finite, got {prices[i]}")
         try:
-            features = _frozen(feature_matrix, np.float64)
+            features = _frozen(feature_matrix, "local features")
         except ValueError:  # ragged rows name the first item off the first row's shape
             shapes = [np.shape(row) for row in feature_matrix]
             for item_id, shape in zip(listed, shapes):
@@ -217,7 +225,7 @@ class QueryRecord:
             raise ValidationError(f"record {self.query_id}: labels must be 0 or 1")
         object.__setattr__(self, "labels", labels)
         if self.ground_truth_probs is not None:
-            probs = _frozen(self.ground_truth_probs, np.float64)
+            probs = _frozen(self.ground_truth_probs, f"record {self.query_id}: ground-truth probabilities")
             if probs.shape != (n,):
                 raise ValidationError(
                     f"record {self.query_id}: {probs.size} ground-truth probabilities for {n} items"

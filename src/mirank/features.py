@@ -20,20 +20,19 @@ DEGENERATE_FILL = 0.5
 
 
 def extend_feature_matrix(local: np.ndarray) -> np.ndarray:
-    """Extend a (N, d) local feature matrix to the (N, 2d) global extension.
+    """Extend a (..., N, d) local feature matrix to the (..., N, 2d) global
+    extension; leading axes index independent candidate sets.
 
-    Columns d..2d-1 hold, per dimension, (x - min) / (max - min) over the N
-    rows; degenerate dimensions (max == min) are filled with 0.5.
+    Columns d..2d-1 hold, per set and dimension, (x - min) / (max - min) over
+    its N rows; degenerate dimensions (max == min) are filled with 0.5.
     """
     local = np.asarray(local, dtype=np.float64)
-    lo = local.min(axis=0)
-    hi = local.max(axis=0)
-    span = hi - lo
+    lo = local.min(axis=-2, keepdims=True)
+    span = local.max(axis=-2, keepdims=True) - lo
     degenerate = span == 0.0
-    safe_span = np.where(degenerate, 1.0, span)
-    rel = (local - lo) / safe_span
-    rel[:, degenerate] = DEGENERATE_FILL
-    return np.hstack([local, rel])
+    rel = (local - lo) / np.where(degenerate, 1.0, span)
+    np.copyto(rel, DEGENERATE_FILL, where=degenerate)
+    return np.concatenate([local, rel], axis=-1)
 
 
 def extend_features(candidates: CandidateSet) -> np.ndarray:

@@ -78,7 +78,7 @@ def advance_entries(
     params: ModelParams,
     hiddens: np.ndarray,
     cells: np.ndarray,
-    histories: np.ndarray,
+    histories: np.ndarray | None,
     rep_caches: np.ndarray | None,
     position: int,
     extended: np.ndarray,
@@ -88,8 +88,9 @@ def advance_entries(
 ):
     """Advance E beam entries at once, each against M of the N candidate items.
 
-    ``hiddens``/``cells`` are (E, H), ``histories`` is (E, t, H) with
-    t = position - 1, ``rep_caches`` is (E, t, A) for the attention variant,
+    ``hiddens``/``cells`` are (E, H). For the attention variant
+    ``histories`` is (E, t, H) and ``rep_caches`` is (E, t, A), with
+    t = position - 1; ``mirnn`` reads neither, and may pass None for both.
     ``extended`` is the shared (N, F) feature matrix and ``projected`` its
     :func:`input_projection`, computed here if not given. ``items`` is an
     (E, M) array of item indices, row e naming the items entry e is advanced
@@ -103,6 +104,8 @@ def advance_entries(
     at zero: OpenBLAS rounds a row differently depending on how many rows the
     call has, so this keeps each pair's result bit-identical to the all-items
     call. The attention pair scores, softmax and context also span all N.
+    Sums and activations are written in place wherever that is the same IEEE
+    operation on the same operands.
 
     At position 1 there are no predecessors and the attention context is zero,
     so the attention logit reduces to the plain recurrent one.
@@ -115,7 +118,8 @@ def advance_entries(
     if items is None:
         items = np.broadcast_to(np.arange(n_items), (n_entries, n_items))
     rows = np.arange(n_entries)[:, None]
-    z = projected[items] + (hiddens @ blocks["Wh"].T + blocks["b"])[:, None, :]
+    z = projected[items]
+    z += (hiddens @ blocks["Wh"].T + blocks["b"])[:, None, :]
     hidden_new, cell_new, _ = nn.cell_update(z, cells[:, None, :])
     hidden_all = np.zeros((n_entries, n_items, hidden_new.shape[2]))
     hidden_all[rows, items] = hidden_new
@@ -125,10 +129,9 @@ def advance_entries(
         attn_dim = params.config.attn_size
         pos_dim = params.config.pos_size
         pos = blocks["pos_emb"][position_row(blocks, position)]
-        reps = np.maximum(
-            hidden_all @ blocks["W_a"][:, pos_dim:].T + blocks["W_a"][:, :pos_dim] @ pos,
-            0.0,
-        )
+        reps = hidden_all @ blocks["W_a"][:, pos_dim:].T
+        reps += blocks["W_a"][:, :pos_dim] @ pos
+        np.maximum(reps, 0.0, out=reps)
         if position > 1:
             t = histories.shape[1]
             # The pair tensor is built one entry at a time into a reused
@@ -139,8 +142,8 @@ def advance_entries(
                 pairs[:, :, :attn_dim] = reps[e, :, None, :]
                 pairs[:, :, attn_dim:] = rep_caches[e, None, :, :]
                 np.matmul(pairs, blocks["w_g"], out=scores[e])
-            alpha = softmax(np.maximum(scores, 0.0), axis=2)
-            logits = logits + (alpha @ histories) @ blocks["w_ctx"]
+            alpha = softmax(np.maximum(scores, 0.0, out=scores), axis=2)
+            logits += (alpha @ histories) @ blocks["w_ctx"]
         reps = reps[rows, items]
     return nn.sigmoid(logits[rows, items]), hidden_new, cell_new, reps
 

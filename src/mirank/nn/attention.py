@@ -19,6 +19,7 @@ def position_row(params: dict[str, np.ndarray], position_index: int) -> int:
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = scores - scores.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e

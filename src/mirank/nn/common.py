@@ -9,8 +9,8 @@ from scipy.special import expit
 PROB_EPS = 1e-7
 
 
-def sigmoid(x):
-    return expit(x)
+def sigmoid(x, out=None):
+    return expit(x, out=out)
 
 
 def cross_entropy(prediction: float, label: int) -> float:

@@ -59,26 +59,31 @@ def batch_loss_and_grads(variant: str, blocks: dict[str, np.ndarray], x: np.ndar
     return loss, grads
 
 
-def _training_groups(variant: str, records: Sequence[QueryRecord]) -> list[tuple]:
+def _training_groups(variant: str, records: Sequence[QueryRecord]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (features, labels) groups that mini-batches are drawn from.
 
-    Feed-forward variants train on items: one group of all (n, F) item rows
-    and their (n,) labels. Recurrent variants train on whole records: one
-    group per record length, shortest first, holding one (T, F) array and one
-    (T,) label array per record, so that each batch stacks into (B, T, F).
+    Records of one length stack into an (R, T, d) array, extended in one
+    call. Recurrent variants train on whole records: one group per record
+    length, shortest first, of (R, T, F) features and (R, T) labels, so that a
+    batch is a row subset. Feed-forward variants train on items: one group of
+    all (n, F) item rows and their (n,) labels, in record order.
     """
-    recurrent = variant in RECURRENT_VARIANTS
-    groups: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for record in records:
-        feats = record.candidate_set.feature_matrix
+    by_length: dict[int, list[int]] = defaultdict(list)
+    for index, record in enumerate(records):
+        by_length[len(record)].append(index)
+    groups = []
+    for _, indices in sorted(by_length.items()):
+        feats = np.stack([records[i].candidate_set.feature_matrix for i in indices])
         if variant != "baseline":
             feats = extend_feature_matrix(feats)
-        xs, ys = groups[len(record) if recurrent else 0]
-        xs.append(feats)
-        ys.append(record.labels.astype(np.float64))
-    if not recurrent:
-        return [(np.vstack(xs), np.concatenate(ys)) for xs, ys in groups.values()]
-    return [groups[length] for length in sorted(groups)]
+        labels = np.stack([records[i].labels for i in indices]).astype(np.float64)
+        groups.append((indices, feats, labels))
+    if variant in RECURRENT_VARIANTS:
+        return [(feats, labels) for _, feats, labels in groups]
+    # Feed-forward rows go back to record order.
+    by_record = {i: (x, y) for indices, feats, labels in groups for i, x, y in zip(indices, feats, labels)}
+    xs, ys = zip(*(by_record[i] for i in range(len(records))))
+    return [(np.vstack(xs), np.concatenate(ys))]
 
 
 def train(
@@ -110,13 +115,7 @@ def train(
             order = rng.permutation(len(feats))
             for start in range(0, len(feats), batch_size):
                 chosen = order[start : start + batch_size]
-                if recurrent:
-                    # Stacked per batch from per-record arrays: stacking each
-                    # group up front measured slower.
-                    x, y = np.stack([feats[i] for i in chosen]), np.stack([labels[i] for i in chosen])
-                else:
-                    x, y = feats[chosen], labels[chosen]
-                loss, grads = batch_loss_and_grads(variant, blocks, x, y)
+                loss, grads = batch_loss_and_grads(variant, blocks, feats[chosen], labels[chosen])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step} ({variant})")
                 adam_step(

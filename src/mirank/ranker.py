@@ -104,6 +104,11 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     one batched call, scores those extensions by accumulated expected GMV,
     and keeps the pooled global top-k. Ties break by the lexicographic
     item-id sequence, so runs are reproducible.
+
+    An entry is a row of per-entry arrays: its unplaced items, its rank among
+    the entries' id prefixes, its GMV and its LSTM state, plus the hidden
+    states and attention representations of its prefix for the attention
+    variant only. The kept pairs are read from the pool by their flat index.
     """
     if not params.is_recurrent:
         raise MirankError(f"beam_search requires a recurrent model, got {params.variant!r}")
@@ -117,23 +122,22 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     prices = candidates.prices
     id_ranks = np.argsort(np.argsort(candidates.ids))  # ids ranked 0..n-1
     h_dim = params.config.lstm_hidden
-    with_attention = params.variant == "mirnn_attention"
-    # One row per beam entry. ``prefix_ranks`` orders the entries' item-id
-    # prefixes lexicographically (equal prefixes share a rank), which is all
-    # the tie rule needs of them.
+    # Each entry's unplaced items, ascending: the step's pool is every
+    # (entry, item) pair of them, in row-major order.
+    items = np.arange(n)[None, :]
+    # ``prefix_ranks`` orders the entries' item-id prefixes lexicographically
+    # (equal prefixes share a rank), which is all the tie rule needs of them.
     prefix_ranks = np.zeros(1, dtype=int)
-    masks = np.ones((1, n), dtype=bool)
     gmvs = np.zeros(1)
     hiddens = np.zeros((1, h_dim))
     cells = np.zeros((1, h_dim))
-    histories = np.zeros((1, 0, h_dim))
-    rep_caches = np.zeros((1, 0, params.config.attn_size)) if with_attention else None
+    histories = rep_caches = None
+    if params.variant == "mirnn_attention":
+        histories = np.zeros((1, 0, h_dim))
+        rep_caches = np.zeros((1, 0, params.config.attn_size))
     # Per step: each kept entry's parent entry, placed item and probability.
     parents, placed, placed_probs = [], [], []
     for step in range(n):
-        # Each entry's unplaced items, ascending: the step's pool is every
-        # (entry, item) pair of them, in row-major order.
-        items = np.nonzero(masks)[1].reshape(len(masks), n - step)
         step_probs, hidden_new, cell_new, reps_new = advance_entries(
             params, hiddens, cells, histories, rep_caches, step + 1, feats, projected=projected, items=items
         )
@@ -141,19 +145,21 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
         # Orders the extended id sequences as (prefix, new id) would.
         sequence_keys = (prefix_ranks[:, None] * n + id_ranks[items]).ravel()
         chosen = _descending(totals, sequence_keys)[:k]
-        sel_e, sel_j = np.divmod(chosen, n - step)
-        sel_i = items[sel_e, sel_j]
+        sel_e = chosen // (n - step)
+        sel_i = items.ravel()[chosen]
         parents.append(sel_e)
         placed.append(sel_i)
-        placed_probs.append(step_probs[sel_e, sel_j])
+        placed_probs.append(step_probs.ravel()[chosen])
         gmvs = totals[chosen]
-        hiddens = hidden_new[sel_e, sel_j]
-        cells = cell_new[sel_e, sel_j]
-        histories = np.concatenate([histories[sel_e], hiddens[:, None, :]], axis=1)
-        if with_attention:
-            rep_caches = np.concatenate([rep_caches[sel_e], reps_new[sel_e, sel_j][:, None, :]], axis=1)
-        masks = masks[sel_e]
-        masks[np.arange(len(chosen)), sel_i] = False
+        hiddens = hidden_new.reshape(-1, h_dim)[chosen]
+        cells = cell_new.reshape(-1, h_dim)[chosen]
+        if histories is not None:
+            histories = np.concatenate([histories[sel_e], hiddens[:, None, :]], axis=1)
+            reps = reps_new.reshape(-1, reps_new.shape[2])[chosen]
+            rep_caches = np.concatenate([rep_caches[sel_e], reps[:, None, :]], axis=1)
+        # The kept entries' unplaced items, less the one each just placed.
+        items = items[sel_e]
+        items = items[items != sel_i[:, None]].reshape(len(chosen), n - step - 1)
         kept_keys = sequence_keys[chosen]
         prefix_ranks = np.searchsorted(np.sort(kept_keys), kept_keys)
     # Entries are kept in tie-rule order, so the first one is the answer;

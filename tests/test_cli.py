@@ -275,9 +275,15 @@ class TestExitCodes:
         ('{"id": 1, "price": 2.0, "features": [0.3, 0.4]}', ', "ground_truth_probs": [0.5, -3.0]'),
         ('{"id": 1.9, "price": 2.0, "features": [0.3, 0.4]}', ""),
         ('{"id": "2", "price": 2.0, "features": [0.3, 0.4]}', ""),
+        ('{"id": 1, "price": "2.5", "features": [0.3, 0.4]}', ""),
+        ('{"id": 1, "price": null, "features": [0.3, 0.4]}', ""),
+        ('{"id": 1, "price": 2.0, "features": ["0.3", 0.4]}', ""),
+        ('{"id": 1, "price": 2.0, "features": [0.3, 0.4]}', ', "ground_truth_probs": ["0.5", 0.5]'),
+        ('{"id": 1, "price": 2.0, "features": [0.3, 0.4]}', ', "ground_truth_probs": [null, 0.5]'),
     ), ids=(
         "price-overflow", "feature-overflow", "duplicate-id", "zero-price", "negative-price",
         "truth-overflow", "negative-truth", "fractional-id", "string-id",
+        "string-price", "null-price", "string-feature", "string-truth", "null-truth",
     ))
     def test_invalid_candidate_set_is_io(self, item, probs, tmp_path, capsys):
         save_model(init_model("midnn", ModelConfig(d=2, hidden_sizes=(3,)), seed=0), tmp_path / "midnn.model")

@@ -37,6 +37,11 @@ class TestItem:
         with pytest.raises(ValidationError, match="must be integers"):
             Item(id=bad_id, price=1.0, local_features=np.zeros(2))
 
+    @pytest.mark.parametrize("price, features", [("2.5", [1.0]), (None, [1.0]), (2.5, ["1.5"]), (2.5, [None])])
+    def test_rejects_non_numeric_floats(self, price, features):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            Item(id=0, price=price, local_features=features)
+
     def test_features_are_read_only(self):
         item = Item(id=0, price=1.0, local_features=np.arange(3.0))
         with pytest.raises(ValueError):
@@ -136,6 +141,12 @@ class TestQueryRecord:
         with pytest.raises(ValidationError, match="ground-truth probability"):
             QueryRecord("q1", self._items(2), (0, 1), ground_truth_probs=(0.5, prob))
 
+    @pytest.mark.parametrize("prob", ["0.5", None, b"0.5"])
+    def test_rejects_non_numeric_ground_truth(self, prob):
+        """A string or a null is not parsed or read as NaN: it raises."""
+        with pytest.raises(ValidationError, match="ground-truth probabilities must be numbers"):
+            QueryRecord("q1", self._items(2), (0, 1), ground_truth_probs=(0.5, prob))
+
 
 class TestValidateCandidateSet:
     """Construction checks every invariant, naming the offending item."""
@@ -189,6 +200,23 @@ class TestValidateCandidateSet:
         items = (Item(0, 1.0, np.array([np.inf, -np.inf])), Item(1, 1.0, np.array([0.0, 1.0])))
         with pytest.raises(ValidationError, match="item 0: local features contain non-finite"):
             CandidateSet.of(items)
+
+    @pytest.mark.parametrize("prices, features, what", [
+        (["2.5", 3.0], [[1.5, 0.0], [0.0, 1.0]], "prices"),
+        ([None, 3.0], [[1.5, 0.0], [0.0, 1.0]], "prices"),
+        ([2.5, 3.0], [["1.5", 0.0], [0.0, 1.0]], "local features"),
+        ([2.5, 3.0], [[1.5, None], [0.0, 1.0]], "local features"),
+        ([2.5, 3.0], [np.array(["1.5", "0"]), np.zeros(2)], "local features"),
+    ])
+    def test_rejects_non_numeric_floats(self, prices, features, what):
+        """Float columns take numbers only: a string is not parsed and a null
+        is not read as NaN; the message names the column and the value."""
+        with pytest.raises(ValidationError, match=f"{what} must be numbers"):
+            CandidateSet([0, 1], prices, features)
+
+    def test_integer_floats_are_accepted(self):
+        cs = CandidateSet([0, 1], [2, 10**20], [[1, 0], [0, 1]])
+        assert cs.prices.tolist() == [2.0, 1e20] and cs.feature_matrix.dtype == np.float64
 
     def test_rejects_features_that_are_not_vectors(self):
         with pytest.raises(ValidationError, match="must be a vector"):

@@ -86,3 +86,23 @@ def test_affine_invariance_property(local, scale, shift):
 def test_degenerate_dimension_property(n, d, value):
     local = np.full((n, d), value)
     assert np.all(extend_feature_matrix(local)[:, d:] == DEGENERATE_FILL)
+
+
+@given(
+    hnp.arrays(
+        dtype=np.float64,
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 8), st.integers(1, 4)),
+        elements=st.sampled_from([-2.5, 0.0, 1.0, 3.0, 1e6]) | st.floats(-1e6, 1e6, allow_nan=False),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_stacked_sets_extend_like_each_set_alone(stack):
+    """An (R, N, d) stack extends as R separate calls would, bit for bit.
+    Values are drawn from a small pool as well, so sets with constant
+    (degenerate) columns occur often."""
+    stack[0, :, 0] = stack[0, 0, 0]  # at least one degenerate column
+    stacked = extend_feature_matrix(stack)
+    assert stacked.shape == stack.shape[:2] + (2 * stack.shape[2],)
+    for local, extended in zip(stack, stacked):
+        assert np.array_equal(extended, extend_feature_matrix(local))
+    assert stacked[0, 0, stack.shape[2]] == DEGENERATE_FILL

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mirank import CandidateSet, ModelConfig, QueryRecord, TrainConfig
+from mirank import BehaviorConfig, CandidateSet, ModelConfig, QueryRecord, TrainConfig, generate_catalog, generate_logs
 from mirank.configs import VARIANTS
 from mirank.core import MirankError, ValidationError, make_rng
 from mirank.nn.common import PROB_EPS, cross_entropy, cross_entropy_batch, glorot_uniform, sigmoid
@@ -253,3 +253,34 @@ class TestTrain:
         config = TrainConfig(learning_rate=1e308, epochs=3)
         with pytest.raises(TrainingDiverged, match="non-finite loss"):
             train("midnn", [record], ModelConfig(d=2, hidden_sizes=(3,)), config, seed=0)
+
+
+# SHA-256 over each variant's loss curve (little-endian float64), then each
+# trained block's name and bytes in sorted name order, in test_trained_blocks_are_pinned.
+TRAINED_DIGESTS = {
+    "baseline": "99d446f4ec02b9c9c922dca8b8620cb69f4472218bfdf2539ffe7849b04c05d9",
+    "midnn": "84a2a1f73d9c5e0a909c9472051fb0bbdda97ef1df7810e8231ffc3ed3303e38",
+    "mirnn": "e89d6f3c089bb08ffb5afef9a83f9937c6ef6720216b8d818642fcb280650db6",
+    "mirnn_attention": "69215950e9612417ab59ec478317d309725aafca0a3119c513068d2e61a9a5f5",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_trained_blocks_are_pinned(variant):
+    """Two epochs on a fixed simgen log pin every bit of training: the feature
+    extension, the forward and backward kernels and the Adam step. 13 records
+    of 6 items and 7 of 4 leave a partial last batch in both length groups
+    (batches of 4) and in the item batches (106 items, batches of 32)."""
+    catalog = generate_catalog(40, 3, seed=4)
+    behavior = BehaviorConfig(base_rate=0.3, price_sensitivity=1.0)
+    records = (
+        generate_logs(behavior, catalog, n_queries=13, items_per_query=6, seed=5).records
+        + generate_logs(behavior, catalog, n_queries=7, items_per_query=4, seed=6).records
+    )
+    config = ModelConfig(d=3, hidden_sizes=(8, 4), lstm_hidden=6, attn_size=4, pos_size=2, max_positions=8)
+    params, curve = train(variant, records, config, TrainConfig(epochs=2, batch_size=32, sequence_batch_size=4), seed=7)
+    digest = hashlib.sha256(np.asarray(curve, dtype="<f8").tobytes())
+    for name in sorted(params.blocks):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(params.blocks[name], dtype="<f8").tobytes())
+    assert digest.hexdigest() == TRAINED_DIGESTS[variant]
