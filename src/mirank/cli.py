@@ -44,8 +44,7 @@ EXIT_DIVERGED = 4
 
 DEFAULTS: dict = {
     **asdict(ModelConfig()),
-    # beta1 and beta2 stay fixed: they are not config keys.
-    **{key: value for key, value in asdict(TrainConfig()).items() if key not in ("beta1", "beta2")},
+    **asdict(TrainConfig()),
     "gamma": 1.0,
     "beam_size": 5,
     "items_per_query": 50,
@@ -105,8 +104,16 @@ def _echo(message: str, err: bool = False) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_int_list(flag: str, text: str) -> list[int]:
+    """The integers of the comma-separated ``text`` given to option ``flag``;
+    an empty list or a part that is not an integer is a ValidationError."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValidationError(f"{flag} takes a comma-separated list of integers, got {text!r}")
+    return values
 
 
 @click.group()
@@ -172,7 +179,7 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
         flags["hidden_sizes"] = [part for part in hidden_sizes.split(",") if part.strip()]
     cfg = _resolve_config(ctx.obj["config_path"], flags)
     seed = ctx.obj["seed"]
-    dataset = read_logs(train_path, tag="train")
+    dataset = read_logs(train_path)
     if dataset.records:
         cfg["d"] = dataset.records[0].candidate_set.feature_matrix.shape[1]
     params, curve = train(variant, dataset.records, config_from(ModelConfig, cfg), config_from(TrainConfig, cfg), seed)
@@ -227,11 +234,11 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
 @cli.command()
 @click.argument("test_path", type=click.Path(exists=True))
 @click.argument("model_paths", type=click.Path(exists=True), nargs=-1, required=True)
-@click.option("--attention-size", type=int, default=20, show_default=True)
+@click.option("--attention-size", type=click.IntRange(min=1), default=20, show_default=True)
 @click.pass_context
 def evaluate(ctx, test_path, model_paths, attention_size):
     """Compute AUC/RIG for each model on a test log (plus attention matrix)."""
-    dataset = read_logs(test_path, tag="test")
+    dataset = read_logs(test_path)
     if not dataset.records:
         raise ValidationError(f"test log {test_path} holds no records")
     models = [(model_path, load_model(model_path)) for model_path in model_paths]
@@ -266,7 +273,7 @@ def evaluate(ctx, test_path, model_paths, attention_size):
 @click.argument("model_paths", type=click.Path(exists=True), nargs=-1, required=True)
 @click.option("--sizes", type=str, default="10,20,40,80", show_default=True)
 @click.option("--beams", type=str, default="5", show_default=True)
-@click.option("--reps", type=int, default=5, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=5, show_default=True)
 @click.pass_context
 def bench(ctx, model_paths, sizes, beams, reps):
     """Measure ranking latency across rerank sizes and beam sizes."""
@@ -274,7 +281,7 @@ def bench(ctx, model_paths, sizes, beams, reps):
 
     models = {Path(p).stem: load_model(p) for p in model_paths}
     profile = latency_bench(
-        models, _parse_int_list(sizes), _parse_int_list(beams), reps, ctx.obj["seed"]
+        models, _parse_int_list("--sizes", sizes), _parse_int_list("--beams", beams), reps, ctx.obj["seed"]
     )
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
@@ -302,7 +309,7 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
     params = load_model(model_path)
     dataset = read_logs(log_path)
     _check_feature_dim(params, model_path, dataset, log_path)
-    beam_sizes = _parse_int_list(beams)
+    beam_sizes = _parse_int_list("--beams", beams)
     out = ctx.obj["out"]
     out.mkdir(parents=True, exist_ok=True)
     rows = []

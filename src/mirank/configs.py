@@ -106,8 +106,6 @@ class TrainConfig:
     batch_size: int = 256
     sequence_batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
 
     def __post_init__(self):
         _require_positive(self, ("epochs", "batch_size", "sequence_batch_size"))

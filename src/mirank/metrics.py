@@ -14,9 +14,9 @@ from .configs import ModelParams
 from .core import CandidateSet, MirankError, QueryRecord, Ranking, make_rng
 from .features import extend_features
 from .models import baseline_probabilities, logged_forward, score_midnn_batch
-from .nn.common import PROB_EPS
+from .nn.common import cross_entropy_batch
 from .ranker import rank
-from .simgen import BehaviorConfig, session_probabilities
+from .simgen import BehaviorConfig, _subset_sampler, generate_catalog, session_probabilities
 
 __all__ = [
     "AttentionMatrix",
@@ -65,8 +65,7 @@ def rig(predictions, labels) -> float:
     """Relative information gain: 1 - mean cross-entropy / entropy of the
     empirical positive rate. 0 = uninformative constant, 1 = perfect."""
     labels = _check_labels(labels).astype(np.float64)
-    p = np.clip(np.asarray(predictions, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    mean_ce = float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)))
+    mean_ce = cross_entropy_batch(predictions, labels) / labels.size
     rate = labels.mean()
     entropy = float(-(rate * np.log(rate) + (1.0 - rate) * np.log(1.0 - rate)))
     return 1.0 - mean_ce / entropy
@@ -124,17 +123,15 @@ def compare_policies(
     n_queries: int,
     items_per_query: int,
     seed: int,
-    subset_sampling: str = "price_band",
 ) -> PolicyComparison:
-    """Rank the same candidate sets with every policy and score the results
-    against the simulator's ground truth.
+    """Rank the same price-band candidate sets (the sampler of
+    :func:`generate_logs`) with every policy and score the results against
+    the simulator's ground truth.
 
     The GMV is the sum of price times ground-truth probability under each
     policy's order, which removes Monte-Carlo label noise.
     """
-    from .simgen import _subset_sampler
-
-    sampler = _subset_sampler(catalog, items_per_query, subset_sampling)
+    sampler = _subset_sampler(catalog, items_per_query)
     rng = make_rng(seed)
     names = tuple(policies)
     gmv = np.zeros((n_queries, len(names)))
@@ -160,16 +157,12 @@ class AttentionMatrix:
     """Mean attention of position i to position j, averaged over records.
 
     ``values[i-1, j-1]`` holds the average weight of 1-based position i on
-    position j for 2 <= i <= size, j < i; other cells are zero. Every row
+    position j for 2 <= i <= len(values), j < i; other cells are zero. Every row
     i >= 2 sums to 1 up to averaging rounding.
     """
 
     values: np.ndarray
     n_records: int
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
 
     def row(self, i: int) -> np.ndarray:
         """Weights of 1-based position i over positions 1..i-1."""
@@ -270,8 +263,6 @@ def latency_bench(
     ever adds time, so the fastest repetition is the least noisy estimate of
     the work itself.
     """
-    from .simgen import generate_catalog
-
     first_params = next(iter(models.values()))
     catalogs = {n: generate_catalog(n, first_params.config.d, seed + n) for n in rerank_sizes}
     policies = {

@@ -142,7 +142,7 @@ def advance_entries(
                 pairs[:, :, :attn_dim] = reps[e, :, None, :]
                 pairs[:, :, attn_dim:] = rep_caches[e, None, :, :]
                 np.matmul(pairs, blocks["w_g"], out=scores[e])
-            alpha = softmax(np.maximum(scores, 0.0, out=scores), axis=2)
+            alpha = softmax(np.maximum(scores, 0.0, out=scores))
             logits += (alpha @ histories) @ blocks["w_ctx"]
         reps = reps[rows, items]
     return nn.sigmoid(logits[rows, items]), hidden_new, cell_new, reps

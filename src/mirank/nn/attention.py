@@ -18,8 +18,9 @@ def position_row(params: dict[str, np.ndarray], position_index: int) -> int:
     return min(position_index, params["pos_emb"].shape[0]) - 1
 
 
-def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = scores - scores.max(axis=axis, keepdims=True)
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = scores - scores.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e

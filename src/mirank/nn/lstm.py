@@ -23,15 +23,9 @@ def lstm_step_batch(
     cell: np.ndarray,
     x: np.ndarray,
 ):
-    """One recurrence step over a (B, F) batch of inputs.
-
-    ``hidden`` and ``cell`` may be (B, H) or a single (H,) state broadcast to
-    every row. Returns (hidden', cell', cache).
+    """One recurrence step over a (B, F) batch of inputs from (B, H) hidden
+    and cell states. Returns (hidden', cell', cache).
     """
-    h_dim = hidden_dim(params)
-    x = np.atleast_2d(x)
-    hidden = np.broadcast_to(np.atleast_2d(hidden), (x.shape[0], h_dim))
-    cell = np.broadcast_to(np.atleast_2d(cell), (x.shape[0], h_dim))
     z = x @ params["Wx"].T + hidden @ params["Wh"].T + params["b"]
     hidden_new, cell_new, (i, f, o, g, tanh_cell) = cell_update(z, cell)
     cache = (x, hidden, cell, i, f, o, g, tanh_cell)

@@ -44,14 +44,13 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray):
     cell = np.zeros((batch, h_dim))
     logits = np.zeros((batch, length))
     lstm_caches = []
-    reps = pre_as = contexts = None
+    reps = contexts = None
     pre_gs: list = []
     alphas: list = []
     if attention:
         attn_dim = params["W_a"].shape[0]
         pos_dim = params["pos_emb"].shape[1]
         reps = np.zeros((batch, length, attn_dim))
-        pre_as = np.zeros((batch, length, attn_dim))
         contexts = np.zeros((batch, length, h_dim))
     for t in range(length):
         h, cell, cache = lstm_step_batch(params, h, cell, x[:, t])
@@ -60,9 +59,7 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray):
         logits[:, t] = h @ params["w_out"]
         if attention:
             pos = params["pos_emb"][position_row(params, t + 1)]
-            pre_a = h @ params["W_a"][:, pos_dim:].T + params["W_a"][:, :pos_dim] @ pos
-            pre_as[:, t] = pre_a
-            reps[:, t] = np.maximum(pre_a, 0.0)
+            reps[:, t] = np.maximum(h @ params["W_a"][:, pos_dim:].T + params["W_a"][:, :pos_dim] @ pos, 0.0)
             if t == 0:
                 pre_gs.append(None)
                 alphas.append(None)
@@ -72,18 +69,16 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray):
                     + reps[:, :t] @ params["w_g"][attn_dim:],
                     0.0,
                 )
-                alpha = softmax(pre_g, axis=1)
+                alpha = softmax(pre_g)
                 contexts[:, t] = np.einsum("bt,bth->bh", alpha, hiddens[:, :t])
                 pre_gs.append(pre_g)
                 alphas.append(alpha)
                 logits[:, t] += contexts[:, t] @ params["w_ctx"]
     probs = sigmoid(logits)
     caches = {
-        "x": x,
         "hiddens": hiddens,
         "lstm": lstm_caches,
         "reps": reps,
-        "pre_as": pre_as,
         "contexts": contexts,
         "pre_gs": pre_gs,
         "alphas": alphas,
@@ -97,7 +92,6 @@ def sequence_backward(
     dlogits: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Gradients of the summed loss given d(loss)/d(logit), shape (B, T)."""
-    x = caches["x"]
     hiddens = caches["hiddens"]
     batch, length, h_dim = hiddens.shape
     attention = "w_ctx" in params
@@ -137,7 +131,7 @@ def sequence_backward(
     for t in range(length - 1, -1, -1):
         dhidden = dhidden_direct[:, t] + dhidden_next
         if attention:
-            dpre_a = drep[:, t] * (caches["pre_as"][:, t] > 0)
+            dpre_a = drep[:, t] * (reps[:, t] > 0)
             pos_idx = position_row(params, t + 1)
             grads["W_a"][:, :pos_dim] += np.outer(
                 dpre_a.sum(axis=0), params["pos_emb"][pos_idx]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -62,28 +62,25 @@ def batch_loss_and_grads(variant: str, blocks: dict[str, np.ndarray], x: np.ndar
 def _training_groups(variant: str, records: Sequence[QueryRecord]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (features, labels) groups that mini-batches are drawn from.
 
-    Records of one length stack into an (R, T, d) array, extended in one
-    call. Recurrent variants train on whole records: one group per record
-    length, shortest first, of (R, T, F) features and (R, T) labels, so that a
-    batch is a row subset. Feed-forward variants train on items: one group of
-    all (n, F) item rows and their (n,) labels, in record order.
+    Feed-forward variants train on items: one group of all (n, F) item rows
+    and their (n,) labels, in record order. Recurrent variants train on whole
+    records: one group per record length, shortest first, of (R, T, F)
+    features and (R, T) labels, so that a batch is a row subset; the records
+    of one length are extended in one call.
     """
-    by_length: dict[int, list[int]] = defaultdict(list)
-    for index, record in enumerate(records):
-        by_length[len(record)].append(index)
-    groups = []
-    for _, indices in sorted(by_length.items()):
-        feats = np.stack([records[i].candidate_set.feature_matrix for i in indices])
+    if variant not in RECURRENT_VARIANTS:
+        feats = [record.candidate_set.feature_matrix for record in records]
         if variant != "baseline":
-            feats = extend_feature_matrix(feats)
-        labels = np.stack([records[i].labels for i in indices]).astype(np.float64)
-        groups.append((indices, feats, labels))
-    if variant in RECURRENT_VARIANTS:
-        return [(feats, labels) for _, feats, labels in groups]
-    # Feed-forward rows go back to record order.
-    by_record = {i: (x, y) for indices, feats, labels in groups for i, x, y in zip(indices, feats, labels)}
-    xs, ys = zip(*(by_record[i] for i in range(len(records))))
-    return [(np.vstack(xs), np.concatenate(ys))]
+            feats = [extend_feature_matrix(f) for f in feats]
+        labels = np.concatenate([record.labels for record in records]).astype(np.float64)
+        return [(np.vstack(feats), labels)]
+    # sorted() is stable, so each length group keeps the records' order.
+    groups = [list(group) for _, group in groupby(sorted(records, key=len), key=len)]
+    return [
+        (extend_feature_matrix(np.stack([r.candidate_set.feature_matrix for r in group])),
+         np.stack([r.labels for r in group]).astype(np.float64))
+        for group in groups
+    ]
 
 
 def train(
@@ -118,10 +115,7 @@ def train(
                 loss, grads = batch_loss_and_grads(variant, blocks, feats[chosen], labels[chosen])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step} ({variant})")
-                adam_step(
-                    blocks, grads, state,
-                    train_config.learning_rate, train_config.beta1, train_config.beta2,
-                )
+                adam_step(blocks, grads, state, train_config.learning_rate)
                 total_loss += loss
                 step += 1
         curve.append(total_loss / n_items)

@@ -189,8 +189,9 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def read_logs(path, tag: str | None = None) -> Dataset:
-    """Stream a JSONL log into a Dataset; malformed lines name their line number."""
+def read_logs(path) -> Dataset:
+    """Stream a JSONL log into an untagged Dataset (every record counts as
+    both train and test); malformed lines name their line number."""
     records: list[QueryRecord] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -203,5 +204,4 @@ def read_logs(path, tag: str | None = None) -> Dataset:
             if not isinstance(obj, dict):
                 raise LogFormatError(f"line {line_no}: expected a JSON object")
             records.append(_parse_record(obj, line_no))
-    tags = tuple(tag for _ in records) if tag is not None else None
-    return Dataset(records=tuple(records), tags=tags)
+    return Dataset(records=tuple(records))

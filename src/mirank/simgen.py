@@ -8,7 +8,7 @@ for any displayed order, enabling exact-oracle evaluation of learned models.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -99,34 +99,32 @@ def session_probabilities(config: BehaviorConfig, displayed: CandidateSet) -> np
     return sigmoid(logits)
 
 
-def generate_catalog(
-    n_items: int,
-    d: int,
-    seed: int,
-    price_range: tuple[float, float] = (1.0, 100.0),
-) -> CandidateSet:
-    """Deterministic catalog of ids 0..n-1: log-uniform prices, standard-normal features.
+_MIN_PRICE, _MAX_PRICE = 1.0, 100.0
+
+
+def generate_catalog(n_items: int, d: int, seed: int) -> CandidateSet:
+    """Deterministic catalog of ids 0..n-1: log-uniform prices in [1, 100],
+    standard-normal features.
 
     Feature dimension 0 carries the item's price, mirroring real catalogs
     where price is the first local feature; this is what lets the global
     feature extension expose an item's relative price within a set.
     """
-    if n_items < 1:
-        raise MirankError(f"n_items must be >= 1, got {n_items}")
+    if n_items < 1 or d < 1:
+        raise MirankError(f"n_items and d must be >= 1, got {n_items} and {d}")
     rng = make_rng(seed)
-    prices = np.exp(rng.uniform(np.log(price_range[0]), np.log(price_range[1]), size=n_items))
+    prices = np.exp(rng.uniform(np.log(_MIN_PRICE), np.log(_MAX_PRICE), size=n_items))
     feats = rng.standard_normal((n_items, d))
-    feats[:, 0] = prices / price_range[1]  # scaled so it trains well; min-max is scale-invariant
+    feats[:, 0] = prices / _MAX_PRICE  # scaled so it trains well; min-max is scale-invariant
     return CandidateSet(np.arange(n_items), prices, feats)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Query records with train/test split tags and the generation config."""
+    """Query records with their train/test split tags."""
 
     records: tuple[QueryRecord, ...]
     tags: tuple[str, ...] | None = None
-    config: dict | None = None
     acceptance_rate: float | None = None
 
     def __post_init__(self):
@@ -152,26 +150,22 @@ class Dataset:
         return len(self.records)
 
 
-def _subset_sampler(catalog: CandidateSet, items_per_query: int, mode: str) -> Callable:
-    """Candidate-subset sampler: uniform over the catalog, or from a random
-    contiguous band of the price-sorted catalog.
+def _subset_sampler(catalog: CandidateSet, items_per_query: int) -> Callable:
+    """Candidate-subset sampler drawing from a random contiguous band of the
+    price-sorted catalog.
 
     Price-band sampling mimics real queries, whose results share a narrow
     price range; within a band, an item's absolute price says little about
     its relative price in the set, so only set-aware models can see it.
     """
-    if mode == "uniform":
-        return lambda rng: rng.choice(len(catalog), size=items_per_query, replace=False)
-    if mode == "price_band":
-        by_price = np.argsort(catalog.prices, kind="stable")
-        window = min(len(catalog), 3 * items_per_query)
+    by_price = np.argsort(catalog.prices, kind="stable")
+    window = min(len(catalog), 3 * items_per_query)
 
-        def sample(rng):
-            start = rng.integers(0, len(catalog) - window + 1)
-            return by_price[start + rng.choice(window, size=items_per_query, replace=False)]
+    def sample(rng):
+        start = rng.integers(0, len(catalog) - window + 1)
+        return by_price[start + rng.choice(window, size=items_per_query, replace=False)]
 
-        return sample
-    raise MirankError(f"unknown subset sampling mode {mode!r}; use 'uniform' or 'price_band'")
+    return sample
 
 
 RANKING_POLICIES: dict[str, Callable] = {
@@ -194,15 +188,21 @@ def generate_logs(
     ranking_policy: str = "random",
     seed: int = 0,
     train_fraction: float = 0.8,
-    subset_sampling: str = "price_band",
 ) -> Dataset:
-    """Sample query records: a catalog subset, ordered by policy, with labels.
+    """Sample query records: a price-band catalog subset (see
+    ``_subset_sampler``), ordered by policy, with labels.
 
-    Train records must contain at least one purchase; candidates failing the
-    filter are discarded and regenerated. Test records are kept as sampled.
-    The dataset's acceptance rate is the share of train candidates that
-    passed the filter, or None when no train record was drawn.
+    ``round(n_queries * train_fraction)`` records are tagged train, the rest
+    test; a negative ``n_queries`` or a ``train_fraction`` outside [0, 1]
+    raises MirankError. Train records must contain at least one purchase;
+    candidates failing the filter are discarded and regenerated. Test records
+    are kept as sampled. The dataset's acceptance rate is the share of train
+    candidates that passed the filter, or None when no train record was drawn.
     """
+    if n_queries < 0:
+        raise MirankError(f"n_queries must be >= 0, got {n_queries}")
+    if not 0.0 <= train_fraction <= 1.0:
+        raise MirankError(f"train_fraction must be in [0, 1], got {train_fraction}")
     if items_per_query > len(catalog):
         raise MirankError(
             f"items_per_query {items_per_query} exceeds catalog size {len(catalog)}"
@@ -212,7 +212,7 @@ def generate_logs(
             f"unknown ranking policy {ranking_policy!r}; choose from {sorted(RANKING_POLICIES)}"
         )
     policy = RANKING_POLICIES[ranking_policy]
-    sampler = _subset_sampler(catalog, items_per_query, subset_sampling)
+    sampler = _subset_sampler(catalog, items_per_query)
     rng = make_rng(seed)
     n_train = round(n_queries * train_fraction)
     records: list[QueryRecord] = []
@@ -237,18 +237,9 @@ def generate_logs(
         record = _sample_record(config, catalog, sampler, policy, rng, f"q{len(records):06d}")
         records.append(record)
         tags.append("test")
-    snapshot = asdict(config) | {
-        "n_queries": n_queries,
-        "items_per_query": items_per_query,
-        "ranking_policy": ranking_policy,
-        "subset_sampling": subset_sampling,
-        "generation_seed": seed,
-        "train_fraction": train_fraction,
-    }
     return Dataset(
         records=tuple(records),
         tags=tuple(tags),
-        config=snapshot,
         acceptance_rate=accepted / attempts if attempts else None,
     )
 

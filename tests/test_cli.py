@@ -194,8 +194,8 @@ class TestConfigLayering:
         assert total == 6
 
     def test_config_keys_are_pinned(self):
-        """The defaults come from the config dataclasses; beta1, beta2 and the
-        behaviour seed must not become config keys."""
+        """The defaults come from the config dataclasses; the behaviour seed
+        must not become a config key."""
         assert set(DEFAULTS) == {
             "d", "hidden_sizes", "lstm_hidden", "attn_size", "pos_size", "max_positions",
             "epochs", "batch_size", "sequence_batch_size", "learning_rate",
@@ -307,6 +307,32 @@ class TestExitCodes:
         args = [log, model] if command == "evaluate" else [model, log]
         assert main(["--output-dir", str(out), command, *args]) == EXIT_VALIDATION
         assert "d=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, named", (
+        (("evaluate", "{log}", "{model}", "--attention-size", "-1"), "--attention-size"),
+        (("bench", "{model}", "--reps", "0"), "--reps"),
+        (("bench", "{model}", "--sizes", ""), "--sizes"),
+        (("bench", "{model}", "--sizes", "a"), "--sizes"),
+        (("oracle-compare", "{model}", "{log}", "--beams", ""), "--beams"),
+        (("generate", "--n-queries", "10", "--train-fraction", "1.5"), "train_fraction"),
+        (("generate", "--n-queries", "-5"), "n_queries"),
+        (("generate", "--d", "0"), "d must be"),
+    ), ids=(
+        "attention-size-negative", "reps-0", "sizes-empty", "sizes-text", "beams-empty",
+        "train-fraction-above-1", "n-queries-negative", "d-0",
+    ))
+    def test_bad_list_or_count_is_validation(self, args, named, tmp_path, capsys):
+        """Each of these once ended in a traceback, or in exit 0 with a NaN
+        or an out-of-range split."""
+        out = tmp_path / "run"
+        assert _generate(out) == 0
+        model = out / "mirnn_attention.model"
+        save_model(init_model("mirnn_attention", ModelConfig(d=4, lstm_hidden=3, attn_size=2, pos_size=2), seed=0), model)
+        capsys.readouterr()
+        args = [arg.format(log=out / "test.jsonl", model=model) for arg in args]
+        assert main(["--output-dir", str(tmp_path / "bad"), *args]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_empty_training_log_is_validation(self, tmp_path):
         log = tmp_path / "empty.jsonl"

@@ -122,17 +122,17 @@ class TestLstm:
         g = math.tanh(1.2 * x + 0.4 * h0 + 0.3)
         c1 = f * c0 + i * g
         h1 = o * math.tanh(c1)
-        h_new, c_new, _ = lstm_step_batch(self._tiny_params(), np.array([h0]), np.array([c0]), np.array([[x]]))
+        h_new, c_new, _ = lstm_step_batch(self._tiny_params(), np.array([[h0]]), np.array([[c0]]), np.array([[x]]))
         assert abs(h_new[0, 0] - h1) < 1e-12
         assert abs(c_new[0, 0] - c1) < 1e-12
 
     def test_batch_broadcasts_shared_state(self, rng):
         params = self._tiny_params()
         xs = rng.standard_normal((4, 1))
-        h0, c0 = np.array([0.3]), np.array([-0.1])
+        h0, c0 = np.full((4, 1), 0.3), np.full((4, 1), -0.1)
         h_batch, c_batch, _ = lstm_step_batch(params, h0, c0, xs)
         for row in range(4):
-            h_one, c_one, _ = lstm_step_batch(params, h0[None, :], c0[None, :], xs[row : row + 1])
+            h_one, c_one, _ = lstm_step_batch(params, h0[row : row + 1], c0[row : row + 1], xs[row : row + 1])
             assert np.allclose(h_batch[row], h_one[0], atol=1e-14)
             assert np.allclose(c_batch[row], c_one[0], atol=1e-14)
 

@@ -167,13 +167,6 @@ class TestLogRoundTrip:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "28698e75ec996f1d1ab66dd1edefb5f1b5cbf251c3b590f14f03a8683f767689"
 
-    def test_tagging_on_read(self, tmp_path):
-        path = tmp_path / "logs.jsonl"
-        write_logs(self._dataset(), path)
-        loaded = read_logs(path, tag="train")
-        assert len(loaded.train_records) == len(loaded)
-        assert loaded.test_records == ()
-
     def test_iterable_input_and_empty_file(self, tmp_path):
         path = tmp_path / "logs.jsonl"
         write_logs([], path)

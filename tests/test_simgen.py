@@ -125,6 +125,8 @@ class TestGenerateCatalog:
     def test_rejects_empty_catalog(self):
         with pytest.raises(MirankError):
             generate_catalog(0, 3, seed=0)
+        with pytest.raises(MirankError):
+            generate_catalog(5, 0, seed=0)
 
 
 class TestDataset:
@@ -191,8 +193,11 @@ class TestGenerateLogs:
             generate_logs(config, catalog, n_queries=2, items_per_query=6)
         with pytest.raises(MirankError, match="policy"):
             generate_logs(config, catalog, n_queries=2, items_per_query=3, ranking_policy="nope")
-        with pytest.raises(MirankError, match="sampling"):
-            generate_logs(config, catalog, n_queries=2, items_per_query=3, subset_sampling="nope")
+        with pytest.raises(MirankError, match="n_queries"):
+            generate_logs(config, catalog, n_queries=-1, items_per_query=3)
+        for fraction in (-0.1, 1.5, float("nan")):
+            with pytest.raises(MirankError, match="train_fraction"):
+                generate_logs(config, catalog, n_queries=2, items_per_query=3, train_fraction=fraction)
 
     def test_hopeless_purchase_filter_raises(self):
         catalog = generate_catalog(10, 3, seed=1)
