@@ -72,14 +72,34 @@ def _resolve_config(config_path: str | None, overrides: dict) -> dict:
     return {key: coerce(key, value, DEFAULTS[key]) for key, value in resolved.items()}
 
 
-def _check_feature_dim(params, model_path, dataset, log_path) -> None:
-    """Reject a log whose feature dimension differs from the model's ``d``."""
+def _load_model_for(model_path, dataset, log_path):
+    """The model at ``model_path``; a log whose feature dimension differs
+    from the model's ``d`` is a ValidationError."""
+    params = load_model(model_path)
     dims = {record.candidate_set.feature_matrix.shape[1] for record in dataset.records}
     if dims - {params.config.d}:
         raise ValidationError(
             f"model {model_path} takes d={params.config.d} features, "
             f"log {log_path} has d={sorted(dims)}"
         )
+    return params
+
+
+def _out_dir(ctx) -> Path:
+    """The run's output directory, created if missing."""
+    out = ctx.obj["out"]
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_csv(path: Path, rows, header=None) -> None:
+    """Write ``rows`` as a CSV table under an optional header row; csv
+    writes each float in its shortest round-trip form."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _sha256(path: Path) -> str:
@@ -93,7 +113,6 @@ def _write_manifest(out_dir: Path, command: str, seed: int, cfg: dict, inputs: l
         "resolved_config": cfg,
         "inputs": {str(p): _sha256(p) for p in inputs},
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"manifest_{command}.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -154,8 +173,7 @@ def generate(ctx, **flags):
         seed=seed,
         train_fraction=cfg["train_fraction"],
     )
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(ctx)
     write_logs(dataset.train_records, out / "train.jsonl")
     write_logs(dataset.test_records, out / "test.jsonl")
     _write_manifest(out, "generate", seed, cfg, [])
@@ -176,22 +194,17 @@ def generate(ctx, **flags):
 def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
     """Train a model variant on a JSONL training log."""
     if hidden_sizes is not None:
-        flags["hidden_sizes"] = [part for part in hidden_sizes.split(",") if part.strip()]
+        flags["hidden_sizes"] = _parse_int_list("--hidden-sizes", hidden_sizes)
     cfg = _resolve_config(ctx.obj["config_path"], flags)
     seed = ctx.obj["seed"]
     dataset = read_logs(train_path)
     if dataset.records:
         cfg["d"] = dataset.records[0].candidate_set.feature_matrix.shape[1]
     params, curve = train(variant, dataset.records, config_from(ModelConfig, cfg), config_from(TrainConfig, cfg), seed)
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(ctx)
     model_path = out / f"{variant}.model"
     save_model(params, model_path)
-    with open(out / f"{variant}_loss_curve.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, loss in enumerate(curve):
-            writer.writerow([epoch, repr(loss)])
+    _write_csv(out / f"{variant}_loss_curve.csv", enumerate(curve), ["epoch", "mean_loss"])
     _write_manifest(out, f"train_{variant}", seed, cfg, [Path(train_path)])
     _echo(f"wrote {model_path}; first-epoch loss {curve[0]:.6f}, final {curve[-1]:.6f}")
 
@@ -206,11 +219,9 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
 def rerank(ctx, model_path, log_path, rerank_size, **flags):
     """Rerank the top-N prefix of each logged record with a trained model."""
     cfg = _resolve_config(ctx.obj["config_path"], flags)
-    params = load_model(model_path)
     dataset = read_logs(log_path)
-    _check_feature_dim(params, model_path, dataset, log_path)
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
+    params = _load_model_for(model_path, dataset, log_path)
+    out = _out_dir(ctx)
     reranked = []
     rows = []
     for record in dataset.records:
@@ -221,12 +232,9 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
             params, base, candidates, n, k=cfg["beam_size"], gamma=cfg["gamma"]
         )
         reranked.append(record.take(ranking.order))
-        rows.append([record.query_id, repr(expected_gmv(params, candidates, ranking))])
+        rows.append([record.query_id, expected_gmv(params, candidates, ranking)])
     write_logs(reranked, out / "reranked.jsonl")
-    with open(out / "rerank_gmv.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["query_id", "expected_gmv"])
-        writer.writerows(rows)
+    _write_csv(out / "rerank_gmv.csv", rows, ["query_id", "expected_gmv"])
     _write_manifest(out, "rerank", ctx.obj["seed"], cfg, [Path(model_path), Path(log_path)])
     _echo(f"reranked {len(reranked)} records -> {out / 'reranked.jsonl'}")
 
@@ -241,11 +249,8 @@ def evaluate(ctx, test_path, model_paths, attention_size):
     dataset = read_logs(test_path)
     if not dataset.records:
         raise ValidationError(f"test log {test_path} holds no records")
-    models = [(model_path, load_model(model_path)) for model_path in model_paths]
-    for model_path, params in models:
-        _check_feature_dim(params, model_path, dataset, test_path)
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
+    models = [(model_path, _load_model_for(model_path, dataset, test_path)) for model_path in model_paths]
+    out = _out_dir(ctx)
     extended = [extend_features(record.candidate_set) for record in dataset.records]
     labels = np.concatenate([record.labels for record in dataset.records])
     report: dict = {}
@@ -261,8 +266,7 @@ def evaluate(ctx, test_path, model_paths, attention_size):
             "positive_rate": metrics.positive_rate,
         }
         if matrix is not None:
-            with open(out / f"attention_matrix_{name}.csv", "w", newline="") as handle:
-                csv.writer(handle).writerows([repr(float(v)) for v in row] for row in matrix.values)
+            _write_csv(out / f"attention_matrix_{name}.csv", matrix.values)
     (out / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     _write_manifest(out, "evaluate", ctx.obj["seed"], {"attention_size": attention_size},
                     [Path(test_path), *map(Path, model_paths)])
@@ -279,18 +283,14 @@ def bench(ctx, model_paths, sizes, beams, reps):
     """Measure ranking latency across rerank sizes and beam sizes."""
     from .metrics import latency_bench
 
+    rerank_sizes = _parse_int_list("--sizes", sizes)
+    if len(set(rerank_sizes)) < 2:
+        raise ValidationError(f"--sizes needs at least two distinct rerank sizes to fit a slope, got {sizes!r}")
     models = {Path(p).stem: load_model(p) for p in model_paths}
-    profile = latency_bench(
-        models, _parse_int_list("--sizes", sizes), _parse_int_list("--beams", beams), reps, ctx.obj["seed"]
-    )
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "latency.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["model", "rerank_size", "beam_size", "median_seconds", "min_seconds"])
-        for row in profile.rows:
-            writer.writerow([row["model"], row["rerank_size"], row["beam_size"],
-                             repr(row["median_seconds"]), repr(row["min_seconds"])])
+    profile = latency_bench(models, rerank_sizes, _parse_int_list("--beams", beams), reps, ctx.obj["seed"])
+    out = _out_dir(ctx)
+    header = ["model", "rerank_size", "beam_size", "median_seconds", "min_seconds"]
+    _write_csv(out / "latency.csv", ([row[key] for key in header] for row in profile.rows), header)
     slopes = {"slope_vs_n": profile.slope_vs_n, "slope_vs_k": profile.slope_vs_k}
     (out / "latency_slopes.json").write_text(json.dumps(slopes, indent=2, sort_keys=True))
     _write_manifest(out, "bench", ctx.obj["seed"],
@@ -306,40 +306,23 @@ def bench(ctx, model_paths, sizes, beams, reps):
 @click.pass_context
 def oracle_compare(ctx, model_path, log_path, max_n, beams):
     """Compare beam-search GMV against the exhaustive oracle on small prefixes."""
-    params = load_model(model_path)
     dataset = read_logs(log_path)
-    _check_feature_dim(params, model_path, dataset, log_path)
+    params = _load_model_for(model_path, dataset, log_path)
     beam_sizes = _parse_int_list("--beams", beams)
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(ctx)
     rows = []
     for record in dataset.records:
         subset = record.candidate_set.take(np.arange(min(max_n, len(record))))
-        oracle = exhaustive_oracle(params, subset)
-        greedy = greedy_reference(params, subset)
+        oracle = exhaustive_oracle(params, subset).expected_gmv
+        greedy = greedy_reference(params, subset).expected_gmv
         for k in beam_sizes:
-            beam = beam_search(params, subset, k)
-            rows.append(
-                {
-                    "query_id": record.query_id,
-                    "beam_size": k,
-                    "beam_gmv": beam.expected_gmv,
-                    "oracle_gmv": oracle.expected_gmv,
-                    "greedy_gmv": greedy.expected_gmv,
-                    "ratio": beam.expected_gmv / oracle.expected_gmv,
-                }
-            )
-    with open(out / "oracle_compare.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["query_id", "beam_size", "beam_gmv", "oracle_gmv", "greedy_gmv", "ratio"])
-        for row in rows:
-            writer.writerow(
-                [row["query_id"], row["beam_size"], repr(row["beam_gmv"]),
-                 repr(row["oracle_gmv"]), repr(row["greedy_gmv"]), repr(row["ratio"])]
-            )
+            beam = beam_search(params, subset, k).expected_gmv
+            rows.append([record.query_id, k, beam, oracle, greedy, beam / oracle])
+    _write_csv(out / "oracle_compare.csv", rows,
+               ["query_id", "beam_size", "beam_gmv", "oracle_gmv", "greedy_gmv", "ratio"])
     _write_manifest(out, "oracle_compare", ctx.obj["seed"],
                     {"max_n": max_n, "beams": beams}, [Path(model_path), Path(log_path)])
-    worst = min(row["ratio"] for row in rows) if rows else float("nan")
+    worst = min(row[-1] for row in rows) if rows else float("nan")
     _echo(f"{len(rows)} comparisons; worst beam/oracle ratio {worst:.6f}")
 
 

@@ -254,7 +254,8 @@ def latency_bench(
 ) -> LatencyProfile:
     """Median and minimum ranking wall time over random candidate sets, with
     log-log slope fits of time vs rerank size (at the smallest beam size) and
-    time vs beam size (at the largest rerank size).
+    time vs beam size (at the largest rerank size). Repeated sizes count
+    once, and a slope is fitted only over at least two distinct sizes.
 
     Repetitions go round all (model, beam size, rerank size) cells in turn, so
     a slow stretch of the machine falls on every cell alike; each timed run
@@ -263,6 +264,7 @@ def latency_bench(
     ever adds time, so the fastest repetition is the least noisy estimate of
     the work itself.
     """
+    rerank_sizes, beam_sizes = list(dict.fromkeys(rerank_sizes)), list(dict.fromkeys(beam_sizes))
     first_params = next(iter(models.values()))
     catalogs = {n: generate_catalog(n, first_params.config.d, seed + n) for n in rerank_sizes}
     policies = {
@@ -295,7 +297,8 @@ def latency_bench(
     slope_vs_k: dict[str, float] = {}
     for name, params in models.items():
         base_k = min(beam_sizes) if params.is_recurrent else 0
-        slope_vs_n[name] = _fit_slope(rerank_sizes, [fastest[name, base_k, n] for n in rerank_sizes])
+        if len(rerank_sizes) > 1:
+            slope_vs_n[name] = _fit_slope(rerank_sizes, [fastest[name, base_k, n] for n in rerank_sizes])
         if params.is_recurrent and len(beam_sizes) > 1:
             big_n = max(rerank_sizes)
             slope_vs_k[name] = _fit_slope(beam_sizes, [fastest[name, k, big_n] for k in beam_sizes])

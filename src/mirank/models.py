@@ -20,7 +20,7 @@ import numpy as np
 from .configs import RECURRENT_VARIANTS, ModelConfig, ModelParams
 from .core import MirankError, make_rng
 from . import nn
-from .nn.attention import position_row, softmax
+from .nn.attention import representations, softmax
 from .nn.train import init_blocks
 
 __all__ = [
@@ -89,8 +89,10 @@ def advance_entries(
     """Advance E beam entries at once, each against M of the N candidate items.
 
     ``hiddens``/``cells`` are (E, H). For the attention variant
-    ``histories`` is (E, t, H) and ``rep_caches`` is (E, t, A), with
-    t = position - 1; ``mirnn`` reads neither, and may pass None for both.
+    ``histories`` is (E, T, H) and ``rep_caches`` is (E, T, A) with
+    T >= position - 1, and only their first position - 1 columns are read
+    (beam search passes (E, N) buffers filled up to the current step);
+    ``mirnn`` reads neither, and may pass None for both.
     ``extended`` is the shared (N, F) feature matrix and ``projected`` its
     :func:`input_projection`, computed here if not given. ``items`` is an
     (E, M) array of item indices, row e naming the items entry e is advanced
@@ -127,23 +129,19 @@ def advance_entries(
     reps = None
     if params.variant == "mirnn_attention":
         attn_dim = params.config.attn_size
-        pos_dim = params.config.pos_size
-        pos = blocks["pos_emb"][position_row(blocks, position)]
-        reps = hidden_all @ blocks["W_a"][:, pos_dim:].T
-        reps += blocks["W_a"][:, :pos_dim] @ pos
-        np.maximum(reps, 0.0, out=reps)
+        reps = representations(blocks, hidden_all, position)
         if position > 1:
-            t = histories.shape[1]
+            t = position - 1
             # The pair tensor is built one entry at a time into a reused
             # buffer, so peak memory stays at (N, t, 2A) however wide the beam.
             scores = np.empty(reps.shape[:2] + (t,))
             pairs = np.empty((n_items, t, 2 * attn_dim))
             for e in range(n_entries):
                 pairs[:, :, :attn_dim] = reps[e, :, None, :]
-                pairs[:, :, attn_dim:] = rep_caches[e, None, :, :]
+                pairs[:, :, attn_dim:] = rep_caches[e, None, :t, :]
                 np.matmul(pairs, blocks["w_g"], out=scores[e])
             alpha = softmax(np.maximum(scores, 0.0, out=scores))
-            logits += (alpha @ histories) @ blocks["w_ctx"]
+            logits += (alpha @ histories[:, :t]) @ blocks["w_ctx"]
         reps = reps[rows, items]
     return nn.sigmoid(logits[rows, items]), hidden_new, cell_new, reps
 

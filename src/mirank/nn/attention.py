@@ -18,6 +18,14 @@ def position_row(params: dict[str, np.ndarray], position_index: int) -> int:
     return min(position_index, params["pos_emb"].shape[0]) - 1
 
 
+def representations(params: dict[str, np.ndarray], hidden: np.ndarray, position: int) -> np.ndarray:
+    """a = ReLU(W_a [pos; h]) of hidden states (..., H) at 1-based ``position``."""
+    pos_dim = params["pos_emb"].shape[1]
+    reps = hidden @ params["W_a"][:, pos_dim:].T
+    reps += params["W_a"][:, :pos_dim] @ params["pos_emb"][position_row(params, position)]
+    return np.maximum(reps, 0.0, out=reps)
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     e = scores - scores.max(axis=-1, keepdims=True)

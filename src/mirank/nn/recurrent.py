@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import position_row, softmax
+from .attention import position_row, representations, softmax
 from .common import sigmoid
 from .lstm import hidden_dim, lstm_step_batch, lstm_step_backward
 
@@ -49,7 +49,6 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray):
     alphas: list = []
     if attention:
         attn_dim = params["W_a"].shape[0]
-        pos_dim = params["pos_emb"].shape[1]
         reps = np.zeros((batch, length, attn_dim))
         contexts = np.zeros((batch, length, h_dim))
     for t in range(length):
@@ -58,8 +57,7 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray):
         hiddens[:, t] = h
         logits[:, t] = h @ params["w_out"]
         if attention:
-            pos = params["pos_emb"][position_row(params, t + 1)]
-            reps[:, t] = np.maximum(h @ params["W_a"][:, pos_dim:].T + params["W_a"][:, :pos_dim] @ pos, 0.0)
+            reps[:, t] = representations(params, h, t + 1)
             if t == 0:
                 pre_gs.append(None)
                 alphas.append(None)

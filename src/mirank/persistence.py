@@ -166,7 +166,7 @@ def _record_to_json(record: QueryRecord) -> dict:
 
 
 def write_logs(dataset: Dataset | Iterable[QueryRecord], path) -> None:
-    """Write records as one JSON object per line (split tags are not stored)."""
+    """Write records as one JSON object per line (the split is not stored)."""
     records = dataset.records if isinstance(dataset, Dataset) else tuple(dataset)
     lines = [json.dumps(_record_to_json(record)) for record in records]
     _atomic_write(Path(path), ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
@@ -190,8 +190,8 @@ def _reject_constant(name: str):
 
 
 def read_logs(path) -> Dataset:
-    """Stream a JSONL log into an untagged Dataset (every record counts as
-    both train and test); malformed lines name their line number."""
+    """Stream a JSONL log into a Dataset of train records only (a log does
+    not store the split); malformed lines name their line number."""
     records: list[QueryRecord] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -204,4 +204,4 @@ def read_logs(path) -> Dataset:
             if not isinstance(obj, dict):
                 raise LogFormatError(f"line {line_no}: expected a JSON object")
             records.append(_parse_record(obj, line_no))
-    return Dataset(records=tuple(records))
+    return Dataset(tuple(records))

@@ -57,13 +57,17 @@ def _item_probabilities(params: ModelParams, candidates: CandidateSet) -> np.nda
     return score_midnn_batch(params, extend_features(candidates))
 
 
+def _order_probabilities(params: ModelParams, candidates: CandidateSet, orders: np.ndarray) -> np.ndarray:
+    """(Q, T) purchase probabilities at each position of a (Q, T) batch of orders."""
+    if params.is_recurrent:
+        return sequence_probabilities_batch(params, extend_features(candidates), orders)
+    return _item_probabilities(params, candidates)[orders]
+
+
 def expected_gmv(params: ModelParams, candidates: CandidateSet, ranking: Ranking) -> float:
     """Sum of price times purchase probability along the ranking."""
     order = np.asarray(ranking.order, dtype=int)
-    if params.is_recurrent:
-        probs = sequence_probabilities(params, extend_features(candidates), order)
-    else:
-        probs = _item_probabilities(params, candidates)[order]
+    probs = _order_probabilities(params, candidates, order[None, :])[0]
     return float(np.sum(candidates.prices[order] * probs))
 
 
@@ -83,8 +87,8 @@ def rank(params: ModelParams, candidates: CandidateSet, k: int = 5, gamma: float
     baseline), ties by ascending item id; this is optimal among all
     permutations under any strictly decreasing position bias.
     """
-    if gamma < 0:
-        raise MirankError(f"gamma must be nonnegative, got {gamma}")
+    if not 0 <= gamma < np.inf:
+        raise MirankError(f"gamma must be finite and nonnegative, got {gamma}")
     if params.is_recurrent:
         return beam_search(params, candidates, k)
     probs = _item_probabilities(params, candidates)
@@ -105,10 +109,13 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     and keeps the pooled global top-k. Ties break by the lexicographic
     item-id sequence, so runs are reproducible.
 
-    An entry is a row of per-entry arrays: its unplaced items, its rank among
-    the entries' id prefixes, its GMV and its LSTM state, plus the hidden
-    states and attention representations of its prefix for the attention
-    variant only. The kept pairs are read from the pool by their flat index.
+    An entry is a row of per-entry arrays: its order and per-position
+    probabilities so far, its unplaced items, its rank among the entries' id
+    prefixes, its GMV and its LSTM state, plus the hidden states and attention
+    representations of its prefix for the attention variant only. Each step
+    gathers every row by its parent entry and fills column ``step``, so the
+    answer is row 0 of the last step. The kept pairs are read from the pool by
+    their flat index.
     """
     if not params.is_recurrent:
         raise MirankError(f"beam_search requires a recurrent model, got {params.variant!r}")
@@ -131,12 +138,12 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     gmvs = np.zeros(1)
     hiddens = np.zeros((1, h_dim))
     cells = np.zeros((1, h_dim))
+    orders = np.zeros((1, n), dtype=int)
+    probs = np.zeros((1, n))
     histories = rep_caches = None
     if params.variant == "mirnn_attention":
-        histories = np.zeros((1, 0, h_dim))
-        rep_caches = np.zeros((1, 0, params.config.attn_size))
-    # Per step: each kept entry's parent entry, placed item and probability.
-    parents, placed, placed_probs = [], [], []
+        histories = np.zeros((1, n, h_dim))
+        rep_caches = np.zeros((1, n, params.config.attn_size))
     for step in range(n):
         step_probs, hidden_new, cell_new, reps_new = advance_entries(
             params, hiddens, cells, histories, rep_caches, step + 1, feats, projected=projected, items=items
@@ -147,32 +154,28 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
         chosen = _descending(totals, sequence_keys)[:k]
         sel_e = chosen // (n - step)
         sel_i = items.ravel()[chosen]
-        parents.append(sel_e)
-        placed.append(sel_i)
-        placed_probs.append(step_probs.ravel()[chosen])
         gmvs = totals[chosen]
         hiddens = hidden_new.reshape(-1, h_dim)[chosen]
         cells = cell_new.reshape(-1, h_dim)[chosen]
+        orders = orders[sel_e]
+        orders[:, step] = sel_i
+        probs = probs[sel_e]
+        probs[:, step] = step_probs.ravel()[chosen]
         if histories is not None:
-            histories = np.concatenate([histories[sel_e], hiddens[:, None, :]], axis=1)
-            reps = reps_new.reshape(-1, reps_new.shape[2])[chosen]
-            rep_caches = np.concatenate([rep_caches[sel_e], reps[:, None, :]], axis=1)
+            histories = histories[sel_e]
+            histories[:, step] = hiddens
+            rep_caches = rep_caches[sel_e]
+            rep_caches[:, step] = reps_new.reshape(-1, reps_new.shape[2])[chosen]
         # The kept entries' unplaced items, less the one each just placed.
         items = items[sel_e]
         items = items[items != sel_i[:, None]].reshape(len(chosen), n - step - 1)
         kept_keys = sequence_keys[chosen]
         prefix_ranks = np.searchsorted(np.sort(kept_keys), kept_keys)
-    # Entries are kept in tie-rule order, so the first one is the answer;
-    # its parent links give back the order.
-    order, probs, e = [], [], 0
-    for step in range(n - 1, -1, -1):
-        order.append(int(placed[step][e]))
-        probs.append(placed_probs[step][e])
-        e = parents[step][e]
+    # Entries are kept in tie-rule order, so the first one is the answer.
     return RankResult(
-        ranking=Ranking(tuple(order[::-1])),
+        ranking=Ranking(tuple(orders[0])),
         expected_gmv=float(gmvs[0]),
-        per_position_probabilities=np.array(probs[::-1]),
+        per_position_probabilities=probs[0],
     )
 
 
@@ -217,12 +220,8 @@ def exhaustive_oracle(params: ModelParams, candidates: CandidateSet) -> RankResu
     if n > MAX_ORACLE_ITEMS:
         raise MirankError(f"exhaustive oracle is limited to {MAX_ORACLE_ITEMS} items, got {n}")
     orders = np.array(list(itertools.permutations(range(n))), dtype=int)
-    prices = candidates.prices
-    if params.is_recurrent:
-        probs = sequence_probabilities_batch(params, extend_features(candidates), orders)
-    else:
-        probs = _item_probabilities(params, candidates)[orders]
-    gmvs = (prices[orders] * probs).sum(axis=1)
+    probs = _order_probabilities(params, candidates, orders)
+    gmvs = (candidates.prices[orders] * probs).sum(axis=1)
     best_value = gmvs.max()
     tied = np.flatnonzero(gmvs == best_value)
     best_row = min(tied, key=lambda row: candidates.ids[orders[row]].tolist())

@@ -121,33 +121,19 @@ def generate_catalog(n_items: int, d: int, seed: int) -> CandidateSet:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Query records with their train/test split tags."""
+    """Query records split into train and test records."""
 
-    records: tuple[QueryRecord, ...]
-    tags: tuple[str, ...] | None = None
+    train_records: tuple[QueryRecord, ...]
+    test_records: tuple[QueryRecord, ...] = ()
     acceptance_rate: float | None = None
 
-    def __post_init__(self):
-        if self.tags is not None and len(self.tags) != len(self.records):
-            raise ValidationError(
-                f"{len(self.tags)} split tags for {len(self.records)} records"
-            )
-
-    def _split(self, tag: str) -> tuple[QueryRecord, ...]:
-        if self.tags is None:
-            return self.records
-        return tuple(r for r, t in zip(self.records, self.tags) if t == tag)
-
     @property
-    def train_records(self) -> tuple[QueryRecord, ...]:
-        return self._split("train")
-
-    @property
-    def test_records(self) -> tuple[QueryRecord, ...]:
-        return self._split("test")
+    def records(self) -> tuple[QueryRecord, ...]:
+        """Every record, train then test."""
+        return self.train_records + self.test_records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.train_records) + len(self.test_records)
 
 
 def _subset_sampler(catalog: CandidateSet, items_per_query: int) -> Callable:
@@ -158,6 +144,8 @@ def _subset_sampler(catalog: CandidateSet, items_per_query: int) -> Callable:
     price range; within a band, an item's absolute price says little about
     its relative price in the set, so only set-aware models can see it.
     """
+    if items_per_query < 1:
+        raise MirankError(f"items_per_query must be >= 1, got {items_per_query}")
     by_price = np.argsort(catalog.prices, kind="stable")
     window = min(len(catalog), 3 * items_per_query)
 
@@ -192,12 +180,13 @@ def generate_logs(
     """Sample query records: a price-band catalog subset (see
     ``_subset_sampler``), ordered by policy, with labels.
 
-    ``round(n_queries * train_fraction)`` records are tagged train, the rest
-    test; a negative ``n_queries`` or a ``train_fraction`` outside [0, 1]
-    raises MirankError. Train records must contain at least one purchase;
-    candidates failing the filter are discarded and regenerated. Test records
-    are kept as sampled. The dataset's acceptance rate is the share of train
-    candidates that passed the filter, or None when no train record was drawn.
+    ``round(n_queries * train_fraction)`` records are train records, the
+    rest test; a negative ``n_queries``, an ``items_per_query`` below 1 or a
+    ``train_fraction`` outside [0, 1] raises MirankError. Train records must
+    contain at least one purchase; candidates failing the filter are
+    discarded and regenerated. Test records are kept as sampled. The
+    dataset's acceptance rate is the share of train candidates that passed
+    the filter, or None when no train record was drawn.
     """
     if n_queries < 0:
         raise MirankError(f"n_queries must be >= 0, got {n_queries}")
@@ -215,33 +204,23 @@ def generate_logs(
     sampler = _subset_sampler(catalog, items_per_query)
     rng = make_rng(seed)
     n_train = round(n_queries * train_fraction)
-    records: list[QueryRecord] = []
-    tags: list[str] = []
+    train: list[QueryRecord] = []
     attempts = 0
-    accepted = 0
-    while accepted < n_train:
+    while len(train) < n_train:
         attempts += 1
         if attempts > max(_MAX_REJECT_FACTOR, _MAX_REJECT_FACTOR * n_train):
             raise MirankError(
                 "purchase filter rejected almost everything "
-                f"(acceptance rate {accepted / attempts:.4f}); "
+                f"(acceptance rate {len(train) / attempts:.4f}); "
                 "raise base_rate or items_per_query"
             )
-        record = _sample_record(config, catalog, sampler, policy, rng, f"q{len(records):06d}")
-        if not record.labels.any():
-            continue
-        accepted += 1
-        records.append(record)
-        tags.append("train")
-    for _ in range(n_queries - n_train):
-        record = _sample_record(config, catalog, sampler, policy, rng, f"q{len(records):06d}")
-        records.append(record)
-        tags.append("test")
-    return Dataset(
-        records=tuple(records),
-        tags=tuple(tags),
-        acceptance_rate=accepted / attempts if attempts else None,
-    )
+        record = _sample_record(config, catalog, sampler, policy, rng, f"q{len(train):06d}")
+        if record.labels.any():
+            train.append(record)
+    test = [
+        _sample_record(config, catalog, sampler, policy, rng, f"q{q:06d}") for q in range(n_train, n_queries)
+    ]
+    return Dataset(tuple(train), tuple(test), len(train) / attempts if attempts else None)
 
 
 def _sample_record(config, catalog, sampler, policy, rng, query_id) -> QueryRecord:

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import io
 import json
 import math
@@ -29,6 +30,35 @@ GEN_FLAGS = [
 
 def _generate(out, seed=7, extra=()):
     return main(["--seed", str(seed), "--output-dir", str(out), "generate", *GEN_FLAGS, *extra])
+
+
+# SHA-256 of each output file of TestPipeline.test_output_bytes_are_pinned,
+# taken before the CLI's tables, output directory and model loading each
+# moved into one helper: any byte drift in a written table, log or model fails.
+PINNED_OUTPUT_DIGESTS = {
+    "attention_matrix_mirnn_attention.csv": "cfd830eca2e9d51d210e53e34dc0a4e55fc6e1ad4ae3658d4098683dc0f3d9d5",
+    "baseline.model": "7a98f6abfc050144a1304fbef797d32374d491e994bd85adf071302627e279ab",
+    "baseline_loss_curve.csv": "b2eb3216f39cfa109804f618e9a6e18522079cf43962aa8557e443c4a58a2efa",
+    "metrics.json": "83cbfdb1a8ad7c80f0bc4984ed513eb4fec26604fb411d07ae5d4ae9a59d0e9b",
+    "midnn.model": "90e48d8e28faa483a8202befe22c282f3087f2df18f488a3ab29d2b951de38d3",
+    "midnn_loss_curve.csv": "9c0b68958ef0040765db7db6cac72bc4c931e157231166cf783021983d13bd61",
+    "mirnn.model": "85856283f3e73b8e15cd773e5dd11f047f4b739f52072ba67b4c1dad335c864d",
+    "mirnn_attention.model": "54941e5f0ba70e75563075fe66bcd89dcd0778802d9954f665fdea138482d848",
+    "mirnn_attention_loss_curve.csv": "d9e08d54c96f57a32a2ae55e3a18304bbb7eb1adfacc11e67678ee7da84f9879",
+    "mirnn_loss_curve.csv": "e68ae17c12ef5249ca2b13b6fc5502e2d352229f0e7fb152e85554dad95852ad",
+    "oracle_mirnn/oracle_compare.csv": "2a16e5d4b6852b1324cf85cfc3446caa9d12c466087a8021593efc257668bced",
+    "oracle_mirnn_attention/oracle_compare.csv": "4da9ab43d2013c230147cf52e8f16a1499f8ab5784db0de25ca106beca5414b7",
+    "rerank_baseline/rerank_gmv.csv": "c6f6344e5e6d2c7b77f11998c45bbd862e71081cdafaf215285e6931e44e355b",
+    "rerank_baseline/reranked.jsonl": "4f353c63d6b1db4bba7e7e707988e3034f28ddcd71b1f3e463394930b1b2294f",
+    "rerank_midnn/rerank_gmv.csv": "8b1096b3a92692a30256f4ab1f8e9a665f3f1e4df7f952a9e5ec2c8cd5eb673a",
+    "rerank_midnn/reranked.jsonl": "68c07ff23dbc725413d3eee39a6666f10f5955cad171a09602f0973b1a82d428",
+    "rerank_mirnn/rerank_gmv.csv": "6dbe1d1279f3f9c02df81259009aa782fbebc592a5859984c22ecdba11a95d9d",
+    "rerank_mirnn/reranked.jsonl": "c13f4b64952641027ca0679aa259d25faff609db89802b9811e9fd9b3d489ab6",
+    "rerank_mirnn_attention/rerank_gmv.csv": "f6b5223e2f666d42d9908817ab0c2680dfe7ec84422fb67d8647b1ff7ddfbc4c",
+    "rerank_mirnn_attention/reranked.jsonl": "7e7d5ad0b7019b278e34a31809fa006703b75d5b2fc4866a2162b38cf136c964",
+    "test.jsonl": "531a1ddb6a3a51023f5e8f9243a0cbb80309d1a1e6a9e5e1939d1ea1e6fcadb6",
+    "train.jsonl": "03479aa31d9036663d5992cf7263fefa277c39326e9d93fd740c0e7726e56871",
+}
 
 
 class TestPipeline:
@@ -132,6 +162,38 @@ class TestPipeline:
         assert _generate(a, seed=1) == 0
         assert _generate(b, seed=2) == 0
         assert (a / "train.jsonl").read_bytes() != (b / "train.jsonl").read_bytes()
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        """Every file a tiny seeded generate / train / rerank / evaluate /
+        oracle-compare run writes is pinned byte for byte. The manifests are
+        left out: they record the run's input paths."""
+        out = tmp_path / "run"
+        assert _generate(out) == 0
+        test_log = str(out / "test.jsonl")
+        for variant in VARIANTS:
+            assert main([
+                "--seed", "7", "--output-dir", str(out), "train", variant, str(out / "train.jsonl"),
+                "--epochs", "2", "--hidden-sizes", "8,4", "--lstm-hidden", "6",
+            ]) == 0
+            model = str(out / f"{variant}.model")
+            assert main([
+                "--output-dir", str(out / f"rerank_{variant}"), "rerank", model, test_log,
+                "--rerank-size", "4", "--beam-size", "2",
+            ]) == 0
+            if variant in ("mirnn", "mirnn_attention"):
+                assert main([
+                    "--output-dir", str(out / f"oracle_{variant}"), "oracle-compare", model, test_log,
+                    "--max-n", "4", "--beams", "1,2",
+                ]) == 0
+        models = [str(out / f"{variant}.model") for variant in VARIANTS]
+        assert main(["--output-dir", str(out), "evaluate", test_log, *models, "--attention-size", "4"]) == 0
+        digests = {
+            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and not path.name.startswith("manifest_")
+        }
+        assert digests == PINNED_OUTPUT_DIGESTS
+
 
 
 class TestEvaluate:
@@ -243,13 +305,17 @@ class TestExitCodes:
         [pytest.param(variant, (), id=variant) for variant in VARIANTS]
         + [pytest.param(variant, ("--rerank-size", "1"), id=f"{variant}-rerank-size-1") for variant in VARIANTS],
     )
-    def test_negative_gamma_is_validation(self, variant, extra, tmp_path):
+    def test_negative_gamma_is_validation(self, variant, extra, tmp_path, capsys):
         out = tmp_path / "run"
         assert _generate(out) == 0
         config = ModelConfig(d=4, hidden_sizes=(4,), lstm_hidden=3, attn_size=2, pos_size=2)
         save_model(init_model(variant, config, seed=0), out / "model.model")
         args = ["--output-dir", str(out), "rerank", str(out / "model.model"), str(out / "test.jsonl"), *extra]
-        assert main([*args, "--gamma", "-1"]) == EXIT_VALIDATION
+        for gamma in ("-1", "nan", "inf"):
+            capsys.readouterr()
+            assert main([*args, "--gamma", gamma]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert "gamma" in err and "Traceback" not in err
         assert main([*args, "--gamma", "0"]) == 0
 
     def test_non_finite_log_number_is_io(self, tmp_path, capsys):
@@ -313,13 +379,19 @@ class TestExitCodes:
         (("bench", "{model}", "--reps", "0"), "--reps"),
         (("bench", "{model}", "--sizes", ""), "--sizes"),
         (("bench", "{model}", "--sizes", "a"), "--sizes"),
+        (("bench", "{model}", "--sizes", "5"), "--sizes"),
+        (("bench", "{model}", "--sizes", "5,5"), "--sizes"),
         (("oracle-compare", "{model}", "{log}", "--beams", ""), "--beams"),
         (("generate", "--n-queries", "10", "--train-fraction", "1.5"), "train_fraction"),
         (("generate", "--n-queries", "-5"), "n_queries"),
         (("generate", "--d", "0"), "d must be"),
+        (("generate", "--items-per-query", "0"), "items_per_query"),
+        (("generate", "--items-per-query", "-1"), "items_per_query"),
+        (("train", "mirnn", "{log}", "--hidden-sizes", "4,a"), "--hidden-sizes"),
     ), ids=(
-        "attention-size-negative", "reps-0", "sizes-empty", "sizes-text", "beams-empty",
-        "train-fraction-above-1", "n-queries-negative", "d-0",
+        "attention-size-negative", "reps-0", "sizes-empty", "sizes-text", "sizes-one", "sizes-repeated",
+        "beams-empty", "train-fraction-above-1", "n-queries-negative", "d-0",
+        "items-per-query-0", "items-per-query-negative", "hidden-sizes-text",
     ))
     def test_bad_list_or_count_is_validation(self, args, named, tmp_path, capsys):
         """Each of these once ended in a traceback, or in exit 0 with a NaN

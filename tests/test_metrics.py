@@ -246,3 +246,14 @@ class TestLatencyBench:
         assert set(profile.slope_vs_k) == {"mirnn"}
         for row in profile.rows:
             assert row["median_seconds"] >= row["min_seconds"] > 0.0
+
+    def test_repeated_sizes_count_once_and_fit_no_slope(self):
+        """A line fitted through one distinct size has no meaningful slope, so
+        repeats count once and no slope is reported for a single size."""
+        models = {"mirnn": init_model("mirnn", SMALL, seed=0)}
+        profile = latency_bench(models, rerank_sizes=[4, 4], beam_sizes=[2, 2], repetitions=1, seed=0)
+        assert [(row["rerank_size"], row["beam_size"]) for row in profile.rows] == [(4, 2)]
+        assert profile.slope_vs_n == {} and profile.slope_vs_k == {}
+        profile = latency_bench(models, rerank_sizes=[4, 8, 4], beam_sizes=[1, 2, 1], repetitions=1, seed=0)
+        assert len(profile.rows) == 4
+        assert set(profile.slope_vs_n) == set(profile.slope_vs_k) == {"mirnn"}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mirank import BehaviorConfig, Dataset, generate_catalog, generate_logs
+from mirank import BehaviorConfig, generate_catalog, generate_logs
 from mirank.core import CandidateSet, MirankError, ValidationError, make_rng
 from mirank.simgen import RANKING_POLICIES, session_probabilities
 
@@ -136,12 +136,8 @@ class TestDataset:
         assert len(data.train_records) == 8
         assert len(data.test_records) == 2
         assert len(data) == 10
-
-    def test_tag_length_mismatch_rejected(self):
-        catalog = generate_catalog(5, 3, seed=1)
-        data = generate_logs(BehaviorConfig(base_rate=0.4), catalog, n_queries=2, items_per_query=3, seed=2)
-        with pytest.raises(ValidationError):
-            Dataset(records=data.records, tags=("train",))
+        assert data.records == data.train_records + data.test_records
+        assert [record.query_id for record in data.records] == [f"q{q:06d}" for q in range(10)]
 
 
 class TestGenerateLogs:
@@ -195,6 +191,9 @@ class TestGenerateLogs:
             generate_logs(config, catalog, n_queries=2, items_per_query=3, ranking_policy="nope")
         with pytest.raises(MirankError, match="n_queries"):
             generate_logs(config, catalog, n_queries=-1, items_per_query=3)
+        for size in (0, -1):
+            with pytest.raises(MirankError, match="items_per_query"):
+                generate_logs(config, catalog, n_queries=2, items_per_query=size)
         for fraction in (-0.1, 1.5, float("nan")):
             with pytest.raises(MirankError, match="train_fraction"):
                 generate_logs(config, catalog, n_queries=2, items_per_query=3, train_fraction=fraction)
