@@ -103,7 +103,13 @@ def _write_csv(path: Path, rows, header=None) -> None:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex SHA-256 of a file, read in 64 KiB blocks so that memory does not
+    grow with the file."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, cfg: dict, inputs: list) -> None:
@@ -125,14 +131,24 @@ def _echo(message: str, err: bool = False) -> None:
 
 def _parse_int_list(flag: str, text: str) -> list[int]:
     """The integers of the comma-separated ``text`` given to option ``flag``;
-    an empty list or a part that is not an integer is a ValidationError."""
+    an empty list, or a part that is not an integer of at least 1, is a
+    ValidationError that names ``flag``."""
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         values = []
-    if not values:
-        raise ValidationError(f"{flag} takes a comma-separated list of integers, got {text!r}")
+    if not values or min(values) < 1:
+        raise ValidationError(f"{flag} takes a comma-separated list of positive integers, got {text!r}")
     return values
+
+
+def _read_records(path, role: str):
+    """The Dataset of the JSONL log at ``path``; a log with no records is a
+    ValidationError, whichever command reads it."""
+    dataset = read_logs(path)
+    if not dataset.records:
+        raise ValidationError(f"{role} log {path} holds no records")
+    return dataset
 
 
 @click.group()
@@ -197,9 +213,8 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
         flags["hidden_sizes"] = _parse_int_list("--hidden-sizes", hidden_sizes)
     cfg = _resolve_config(ctx.obj["config_path"], flags)
     seed = ctx.obj["seed"]
-    dataset = read_logs(train_path)
-    if dataset.records:
-        cfg["d"] = dataset.records[0].candidate_set.feature_matrix.shape[1]
+    dataset = _read_records(train_path, "training")
+    cfg["d"] = dataset.records[0].candidate_set.feature_matrix.shape[1]
     params, curve = train(variant, dataset.records, config_from(ModelConfig, cfg), config_from(TrainConfig, cfg), seed)
     out = _out_dir(ctx)
     model_path = out / f"{variant}.model"
@@ -219,24 +234,28 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
 def rerank(ctx, model_path, log_path, rerank_size, **flags):
     """Rerank the top-N prefix of each logged record with a trained model."""
     cfg = _resolve_config(ctx.obj["config_path"], flags)
-    dataset = read_logs(log_path)
+    dataset = _read_records(log_path, "rerank")
     params = _load_model_for(model_path, dataset, log_path)
     out = _out_dir(ctx)
-    reranked = []
     rows = []
-    for record in dataset.records:
-        candidates = record.candidate_set
-        n = len(record) if rerank_size is None else min(rerank_size, len(record))
-        base = Ranking(tuple(range(len(record))))
-        ranking = rerank_top_n(
-            params, base, candidates, n, k=cfg["beam_size"], gamma=cfg["gamma"]
-        )
-        reranked.append(record.take(ranking.order))
-        rows.append([record.query_id, expected_gmv(params, candidates, ranking)])
-    write_logs(reranked, out / "reranked.jsonl")
+
+    def reranked():
+        """Each record in its new order, one at a time, so the log is
+        written as it is reranked; its GMV row is kept for the table."""
+        for record in dataset.records:
+            candidates = record.candidate_set
+            n = len(record) if rerank_size is None else min(rerank_size, len(record))
+            base = Ranking(tuple(range(len(record))))
+            ranking = rerank_top_n(
+                params, base, candidates, n, k=cfg["beam_size"], gamma=cfg["gamma"]
+            )
+            rows.append([record.query_id, expected_gmv(params, candidates, ranking)])
+            yield record.take(ranking.order)
+
+    write_logs(reranked(), out / "reranked.jsonl")
     _write_csv(out / "rerank_gmv.csv", rows, ["query_id", "expected_gmv"])
     _write_manifest(out, "rerank", ctx.obj["seed"], cfg, [Path(model_path), Path(log_path)])
-    _echo(f"reranked {len(reranked)} records -> {out / 'reranked.jsonl'}")
+    _echo(f"reranked {len(rows)} records -> {out / 'reranked.jsonl'}")
 
 
 @cli.command()
@@ -246,9 +265,7 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
 @click.pass_context
 def evaluate(ctx, test_path, model_paths, attention_size):
     """Compute AUC/RIG for each model on a test log (plus attention matrix)."""
-    dataset = read_logs(test_path)
-    if not dataset.records:
-        raise ValidationError(f"test log {test_path} holds no records")
+    dataset = _read_records(test_path, "test")
     models = [(model_path, _load_model_for(model_path, dataset, test_path)) for model_path in model_paths]
     out = _out_dir(ctx)
     extended = [extend_features(record.candidate_set) for record in dataset.records]
@@ -301,12 +318,12 @@ def bench(ctx, model_paths, sizes, beams, reps):
 @cli.command("oracle-compare")
 @click.argument("model_path", type=click.Path(exists=True))
 @click.argument("log_path", type=click.Path(exists=True))
-@click.option("--max-n", type=int, default=6, show_default=True)
+@click.option("--max-n", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--beams", type=str, default="1,2,5", show_default=True)
 @click.pass_context
 def oracle_compare(ctx, model_path, log_path, max_n, beams):
     """Compare beam-search GMV against the exhaustive oracle on small prefixes."""
-    dataset = read_logs(log_path)
+    dataset = _read_records(log_path, "oracle-compare")
     params = _load_model_for(model_path, dataset, log_path)
     beam_sizes = _parse_int_list("--beams", beams)
     out = _out_dir(ctx)
@@ -322,7 +339,7 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
                ["query_id", "beam_size", "beam_gmv", "oracle_gmv", "greedy_gmv", "ratio"])
     _write_manifest(out, "oracle_compare", ctx.obj["seed"],
                     {"max_n": max_n, "beams": beams}, [Path(model_path), Path(log_path)])
-    worst = min(row[-1] for row in rows) if rows else float("nan")
+    worst = min(row[-1] for row in rows)
     _echo(f"{len(rows)} comparisons; worst beam/oracle ratio {worst:.6f}")
 
 

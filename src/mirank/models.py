@@ -165,7 +165,7 @@ def sequence_probabilities_batch(
     return probs
 
 
-# Records per forward pass when a whole log is scored: bounds the caches held
+# Records per forward pass when a whole log is scored: bounds the states held
 # at once on large logs while keeping each step's matmuls wide.
 LOG_CHUNK = 64
 
@@ -177,7 +177,8 @@ def logged_forward(params: ModelParams, extended: Sequence[np.ndarray]):
     Records are grouped by length, so each chunk of at most LOG_CHUNK of them
     stacks into one (B, T, F) batch. Yields (indices, probs, caches) per
     chunk: ``indices`` locate its records in ``extended``; probs and caches
-    are those of :func:`nn.sequence_forward`.
+    are those of :func:`nn.sequence_forward` without training caches, so
+    ``caches`` holds only ``"alphas"``. Memory holds one chunk's states.
     """
     _require_variant(params, RECURRENT_VARIANTS)
     buckets: dict[int, list[int]] = defaultdict(list)

@@ -20,8 +20,10 @@ def _num_hidden(params: dict[str, np.ndarray]) -> int:
 def mlp_forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
     """Forward pass over a (n, input_dim) batch.
 
-    Returns (probs, caches) where probs has shape (n,) and caches holds the
-    layer activations needed by :func:`mlp_backward`.
+    Returns (probs, activations): probs has shape (n,); activations are the
+    input and each hidden layer's post-ReLU output, all that
+    :func:`mlp_backward` reads. Each layer's bias and ReLU are applied in
+    place, so no pre-activation array outlives its layer.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params["W1"].shape[1]:
@@ -30,25 +32,27 @@ def mlp_forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
             f"input dimension {params['W1'].shape[1]}"
         )
     activations = [x]
-    pre_activations = []
     h = x
     for k in range(1, _num_hidden(params) + 1):
-        pre = h @ params[f"W{k}"].T + params[f"b{k}"]
-        h = np.maximum(pre, 0.0)
-        pre_activations.append(pre)
+        h = h @ params[f"W{k}"].T
+        h += params[f"b{k}"]
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
     logits = (h @ params["W_out"].T + params["b_out"]).ravel()
     probs = sigmoid(logits)
-    return probs, (activations, pre_activations)
+    return probs, activations
 
 
 def mlp_backward(
     params: dict[str, np.ndarray],
-    caches,
+    activations: list[np.ndarray],
     dlogits: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Gradients of the summed loss given d(loss)/d(logit) per batch row."""
-    activations, pre_activations = caches
+    """Gradients of the summed loss given d(loss)/d(logit) per batch row.
+
+    A unit's ReLU gradient is taken where its post-ReLU output is positive,
+    which is exactly where its pre-activation was (NaN and -0.0 included).
+    """
     n_hidden = _num_hidden(params)
     dlogits = np.asarray(dlogits, dtype=np.float64)
     grads: dict[str, np.ndarray] = {}
@@ -56,7 +60,7 @@ def mlp_backward(
     grads["b_out"] = np.array([dlogits.sum()])
     dh = dlogits[:, None] @ params["W_out"]
     for k in range(n_hidden, 0, -1):
-        dpre = dh * (pre_activations[k - 1] > 0)
+        dpre = dh * (activations[k] > 0)
         grads[f"W{k}"] = dpre.T @ activations[k - 1]
         grads[f"b{k}"] = dpre.sum(axis=0)
         dh = dpre @ params[f"W{k}"]

@@ -22,24 +22,30 @@ from .common import sigmoid
 from .lstm import hidden_dim, lstm_step_batch, lstm_step_backward
 
 
-def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray):
+def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray, keep_caches: bool = False):
     """Purchase probabilities for every position of every sequence.
 
     Args:
         params: LSTM blocks, plus attention blocks for the attention variant.
         x: Extended features, shape (B, T, F); positions are 1..T.
+        keep_caches: keep what :func:`sequence_backward` reads. Training
+            asks for it; scoring does not, and then holds only the running
+            state, plus the hidden states and representations that the
+            attention variant looks back on.
 
     Returns:
-        (probs, caches): probs has shape (B, T); caches feed
-        :func:`sequence_backward` and, for the attention variant, expose the
-        per-position attention weights as ``caches["alphas"]`` (a list of
-        (B, t-1) arrays indexed by 0-based position).
+        (probs, caches): probs has shape (B, T). ``caches["alphas"]`` holds,
+        for the attention variant, the per-position attention weights (a list
+        of (B, t-1) arrays indexed by 0-based position, None at position 1),
+        and is empty for ``mirnn``. With ``keep_caches`` the dict also holds
+        the backward caches. The probabilities and weights are the same bits
+        either way.
     """
     x = np.asarray(x, dtype=np.float64)
     batch, length, _ = x.shape
     h_dim = hidden_dim(params)
     attention = "w_ctx" in params
-    hiddens = np.zeros((batch, length, h_dim))
+    hiddens = np.zeros((batch, length, h_dim)) if attention or keep_caches else None
     h = np.zeros((batch, h_dim))
     cell = np.zeros((batch, h_dim))
     logits = np.zeros((batch, length))
@@ -50,11 +56,14 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray):
     if attention:
         attn_dim = params["W_a"].shape[0]
         reps = np.zeros((batch, length, attn_dim))
-        contexts = np.zeros((batch, length, h_dim))
+        if keep_caches:
+            contexts = np.zeros((batch, length, h_dim))
     for t in range(length):
         h, cell, cache = lstm_step_batch(params, h, cell, x[:, t])
-        lstm_caches.append(cache)
-        hiddens[:, t] = h
+        if keep_caches:
+            lstm_caches.append(cache)
+        if hiddens is not None:
+            hiddens[:, t] = h
         logits[:, t] = h @ params["w_out"]
         if attention:
             reps[:, t] = representations(params, h, t + 1)
@@ -68,11 +77,15 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray):
                     0.0,
                 )
                 alpha = softmax(pre_g)
-                contexts[:, t] = np.einsum("bt,bth->bh", alpha, hiddens[:, :t])
-                pre_gs.append(pre_g)
+                context = np.einsum("bt,bth->bh", alpha, hiddens[:, :t])
+                if keep_caches:
+                    contexts[:, t] = context
+                    pre_gs.append(pre_g)
                 alphas.append(alpha)
-                logits[:, t] += contexts[:, t] @ params["w_ctx"]
+                logits[:, t] += context @ params["w_ctx"]
     probs = sigmoid(logits)
+    if not keep_caches:
+        return probs, {"alphas": alphas}
     caches = {
         "hiddens": hiddens,
         "lstm": lstm_caches,

@@ -53,7 +53,7 @@ def batch_loss_and_grads(variant: str, blocks: dict[str, np.ndarray], x: np.ndar
         loss = cross_entropy_batch(probs, labels)
         grads = mlp_backward(blocks, caches, probs - labels)
     else:
-        probs, caches = sequence_forward(blocks, x)
+        probs, caches = sequence_forward(blocks, x, keep_caches=True)
         loss = cross_entropy_batch(probs.ravel(), labels.ravel())
         grads = sequence_backward(blocks, caches, probs - labels)
     return loss, grads

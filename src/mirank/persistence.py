@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable
@@ -66,12 +66,18 @@ class LogFormatError(MirankError):
     """A malformed JSONL log line; the message names the line number."""
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the byte ``chunks`` to a temp file beside ``path``, then rename
+    it over ``path``, so ``path`` holds either its old bytes or all the new
+    ones. Only one chunk is held at a time. The temp file is created with the
+    mode a plain ``open()`` gives (0o666 less the umask); if writing fails,
+    it is removed and ``path`` is left as it was."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -95,7 +101,7 @@ def save_model(params: ModelParams, path) -> None:
         for entry in header["blocks"]
     )
     payload = _MAGIC + struct.pack("<II", _VERSION, len(header_bytes)) + header_bytes + body
-    _atomic_write(Path(path), payload + hashlib.sha256(payload).digest())
+    _atomic_write(Path(path), (payload, hashlib.sha256(payload).digest()))
 
 
 def load_model(path) -> ModelParams:
@@ -166,10 +172,15 @@ def _record_to_json(record: QueryRecord) -> dict:
 
 
 def write_logs(dataset: Dataset | Iterable[QueryRecord], path) -> None:
-    """Write records as one JSON object per line (the split is not stored)."""
-    records = dataset.records if isinstance(dataset, Dataset) else tuple(dataset)
-    lines = [json.dumps(_record_to_json(record)) for record in records]
-    _atomic_write(Path(path), ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
+    """Write records as one JSON object per line (the split is not stored).
+
+    Lines are encoded and written one record at a time, so memory holds one
+    record's line, not the whole log. ``dataset`` may be any iterable of
+    records, a generator included; if it raises partway, ``path`` keeps its
+    old bytes."""
+    records = dataset.records if isinstance(dataset, Dataset) else dataset
+    lines = ((json.dumps(_record_to_json(record)) + "\n").encode("utf-8") for record in records)
+    _atomic_write(Path(path), lines)
 
 
 def _parse_record(obj: dict, line_no: int) -> QueryRecord:

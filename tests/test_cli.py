@@ -229,10 +229,17 @@ class TestEvaluate:
         for row in rows[1:]:
             assert abs(math.fsum(row) - 1.0) <= 1e-9
 
-    def test_empty_test_log_is_validation(self, tmp_path):
+    @pytest.mark.parametrize("command", ("evaluate", "rerank", "oracle-compare"))
+    def test_empty_test_log_is_validation(self, command, tmp_path, capsys):
+        """Every command that reads a log rejects one with no records; rerank
+        and oracle-compare once exited 0 with empty outputs or a NaN ratio."""
         log, paths = self._inputs(tmp_path)
         log.write_text("")
-        assert main(["--output-dir", str(tmp_path), "evaluate", str(log), paths[1]]) == EXIT_VALIDATION
+        args = [str(log), paths[1]] if command == "evaluate" else [paths[1], str(log)]
+        out = tmp_path / "run"
+        assert main(["--output-dir", str(out), command, *args]) == EXIT_VALIDATION
+        assert "holds no records" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigLayering:
@@ -381,7 +388,10 @@ class TestExitCodes:
         (("bench", "{model}", "--sizes", "a"), "--sizes"),
         (("bench", "{model}", "--sizes", "5"), "--sizes"),
         (("bench", "{model}", "--sizes", "5,5"), "--sizes"),
+        (("bench", "{model}", "--sizes", "0,5"), "--sizes"),
         (("oracle-compare", "{model}", "{log}", "--beams", ""), "--beams"),
+        (("oracle-compare", "{model}", "{log}", "--max-n", "0"), "--max-n"),
+        (("oracle-compare", "{model}", "{log}", "--max-n", "-3"), "--max-n"),
         (("generate", "--n-queries", "10", "--train-fraction", "1.5"), "train_fraction"),
         (("generate", "--n-queries", "-5"), "n_queries"),
         (("generate", "--d", "0"), "d must be"),
@@ -390,7 +400,7 @@ class TestExitCodes:
         (("train", "mirnn", "{log}", "--hidden-sizes", "4,a"), "--hidden-sizes"),
     ), ids=(
         "attention-size-negative", "reps-0", "sizes-empty", "sizes-text", "sizes-one", "sizes-repeated",
-        "beams-empty", "train-fraction-above-1", "n-queries-negative", "d-0",
+        "sizes-0", "beams-empty", "max-n-0", "max-n-negative", "train-fraction-above-1", "n-queries-negative", "d-0",
         "items-per-query-0", "items-per-query-negative", "hidden-sizes-text",
     ))
     def test_bad_list_or_count_is_validation(self, args, named, tmp_path, capsys):

@@ -198,6 +198,21 @@ class TestSequenceForward:
         for t in range(1, 6):
             assert np.allclose(caches["alphas"][t].sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize("variant", ("mirnn", "mirnn_attention"))
+    def test_scoring_without_caches_is_exact(self, variant, rng):
+        """Dropping the training caches changes no bit of the probabilities
+        or the attention weights, and keeps nothing but the weights."""
+        config = ModelConfig(d=2, lstm_hidden=5, attn_size=3, pos_size=2, max_positions=6)
+        blocks = init_blocks(variant, config, rng)
+        x = rng.standard_normal((7, 9, 4))
+        probs, caches = sequence_forward(blocks, x, keep_caches=True)
+        lean_probs, lean = sequence_forward(blocks, x)
+        assert set(lean) == {"alphas"}
+        assert np.array_equal(lean_probs, probs)
+        assert len(lean["alphas"]) == len(caches["alphas"]) == (9 if variant == "mirnn_attention" else 0)
+        for got, want in zip(lean["alphas"][1:], caches["alphas"][1:]):
+            assert np.array_equal(got, want)
+
     def test_positions_beyond_embedding_table_clamp(self, rng):
         config = ModelConfig(d=2, lstm_hidden=3, attn_size=3, pos_size=2, max_positions=3)
         blocks = init_blocks("mirnn_attention", config, rng)

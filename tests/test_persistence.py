@@ -1,7 +1,10 @@
 """File formats: bit-exact round trips and typed rejection of corrupt input."""
 
 import hashlib
+import os
+import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +179,52 @@ class TestLogRoundTrip:
         loaded = read_logs(path).records[0]
         assert loaded.query_id == "q0"
         assert loaded.ground_truth_probs is None
+
+
+class TestStreamedLogWrite:
+    @staticmethod
+    def _records(n):
+        rng = make_rng(9)
+        return [
+            QueryRecord(f"q{i}", CandidateSet(np.arange(8), rng.uniform(1.0, 9.0, 8), rng.standard_normal((8, 5))),
+                        rng.integers(0, 2, 8))
+            for i in range(n)
+        ]
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "logs.jsonl"
+        write_logs(self._records(3), path)
+        before = path.read_bytes()
+
+        def records_then_error():
+            yield from self._records(5)
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_logs(records_then_error(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["logs.jsonl"]
+
+    def test_file_mode_matches_plain_open(self, tmp_path):
+        """The temp file is not created owner-only: the log gets the mode
+        that open() gives under the same umask."""
+        write_logs(self._records(1), tmp_path / "logs.jsonl")
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("logs.jsonl", "plain.txt")]
+        assert modes[0] == modes[1]
+
+    def test_memory_does_not_grow_with_the_log(self, tmp_path):
+        """write_logs holds one record's line at a time: its allocation peak
+        over 400 records stays within 1.5x its peak over 40."""
+        peaks = []
+        for n in (40, 400):
+            records = self._records(n)
+            tracemalloc.start()
+            write_logs(records, tmp_path / f"logs_{n}.jsonl")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestLogErrors:
