@@ -8,6 +8,7 @@ input files, so each experiment grid cell is auditable.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -20,7 +21,7 @@ import numpy as np
 import yaml
 
 from .configs import VARIANTS, ModelConfig, TrainConfig, coerce, config_from
-from .core import MirankError, Ranking, ValidationError
+from .core import MirankError, NonFiniteError, Ranking, ValidationError
 from .features import extend_features
 # evaluate scores through logged_predictions alone; perfbench/tracer.py still
 # wraps attention_diagnostic, score_midnn_batch and sequence_probabilities here.
@@ -142,6 +143,15 @@ def _parse_int_list(flag: str, text: str) -> list[int]:
     return values
 
 
+@contextlib.contextmanager
+def _naming(model_path, query_id):
+    """Re-raise a NonFiniteError with the model and the query it came from."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"model {model_path}, query {query_id}: {exc}") from None
+
+
 def _read_records(path, role: str):
     """The Dataset of the JSONL log at ``path``; a log with no records is a
     ValidationError, whichever command reads it."""
@@ -246,10 +256,11 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
             candidates = record.candidate_set
             n = len(record) if rerank_size is None else min(rerank_size, len(record))
             base = Ranking(tuple(range(len(record))))
-            ranking = rerank_top_n(
-                params, base, candidates, n, k=cfg["beam_size"], gamma=cfg["gamma"]
-            )
-            rows.append([record.query_id, expected_gmv(params, candidates, ranking)])
+            with _naming(model_path, record.query_id):
+                ranking = rerank_top_n(
+                    params, base, candidates, n, k=cfg["beam_size"], gamma=cfg["gamma"]
+                )
+                rows.append([record.query_id, expected_gmv(params, candidates, ranking)])
             yield record.take(ranking.order)
 
     write_logs(reranked(), out / "reranked.jsonl")
@@ -271,9 +282,18 @@ def evaluate(ctx, test_path, model_paths, attention_size):
     extended = [extend_features(record.candidate_set) for record in dataset.records]
     labels = np.concatenate([record.labels for record in dataset.records])
     report: dict = {}
+    matrices = {}
+    # Every model is scored before any file is written, so a failing model
+    # leaves no output behind.
     for model_path, params in models:
         predictions, matrix = logged_predictions(params, extended, attention_size)
-        metrics = metric_report(predictions, labels)
+        try:
+            metrics = metric_report(predictions, labels)
+        except NonFiniteError as exc:
+            ends = np.cumsum([len(record) for record in dataset.records])
+            first_nan = np.flatnonzero(np.isnan(predictions))[0]
+            query_id = dataset.records[np.searchsorted(ends, first_nan, side="right")].query_id
+            raise NonFiniteError(f"model {model_path}: {exc}, the first in query {query_id}") from None
         name = Path(model_path).stem
         report[name] = {
             "variant": params.variant,
@@ -283,7 +303,9 @@ def evaluate(ctx, test_path, model_paths, attention_size):
             "positive_rate": metrics.positive_rate,
         }
         if matrix is not None:
-            _write_csv(out / f"attention_matrix_{name}.csv", matrix.values)
+            matrices[name] = matrix.values
+    for name, values in matrices.items():
+        _write_csv(out / f"attention_matrix_{name}.csv", values)
     (out / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     _write_manifest(out, "evaluate", ctx.obj["seed"], {"attention_size": attention_size},
                     [Path(test_path), *map(Path, model_paths)])
@@ -330,11 +352,12 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
     rows = []
     for record in dataset.records:
         subset = record.candidate_set.take(np.arange(min(max_n, len(record))))
-        oracle = exhaustive_oracle(params, subset).expected_gmv
-        greedy = greedy_reference(params, subset).expected_gmv
-        for k in beam_sizes:
-            beam = beam_search(params, subset, k).expected_gmv
-            rows.append([record.query_id, k, beam, oracle, greedy, beam / oracle])
+        with _naming(model_path, record.query_id):
+            oracle = exhaustive_oracle(params, subset).expected_gmv
+            greedy = greedy_reference(params, subset).expected_gmv
+            for k in beam_sizes:
+                beam = beam_search(params, subset, k).expected_gmv
+                rows.append([record.query_id, k, beam, oracle, greedy, beam / oracle])
     _write_csv(out / "oracle_compare.csv", rows,
                ["query_id", "beam_size", "beam_gmv", "oracle_gmv", "greedy_gmv", "ratio"])
     _write_manifest(out, "oracle_compare", ctx.obj["seed"],

@@ -20,6 +20,7 @@ __all__ = [
     "QueryRecord",
     "MirankError",
     "ValidationError",
+    "NonFiniteError",
     "make_rng",
 ]
 
@@ -30,6 +31,10 @@ class MirankError(Exception):
 
 class ValidationError(MirankError):
     """A domain invariant was violated by user-supplied data."""
+
+
+class NonFiniteError(MirankError):
+    """A model gave NaN or infinity where a result must be a finite number."""
 
 
 def make_rng(seed: int) -> np.random.Generator:

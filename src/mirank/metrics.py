@@ -8,10 +8,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .configs import ModelParams
-from .core import CandidateSet, MirankError, QueryRecord, Ranking, make_rng
+from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, make_rng
 from .features import extend_features
 from .models import baseline_probabilities, logged_forward, score_midnn_batch
 from .nn.common import cross_entropy_batch
@@ -47,15 +46,36 @@ def _check_labels(labels: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _check_predictions(predictions) -> np.ndarray:
+    predictions = np.asarray(predictions, dtype=np.float64)
+    nans = int(np.count_nonzero(np.isnan(predictions)))
+    if nans:
+        raise NonFiniteError(f"{nans} of {predictions.size} predictions are NaN")
+    return predictions
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based float64 ranks of NaN-free ``values``; each run of equal values
+    gets the mean of its positions, as ``scipy.stats.rankdata`` does by
+    default. Every rank is a half-integer, so both give the same bits."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(starts, append=values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 def auc(predictions, labels) -> float:
     """Probability that a random positive outranks a random negative; ties 0.5.
 
     Computed from rank statistics, so it is invariant under any strictly
-    increasing transform of the predictions.
+    increasing transform of the predictions. NaN predictions are a
+    NonFiniteError.
     """
     labels = _check_labels(labels)
-    predictions = np.asarray(predictions, dtype=np.float64)
-    ranks = rankdata(predictions)
+    ranks = _average_ranks(_check_predictions(predictions))
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
@@ -63,9 +83,10 @@ def auc(predictions, labels) -> float:
 
 def rig(predictions, labels) -> float:
     """Relative information gain: 1 - mean cross-entropy / entropy of the
-    empirical positive rate. 0 = uninformative constant, 1 = perfect."""
+    empirical positive rate. 0 = uninformative constant, 1 = perfect. NaN
+    predictions are a NonFiniteError."""
     labels = _check_labels(labels).astype(np.float64)
-    mean_ce = cross_entropy_batch(predictions, labels) / labels.size
+    mean_ce = cross_entropy_batch(_check_predictions(predictions), labels) / labels.size
     rate = labels.mean()
     entropy = float(-(rate * np.log(rate) + (1.0 - rate) * np.log(1.0 - rate)))
     return 1.0 - mean_ce / entropy

@@ -11,12 +11,13 @@ exhaustive oracle and an independent greedy reference for verification.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .configs import ModelParams
-from .core import CandidateSet, MirankError, Ranking
+from .core import CandidateSet, MirankError, NonFiniteError, Ranking
 from .features import extend_features
 from .models import (
     advance_entries,
@@ -41,13 +42,24 @@ __all__ = [
 MAX_ORACLE_ITEMS = 8
 
 
+def _finite_gmv(value: float) -> float:
+    """``value``; a NaN or infinite expected GMV is a NonFiniteError."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"the model gives an expected GMV of {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class RankResult:
-    """A ranking with its expected GMV and the per-position probabilities."""
+    """A ranking with its expected GMV, always finite, and the per-position
+    probabilities."""
 
     ranking: Ranking
     expected_gmv: float
     per_position_probabilities: np.ndarray
+
+    def __post_init__(self):
+        _finite_gmv(self.expected_gmv)
 
 
 def _item_probabilities(params: ModelParams, candidates: CandidateSet) -> np.ndarray:
@@ -65,10 +77,11 @@ def _order_probabilities(params: ModelParams, candidates: CandidateSet, orders: 
 
 
 def expected_gmv(params: ModelParams, candidates: CandidateSet, ranking: Ranking) -> float:
-    """Sum of price times purchase probability along the ranking."""
+    """Sum of price times purchase probability along the ranking; NaN or
+    infinity is a NonFiniteError."""
     order = np.asarray(ranking.order, dtype=int)
     probs = _order_probabilities(params, candidates, order[None, :])[0]
-    return float(np.sum(candidates.prices[order] * probs))
+    return _finite_gmv(float(np.sum(candidates.prices[order] * probs)))
 
 
 def _descending(scores: np.ndarray, tie_keys: np.ndarray) -> np.ndarray:
@@ -85,7 +98,8 @@ def rank(params: ModelParams, candidates: CandidateSet, k: int = 5, gamma: float
     feed-forward models' probabilities do not depend on the order, so they
     sort by descending price times probability (price^gamma for the
     baseline), ties by ascending item id; this is optimal among all
-    permutations under any strictly decreasing position bias.
+    permutations under any strictly decreasing position bias. A NaN or
+    infinite expected GMV is a NonFiniteError.
     """
     if not 0 <= gamma < np.inf:
         raise MirankError(f"gamma must be finite and nonnegative, got {gamma}")
@@ -222,12 +236,12 @@ def exhaustive_oracle(params: ModelParams, candidates: CandidateSet) -> RankResu
     orders = np.array(list(itertools.permutations(range(n))), dtype=int)
     probs = _order_probabilities(params, candidates, orders)
     gmvs = (candidates.prices[orders] * probs).sum(axis=1)
-    best_value = gmvs.max()
+    best_value = _finite_gmv(float(gmvs.max()))
     tied = np.flatnonzero(gmvs == best_value)
     best_row = min(tied, key=lambda row: candidates.ids[orders[row]].tolist())
     return RankResult(
         ranking=Ranking(tuple(orders[best_row])),
-        expected_gmv=float(best_value),
+        expected_gmv=best_value,
         per_position_probabilities=probs[best_row],
     )
 

@@ -7,14 +7,21 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+import mirank
+
 from mirank import ModelConfig, init_model
 from mirank.cli import DEFAULTS, EXIT_DIVERGED, EXIT_IO, EXIT_VALIDATION, main
-from mirank.configs import VARIANTS
+from mirank.configs import VARIANTS, ModelParams
 from mirank.persistence import load_model, read_logs, save_model, write_logs
 from conftest import mixed_length_log
 
@@ -416,6 +423,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ("evaluate", "rerank", "oracle-compare"))
+    def test_nan_predictions_are_validation(self, command, tmp_path, capsys):
+        """A midnn model whose blocks alternate +-1e300 saves and loads (every
+        value is finite) but predicts NaN. evaluate and rerank once exited 0
+        with NaN in metrics.json and rerank_gmv.csv, and oracle-compare ended
+        in a traceback; now each exits 2 naming the model and the query, and
+        leaves no output file (evaluate scores a sound model first)."""
+        out = tmp_path / "run"
+        assert _generate(out) == 0
+        fresh = init_model("midnn", ModelConfig(d=4, hidden_sizes=(4,)), seed=0)
+        huge = out / "huge.model"
+        save_model(ModelParams("midnn", fresh.config, {
+            name: np.resize([1e300, -1e300], block.shape) for name, block in fresh.blocks.items()
+        }), huge)
+        sound = out / "sound.model"
+        save_model(init_model("mirnn_attention", ModelConfig(d=4, lstm_hidden=3, attn_size=2, pos_size=2), seed=0), sound)
+        log = out / "test.jsonl"
+        args = {
+            "evaluate": [log, sound, huge, "--attention-size", "5"],
+            "rerank": [huge, log],
+            "oracle-compare": [huge, log],
+        }[command]
+        capsys.readouterr()
+        bad = tmp_path / "bad"
+        assert main(["--output-dir", str(bad), command, *map(str, args)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        first_query = read_logs(log).records[0].query_id
+        assert f"model {huge}" in err and f"query {first_query}" in err and "nan" in err.lower()
+        assert "Traceback" not in err
+        assert not bad.exists() or not any(bad.iterdir())
+
     def test_empty_training_log_is_validation(self, tmp_path):
         log = tmp_path / "empty.jsonl"
         log.write_text("")
@@ -456,3 +495,12 @@ class TestExitCodes:
             "--config", str(config_path), "--output-dir", str(out),
             "train", "mirnn", str(out / "train.jsonl"), *flags,
         ]) == EXIT_VALIDATION
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """The package and its CLI load scipy.special only: scipy.stats would add
+    about 430 modules and 44 MiB to every run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mirank.__file__).parents[1])}
+    code = "import sys, mirank, mirank.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

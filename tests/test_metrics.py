@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirank import BehaviorConfig, ModelConfig, extend_features, generate_catalog, init_model
 from mirank import models, nn
-from mirank.core import MirankError, QueryRecord, Ranking, make_rng
+from mirank.core import MirankError, NonFiniteError, QueryRecord, Ranking, make_rng
 from mirank.metrics import (
     DegenerateLabelsError,
     attention_diagnostic,
@@ -50,6 +52,35 @@ class TestAuc:
         with pytest.raises(DegenerateLabelsError):
             auc([], [])
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf]) | st.floats(allow_nan=False),
+                st.integers(0, 1),
+            ),
+            min_size=2,
+            max_size=500,
+        )
+    )
+    @settings(derandomize=True, deadline=None)
+    def test_equals_the_rankdata_formula_exactly(self, pairs):
+        """The numpy ranks give the bits of scipy.stats.rankdata's average
+        ranks, heavy ties, signed zeros and infinities included."""
+        from scipy.stats import rankdata
+
+        predictions = np.array([value for value, _ in pairs])
+        labels = np.array([label for _, label in pairs])
+        labels[:2] = 0, 1
+        ranks = rankdata(predictions)
+        n_pos = int(labels.sum())
+        n_neg = labels.size - n_pos
+        expected = float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        assert auc(predictions, labels) == expected
+
+    def test_nan_prediction_rejected(self):
+        with pytest.raises(NonFiniteError, match="1 of 3 predictions are NaN"):
+            auc([0.2, np.nan, 0.7], [1, 0, 1])
+
 
 class TestRig:
     def test_constant_rate_prediction_scores_zero(self):
@@ -61,6 +92,10 @@ class TestRig:
 
     def test_worse_than_constant_is_negative(self):
         assert rig([0.05, 0.95], [1, 0]) < 0.0
+
+    def test_nan_prediction_rejected(self):
+        with pytest.raises(NonFiniteError, match="2 of 2 predictions are NaN"):
+            rig([np.nan, np.nan], [1, 0])
 
     def test_report_bundles_fields(self):
         report = metric_report([0.9, 0.8, 0.4, 0.1], [1, 0, 1, 0])

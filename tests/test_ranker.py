@@ -11,7 +11,8 @@ from mirank.configs import VARIANTS
 from mirank.features import extend_features
 from mirank.metrics import model_policy
 from mirank.models import sequence_probabilities_batch
-from mirank.core import MirankError, make_rng
+from mirank.configs import ModelParams
+from mirank.core import MirankError, NonFiniteError, make_rng
 from mirank.ranker import (
     MAX_ORACLE_ITEMS,
     beam_search,
@@ -241,6 +242,27 @@ class TestExhaustiveOracle:
         cs = random_candidates(rng, 5, 3)
         params = init_model("midnn", SMALL, seed=2)
         assert abs(exhaustive_oracle(params, cs).expected_gmv - rank(params, cs).expected_gmv) < 1e-10
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_nan_model_gives_no_gmv(variant, rng):
+    """A model that predicts NaN has no expected GMV: every search and
+    expected_gmv raise instead of returning NaN (the oracle used to end in a
+    ValueError from an empty tie list)."""
+    cs = random_candidates(rng, 5, 3)
+    fresh = init_model(variant, SMALL, seed=0)
+    params = ModelParams(variant, fresh.config, {name: np.full_like(b, np.nan) for name, b in fresh.blocks.items()})
+    searches = [
+        lambda: rank(params, cs, k=2),
+        lambda: rerank_top_n(params, Ranking(tuple(range(5))), cs, n=3, k=2),
+        lambda: expected_gmv(params, cs, Ranking(tuple(range(5)))),
+        lambda: exhaustive_oracle(params, cs),
+    ]
+    if params.is_recurrent:
+        searches += [lambda: beam_search(params, cs, 2), lambda: greedy_reference(params, cs)]
+    for search in searches:
+        with pytest.raises(NonFiniteError, match="expected GMV of nan"):
+            search()
 
 
 class TestRerankTopN:
