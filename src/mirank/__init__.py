@@ -6,7 +6,7 @@ maximizing expected GMV.
 """
 
 from .configs import ModelConfig, ModelParams, TrainConfig
-from .core import CandidateSet, Item, QueryRecord, Ranking
+from .core import CandidateSet, QueryRecord, Ranking
 from .features import extend_features
 from .metrics import attention_diagnostic, auc, compare_policies, latency_bench, metric_report, rig
 from .models import init_model
@@ -21,7 +21,6 @@ __all__ = [
     "BehaviorConfig",
     "CandidateSet",
     "Dataset",
-    "Item",
     "ModelConfig",
     "ModelParams",
     "QueryRecord",

@@ -25,7 +25,7 @@ from .core import MirankError, NonFiniteError, Ranking, ValidationError
 from .features import extend_features
 # evaluate scores through logged_predictions alone; perfbench/tracer.py still
 # wraps attention_diagnostic, score_midnn_batch and sequence_probabilities here.
-from .metrics import attention_diagnostic, logged_predictions, metric_report  # noqa: F401
+from .metrics import attention_diagnostic, latency_bench, logged_predictions, metric_report  # noqa: F401
 from .models import score_midnn_batch, sequence_probabilities  # noqa: F401
 from .nn.train import TrainingDiverged, train
 from .persistence import (
@@ -320,8 +320,6 @@ def evaluate(ctx, test_path, model_paths, attention_size):
 @click.pass_context
 def bench(ctx, model_paths, sizes, beams, reps):
     """Measure ranking latency across rerank sizes and beam sizes."""
-    from .metrics import latency_bench
-
     rerank_sizes = _parse_int_list("--sizes", sizes)
     if len(set(rerank_sizes)) < 2:
         raise ValidationError(f"--sizes needs at least two distinct rerank sizes to fit a slope, got {sizes!r}")
@@ -369,7 +367,10 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
 def main(argv=None) -> int:
     """Entry point with distinct exit codes per failure class."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        # A non-finite value ends in NonFiniteError or TrainingDiverged and one
+        # error line, so numpy's overflow warnings would only add noise to it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli.main(args=argv, standalone_mode=False)
         return 0
     except click.ClickException as exc:
         exc.show()

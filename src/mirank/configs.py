@@ -9,10 +9,33 @@ import numpy as np
 
 from .core import ValidationError
 
-#: The four scoring policies. "baseline" scores items from local features
-#: only; the mutual-influence models consume the global feature extension.
-VARIANTS = ("baseline", "midnn", "mirnn", "mirnn_attention")
-RECURRENT_VARIANTS = ("mirnn", "mirnn_attention")
+
+@dataclass(frozen=True)
+class VariantTraits:
+    """What sets one scoring policy apart from the others."""
+
+    extended: bool  # scores the global feature extension (2d inputs), not the d local features
+    recurrent: bool  # an LSTM conditions each position on the ranked prefix; else an order-free MLP
+    attention: bool  # attends over the hidden states of the ranked prefix
+    price_exponent: bool  # sorts by price**gamma times the probability, not by price times it
+
+
+#: The four scoring policies and their traits: every decision that depends on
+#: the variant reads this table.
+VARIANT_TRAITS = {
+    "baseline": VariantTraits(extended=False, recurrent=False, attention=False, price_exponent=True),
+    "midnn": VariantTraits(extended=True, recurrent=False, attention=False, price_exponent=False),
+    "mirnn": VariantTraits(extended=True, recurrent=True, attention=False, price_exponent=False),
+    "mirnn_attention": VariantTraits(extended=True, recurrent=True, attention=True, price_exponent=False),
+}
+VARIANTS = tuple(VARIANT_TRAITS)
+
+
+def variant_traits(variant) -> VariantTraits:
+    """The table row of ``variant``; any other value is a ValidationError."""
+    if not isinstance(variant, str) or variant not in VARIANT_TRAITS:
+        raise ValidationError(f"unknown model variant {variant!r}")
+    return VARIANT_TRAITS[variant]
 
 
 def _require_positive(config, keys) -> None:
@@ -44,7 +67,7 @@ class ModelConfig:
         _require_positive(self, ("d", "lstm_hidden", "attn_size", "pos_size", "max_positions"))
 
     def input_dim(self, variant: str) -> int:
-        return self.d if variant == "baseline" else 2 * self.d
+        return 2 * self.d if variant_traits(variant).extended else self.d
 
 
 def expected_block_shapes(variant: str, config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -53,10 +76,9 @@ def expected_block_shapes(variant: str, config: ModelConfig) -> dict[str, tuple[
     The order is also the order in which ``nn.train.init_blocks`` draws the
     blocks, so reordering it changes every fresh and trained model.
     """
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown model variant {variant!r}")
+    traits = variant_traits(variant)
     f = config.input_dim(variant)
-    if variant not in RECURRENT_VARIANTS:
+    if not traits.recurrent:
         shapes: dict[str, tuple[int, ...]] = {}
         fan_in = f
         for k, size in enumerate(config.hidden_sizes, start=1):
@@ -68,7 +90,7 @@ def expected_block_shapes(variant: str, config: ModelConfig) -> dict[str, tuple[
         return shapes
     h = config.lstm_hidden
     shapes = {"Wx": (4 * h, f), "Wh": (4 * h, h), "b": (4 * h,), "w_out": (h,)}
-    if variant == "mirnn_attention":
+    if traits.attention:
         shapes["w_ctx"] = (h,)
         shapes["W_a"] = (config.attn_size, config.pos_size + h)
         shapes["w_g"] = (2 * config.attn_size,)
@@ -94,8 +116,9 @@ class ModelParams:
             )
 
     @property
-    def is_recurrent(self) -> bool:
-        return self.variant in RECURRENT_VARIANTS
+    def traits(self) -> VariantTraits:
+        """The variant's row of :data:`VARIANT_TRAITS`."""
+        return VARIANT_TRAITS[self.variant]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared domain types: items, candidate sets, rankings, and query records.
+"""Shared domain types: candidate sets, rankings, and query records.
 
 All types are immutable after construction and safe to share across
 concurrent tasks. Positions are 1-based in docstrings (matching common
@@ -9,12 +9,10 @@ public function boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "Item",
     "CandidateSet",
     "Ranking",
     "QueryRecord",
@@ -42,28 +40,6 @@ def make_rng(seed: int) -> np.random.Generator:
     if not 0 <= int(seed) < 2**64:
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return np.random.Generator(np.random.PCG64(int(seed)))
-
-
-@dataclass(frozen=True)
-class Item:
-    """One ranking unit: an id, a price, and a local feature vector; a row of
-    a :class:`CandidateSet`, built by ``CandidateSet.of`` and ``.items``.
-
-    Attributes:
-        id: Unique non-negative integer within a candidate set.
-        price: Positive price in currency units.
-        local_features: Float vector of fixed dimension d, identical across
-            all items of one candidate set.
-    """
-
-    id: int
-    price: float
-    local_features: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "local_features", _frozen(self.local_features, "local features"))
-        object.__setattr__(self, "price", float(_frozen(self.price, "price")))
-        object.__setattr__(self, "id", int(_frozen_integers(self.id, "item id")))
 
 
 def _frozen(values, what: str) -> np.ndarray:
@@ -153,12 +129,6 @@ class CandidateSet:
             raise ValidationError(f"item {ids[i]}: local features contain non-finite values")
         self._ids, self._prices, self._features = ids, prices, features
 
-    @classmethod
-    def of(cls, items: Iterable[Item]) -> CandidateSet:
-        """The set of the given row views, in their order."""
-        items = tuple(items)
-        return cls([item.id for item in items], [item.price for item in items], [item.local_features for item in items])
-
     def __len__(self) -> int:
         return len(self._ids)
 
@@ -174,11 +144,6 @@ class CandidateSet:
     def feature_matrix(self) -> np.ndarray:
         """Local features, one row per item, shape (N, d)."""
         return self._features
-
-    @property
-    def items(self) -> tuple[Item, ...]:
-        """Row views of the set, in set order."""
-        return tuple(map(Item, self._ids.tolist(), self._prices.tolist(), self._features))
 
     def take(self, order) -> CandidateSet:
         """The items at positions ``order`` of this set, in that order."""

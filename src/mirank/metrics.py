@@ -185,10 +185,6 @@ class AttentionMatrix:
     values: np.ndarray
     n_records: int
 
-    def row(self, i: int) -> np.ndarray:
-        """Weights of 1-based position i over positions 1..i-1."""
-        return self.values[i - 1, : i - 1]
-
 
 def attention_diagnostic(
     params: ModelParams, records: Sequence[QueryRecord], size: int = 20
@@ -198,8 +194,8 @@ def attention_diagnostic(
     Uses records of length >= size; features are extended over each record's
     full candidate set, and the model walks the first ``size`` positions.
     """
-    if params.variant != "mirnn_attention":
-        raise MirankError(f"attention diagnostic requires mirnn_attention, got {params.variant!r}")
+    if not params.traits.attention:
+        raise MirankError(f"attention diagnostic requires an attention model, got {params.variant!r}")
     prefixes = [extend_features(r.candidate_set)[:size] for r in records if len(r) >= size]
     return logged_predictions(params, prefixes, attention_size=size)[1]
 
@@ -223,16 +219,17 @@ def logged_predictions(
     The recurrent models are causal, so the first ``attention_size`` positions
     of a full-record forward equal a forward over that prefix alone.
     """
-    if not params.is_recurrent:
+    traits = params.traits
+    if not traits.recurrent:
         rows, score, inverse = np.vstack(extended), score_midnn_batch, None
-        if params.variant == "baseline":
+        if not traits.extended:
             # Score each distinct item once: BLAS rounding can depend on a row's
             # place in the batch, which would split exact ties between repeats.
             rows, inverse = np.unique(rows[:, : rows.shape[1] // 2], axis=0, return_inverse=True)
             score = baseline_probabilities
         probs = np.concatenate([score(params, rows[s : s + ROW_CHUNK]) for s in range(0, len(rows), ROW_CHUNK)])
         return (probs if inverse is None else probs[inverse.ravel()]), None
-    size = attention_size if params.variant == "mirnn_attention" else None
+    size = attention_size if traits.attention else None
     per_record: list = [None] * len(extended)
     total = np.zeros((size, size)) if size is not None else None
     count = 0
@@ -288,18 +285,19 @@ def latency_bench(
     rerank_sizes, beam_sizes = list(dict.fromkeys(rerank_sizes)), list(dict.fromkeys(beam_sizes))
     first_params = next(iter(models.values()))
     catalogs = {n: generate_catalog(n, first_params.config.d, seed + n) for n in rerank_sizes}
-    policies = {
-        (name, k): model_policy(params, beam_size=k)
-        for name, params in models.items()
-        for k in (beam_sizes if params.is_recurrent else [0])
-    }
+    # The feed-forward models sort without a beam: their one cell has beam size 0.
+    beams = {name: beam_sizes if params.traits.recurrent else [0] for name, params in models.items()}
+    policies = {(name, k): model_policy(models[name], beam_size=k) for name in models for k in beams[name]}
     samples: dict[tuple, list[float]] = {
         (name, k, n): [] for name, k in policies for n in rerank_sizes
     }
     for _ in range(repetitions):
         for (name, k, n), times in samples.items():
             rank, candidates = policies[name, k], catalogs[n]
-            rank(candidates)  # warm-up
+            try:
+                rank(candidates)  # warm-up; the timed call repeats it exactly, so only this one can fail
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"model {name}, rerank size {n}, beam size {k}: {exc}") from None
             start = time.perf_counter()
             rank(candidates)
             times.append(time.perf_counter() - start)
@@ -316,11 +314,10 @@ def latency_bench(
     fastest = {cell: min(times) for cell, times in samples.items()}
     slope_vs_n: dict[str, float] = {}
     slope_vs_k: dict[str, float] = {}
-    for name, params in models.items():
-        base_k = min(beam_sizes) if params.is_recurrent else 0
+    for name, ks in beams.items():
         if len(rerank_sizes) > 1:
-            slope_vs_n[name] = _fit_slope(rerank_sizes, [fastest[name, base_k, n] for n in rerank_sizes])
-        if params.is_recurrent and len(beam_sizes) > 1:
+            slope_vs_n[name] = _fit_slope(rerank_sizes, [fastest[name, min(ks), n] for n in rerank_sizes])
+        if len(ks) > 1:
             big_n = max(rerank_sizes)
-            slope_vs_k[name] = _fit_slope(beam_sizes, [fastest[name, k, big_n] for k in beam_sizes])
+            slope_vs_k[name] = _fit_slope(ks, [fastest[name, k, big_n] for k in ks])
     return LatencyProfile(rows=tuple(rows), slope_vs_n=slope_vs_n, slope_vs_k=slope_vs_k)

@@ -17,15 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .configs import RECURRENT_VARIANTS, ModelConfig, ModelParams
+from .configs import ModelConfig, ModelParams
 from .core import MirankError, make_rng
 from . import nn
 from .nn.attention import representations, softmax
 from .nn.train import init_blocks
 
 __all__ = [
-    "ModelConfig",
-    "ModelParams",
     "advance_entries",
     "init_model",
     "input_projection",
@@ -41,11 +39,10 @@ def init_model(variant: str, config: ModelConfig, seed: int) -> ModelParams:
     return ModelParams(variant=variant, config=config, blocks=init_blocks(variant, config, make_rng(seed)))
 
 
-def _require_variant(params: ModelParams, allowed: tuple[str, ...]) -> None:
-    if params.variant not in allowed:
-        raise MirankError(
-            f"operation requires a model in {allowed}, got {params.variant!r}"
-        )
+def _require_variant(params: ModelParams, **traits: bool) -> None:
+    """Raise unless the model's variant has each of the given trait values."""
+    if any(getattr(params.traits, name) != value for name, value in traits.items()):
+        raise MirankError(f"operation requires a model with {traits}, got {params.variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -53,14 +50,14 @@ def _require_variant(params: ModelParams, allowed: tuple[str, ...]) -> None:
 
 
 def score_midnn_batch(params: ModelParams, extended: np.ndarray) -> np.ndarray:
-    _require_variant(params, ("midnn",))
+    _require_variant(params, extended=True, recurrent=False)
     probs, _ = nn.mlp_forward_batch(params.blocks, extended)
     return probs
 
 
 def baseline_probabilities(params: ModelParams, local: np.ndarray) -> np.ndarray:
     """Purchase probabilities from (n, d) local feature rows; order-independent."""
-    _require_variant(params, ("baseline",))
+    _require_variant(params, extended=False)
     probs, _ = nn.mlp_forward_batch(params.blocks, local)
     return probs
 
@@ -112,7 +109,7 @@ def advance_entries(
     At position 1 there are no predecessors and the attention context is zero,
     so the attention logit reduces to the plain recurrent one.
     """
-    _require_variant(params, RECURRENT_VARIANTS)
+    _require_variant(params, recurrent=True)
     blocks = params.blocks
     if projected is None:
         projected = input_projection(params, extended)
@@ -127,7 +124,7 @@ def advance_entries(
     hidden_all[rows, items] = hidden_new
     logits = hidden_all @ blocks["w_out"]
     reps = None
-    if params.variant == "mirnn_attention":
+    if params.traits.attention:
         attn_dim = params.config.attn_size
         reps = representations(blocks, hidden_all, position)
         if position > 1:
@@ -159,7 +156,7 @@ def sequence_probabilities_batch(
     params: ModelParams, extended: np.ndarray, orders: np.ndarray
 ) -> np.ndarray:
     """Per-position probabilities for a (Q, T) batch of orders over one set."""
-    _require_variant(params, RECURRENT_VARIANTS)
+    _require_variant(params, recurrent=True)
     x = np.asarray(extended, dtype=np.float64)[np.asarray(orders, dtype=int)]
     probs, _ = nn.sequence_forward(params.blocks, x)
     return probs
@@ -180,7 +177,7 @@ def logged_forward(params: ModelParams, extended: Sequence[np.ndarray]):
     are those of :func:`nn.sequence_forward` without training caches, so
     ``caches`` holds only ``"alphas"``. Memory holds one chunk's states.
     """
-    _require_variant(params, RECURRENT_VARIANTS)
+    _require_variant(params, recurrent=True)
     buckets: dict[int, list[int]] = defaultdict(list)
     for index, feats in enumerate(extended):
         buckets[len(feats)].append(index)

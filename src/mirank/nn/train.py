@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..configs import RECURRENT_VARIANTS, ModelConfig, ModelParams, TrainConfig, expected_block_shapes
+from ..configs import ModelConfig, ModelParams, TrainConfig, expected_block_shapes, variant_traits
 from ..core import MirankError, QueryRecord, make_rng
 from ..features import extend_feature_matrix
 from .common import cross_entropy_batch, glorot_uniform
@@ -48,7 +48,7 @@ def batch_loss_and_grads(variant: str, blocks: dict[str, np.ndarray], x: np.ndar
     prediction-minus-label, exact wherever the probability clamp is inactive.
     """
     labels = np.asarray(labels, dtype=np.float64)
-    if variant not in RECURRENT_VARIANTS:
+    if not variant_traits(variant).recurrent:
         probs, caches = mlp_forward_batch(blocks, x)
         loss = cross_entropy_batch(probs, labels)
         grads = mlp_backward(blocks, caches, probs - labels)
@@ -68,9 +68,10 @@ def _training_groups(variant: str, records: Sequence[QueryRecord]) -> list[tuple
     features and (R, T) labels, so that a batch is a row subset; the records
     of one length are extended in one call.
     """
-    if variant not in RECURRENT_VARIANTS:
+    traits = variant_traits(variant)
+    if not traits.recurrent:
         feats = [record.candidate_set.feature_matrix for record in records]
-        if variant != "baseline":
+        if traits.extended:
             feats = [extend_feature_matrix(f) for f in feats]
         labels = np.concatenate([record.labels for record in records]).astype(np.float64)
         return [(np.vstack(feats), labels)]
@@ -101,8 +102,7 @@ def train(
     rng = make_rng(seed)
     blocks = init_blocks(variant, model_config, rng)
     state = AdamState()
-    recurrent = variant in RECURRENT_VARIANTS
-    batch_size = train_config.sequence_batch_size if recurrent else train_config.batch_size
+    batch_size = train_config.sequence_batch_size if variant_traits(variant).recurrent else train_config.batch_size
     groups = _training_groups(variant, records)
     n_items = sum(len(record) for record in records)
     curve: list[float] = []

@@ -64,14 +64,14 @@ class RankResult:
 
 def _item_probabilities(params: ModelParams, candidates: CandidateSet) -> np.ndarray:
     """Order-independent purchase probability of each candidate (feed-forward models)."""
-    if params.variant == "baseline":
+    if not params.traits.extended:
         return baseline_probabilities(params, candidates.feature_matrix)
     return score_midnn_batch(params, extend_features(candidates))
 
 
 def _order_probabilities(params: ModelParams, candidates: CandidateSet, orders: np.ndarray) -> np.ndarray:
     """(Q, T) purchase probabilities at each position of a (Q, T) batch of orders."""
-    if params.is_recurrent:
+    if params.traits.recurrent:
         return sequence_probabilities_batch(params, extend_features(candidates), orders)
     return _item_probabilities(params, candidates)[orders]
 
@@ -103,10 +103,10 @@ def rank(params: ModelParams, candidates: CandidateSet, k: int = 5, gamma: float
     """
     if not 0 <= gamma < np.inf:
         raise MirankError(f"gamma must be finite and nonnegative, got {gamma}")
-    if params.is_recurrent:
+    if params.traits.recurrent:
         return beam_search(params, candidates, k)
     probs = _item_probabilities(params, candidates)
-    weights = candidates.prices**gamma if params.variant == "baseline" else candidates.prices
+    weights = candidates.prices**gamma if params.traits.price_exponent else candidates.prices
     order = _descending(weights * probs, candidates.ids)
     return RankResult(
         ranking=Ranking(tuple(order)),
@@ -131,10 +131,8 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     answer is row 0 of the last step. The kept pairs are read from the pool by
     their flat index.
     """
-    if not params.is_recurrent:
+    if not params.traits.recurrent:
         raise MirankError(f"beam_search requires a recurrent model, got {params.variant!r}")
-    if len(candidates) < 1:
-        raise MirankError("beam_search needs a non-empty candidate set")
     if k < 1:
         raise MirankError(f"beam size must be >= 1, got {k}")
     n = len(candidates)
@@ -155,7 +153,7 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     orders = np.zeros((1, n), dtype=int)
     probs = np.zeros((1, n))
     histories = rep_caches = None
-    if params.variant == "mirnn_attention":
+    if params.traits.attention:
         histories = np.zeros((1, n, h_dim))
         rep_caches = np.zeros((1, n, params.config.attn_size))
     for step in range(n):
@@ -198,9 +196,8 @@ def greedy_reference(params: ModelParams, candidates: CandidateSet) -> RankResul
     at each step, recomputing every candidate prefix from scratch.
 
     Verification twin of beam_search(k=1); shares no incremental state with it.
+    A feed-forward model is a MirankError, raised by the first scoring call.
     """
-    if not params.is_recurrent:
-        raise MirankError(f"greedy_reference requires a recurrent model, got {params.variant!r}")
     n = len(candidates)
     feats = extend_features(candidates)
     prices = candidates.prices

@@ -1,4 +1,5 @@
-"""Central finite-difference verification of the hand-derived gradients."""
+"""Central finite-difference verification of the hand-derived gradients
+(criterion 3 and ``test_nn``)."""
 
 from __future__ import annotations
 
@@ -6,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..configs import ModelConfig
-from ..core import make_rng
+from mirank.configs import ModelConfig
+from mirank.core import make_rng
+from mirank.nn.train import batch_loss_and_grads, init_blocks
 
 REL_ERROR_EPS = 1e-8
 
@@ -46,8 +48,6 @@ def gradient_check(
     Intended for small instances only (sequence length <= 8, hidden <= 8);
     cost is two full forward passes per parameter.
     """
-    from .train import batch_loss_and_grads, init_blocks
-
     param_rng = make_rng(seed)
     blocks = init_blocks(variant, config, param_rng)
     # Jitter the check point: fresh biases are exactly zero, and an all-dead

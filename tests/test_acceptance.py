@@ -33,7 +33,7 @@ from mirank.features import DEGENERATE_FILL, extend_feature_matrix, extend_featu
 from mirank.metrics import _fit_slope, logged_predictions, model_policy
 from mirank.models import sequence_probabilities
 from mirank.nn.common import cross_entropy
-from mirank.nn.gradcheck import gradient_check
+from gradcheck import gradient_check
 from mirank.persistence import ModelFileError
 from mirank.ranker import beam_search, exhaustive_oracle, greedy_reference, rank
 from conftest import chain_entry, random_candidates
@@ -410,7 +410,7 @@ def test_criterion_08_counted_work_slopes(monkeypatch, capsys):
                 work[k, n] = counts[counter]
         name = "attention" if variant == "mirnn_attention" else variant
         slopes[f"{name}_n"] = _fit_slope(sizes, [work[min(beam_sizes), n] for n in sizes])
-        if params.is_recurrent:
+        if params.traits.recurrent:
             slopes[f"{name}_k"] = _fit_slope(beam_sizes, [work[k, max(sizes)] for k in beam_sizes])
     ok = (
         abs(slopes["midnn_n"] - 1.0) <= 0.4
@@ -428,8 +428,8 @@ def test_criterion_09_attention_diagnostic(primacy_trained, capsys):
         primacy_trained["params"], primacy_trained["data"].test_records, size=20
     )
     for i in range(2, 21):
-        assert abs(matrix.row(i).sum() - 1.0) <= 1e-6
-    leading = float(matrix.row(20)[:2].sum())
+        assert abs(matrix.values[i - 1, : i - 1].sum() - 1.0) <= 1e-6
+    leading = float(matrix.values[19, :2].sum())
     _report(
         9,
         leading > 2.0 / 19.0,

@@ -8,6 +8,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from bench_pairs import parse_pairs, summarize  # noqa: E402
 
 
+RSS = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
+
+
 def _run(workload, pair, side, rss, faults, exit_code=0, digest="d0"):
     result = {"metrics": {"peak_rss_mb": {"value": rss, "unit": "MiB"}}}
     return {"workload": workload, "pair": pair, "side": side, "exit_code": exit_code,
@@ -25,15 +28,37 @@ def test_summary_counts_better_pairs_and_gates_on_the_base_iqr():
         runs += [_run("evaluate", pair, "base", base, 100), _run("evaluate", pair, "change", change, 90 + pair, digest=digest)]
     runs.append(_run("evaluate", 4, "base", 1.0, 1))  # its change run is missing
     runs += [_run("evaluate", 5, "base", 1.0, 1), _run("evaluate", 5, "change", 1.0, 1, exit_code=1)]
-    table = summarize(runs, {"peak_rss_mb": "lower"})["evaluate"]
+    table = summarize(runs, RSS)["evaluate"]
     assert table["pairs"] == 4 and table["outputs_sha256_equal_pairs"] == 3
     rss = table["peak_rss_mb"]
     assert rss["change_better_pairs"] == 3
     assert rss["base"]["median"] == 106.25 and rss["change"]["median"] == 62.75
     assert rss["gain_exceeds_base_iqr"] and rss["ratio"] == 62.75 / 106.25
-    assert table["ru_minflt"]["change_better_pairs"] == 4
+    assert rss["bound"] == 0.05 and rss["within_bound"]
+    assert table["ru_minflt"]["change_better_pairs"] == 4 and "within_bound" not in table["ru_minflt"]
+
+
+def test_within_bound_allows_a_loss_up_to_the_bound_in_the_better_direction():
+    """A median worse by exactly the bound passes and one worse by more
+    fails, for a lower-is-better and a higher-is-better metric alike."""
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.25},
+               {"name": "items_per_s", "better": "higher", "bound": 0.25}]
+
+    def table(change_rss, change_rate):
+        runs = []
+        for pair in range(3):
+            for side, rss, rate in (("base", 100.0, 100.0), ("change", change_rss, change_rate)):
+                run = _run("evaluate", pair, side, rss, 1)
+                run["result"]["metrics"]["items_per_s"] = {"value": rate, "unit": "items/s"}
+                runs.append(run)
+        summary = summarize(runs, metrics)["evaluate"]
+        return summary["peak_rss_mb"]["within_bound"], summary["items_per_s"]["within_bound"]
+
+    assert table(125.0, 75.0) == (True, True)
+    assert table(125.5, 74.5) == (False, False)
+    assert table(50.0, 200.0) == (True, True)
 
 
 def test_summary_needs_two_pairs():
     runs = [_run("rerank_lstm", 0, "base", 1.0, 1), _run("rerank_lstm", 0, "change", 1.0, 1)]
-    assert summarize(runs, {"peak_rss_mb": "lower"}) == {"rerank_lstm": {"pairs": 1, "outputs_sha256_equal_pairs": 1}}
+    assert summarize(runs, RSS) == {"rerank_lstm": {"pairs": 1, "outputs_sha256_equal_pairs": 1}}

@@ -423,14 +423,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command", ("evaluate", "rerank", "oracle-compare"))
-    def test_nan_predictions_are_validation(self, command, tmp_path, capsys):
-        """A midnn model whose blocks alternate +-1e300 saves and loads (every
-        value is finite) but predicts NaN. evaluate and rerank once exited 0
-        with NaN in metrics.json and rerank_gmv.csv, and oracle-compare ended
-        in a traceback; now each exits 2 naming the model and the query, and
-        leaves no output file (evaluate scores a sound model first)."""
+    @staticmethod
+    def _nan_model_run(tmp_path, command):
+        """The argv of ``command`` on a midnn model whose blocks alternate
+        +-1e300: it saves and loads (every value is finite) but predicts NaN.
+        evaluate scores a sound model first. Also returns the model's path
+        and the log's first query id."""
         out = tmp_path / "run"
         assert _generate(out) == 0
         fresh = init_model("midnn", ModelConfig(d=4, hidden_sizes=(4,)), seed=0)
@@ -445,22 +443,43 @@ class TestExitCodes:
             "evaluate": [log, sound, huge, "--attention-size", "5"],
             "rerank": [huge, log],
             "oracle-compare": [huge, log],
+            "bench": [huge, "--sizes", "3,4", "--reps", "1"],
         }[command]
+        argv = ["--output-dir", str(tmp_path / "bad"), command, *map(str, args)]
+        return argv, huge, read_logs(log).records[0].query_id
+
+    @pytest.mark.parametrize("command", ("evaluate", "rerank", "oracle-compare", "bench"))
+    def test_nan_predictions_are_validation(self, command, tmp_path, capsys):
+        """evaluate and rerank once exited 0 with NaN in metrics.json and
+        rerank_gmv.csv, oracle-compare ended in a traceback, and bench named
+        neither the model nor the size; now each exits 2 naming the model and
+        the query (bench: the rerank size), and leaves no output file."""
+        argv, huge, first_query = self._nan_model_run(tmp_path, command)
         capsys.readouterr()
-        bad = tmp_path / "bad"
-        assert main(["--output-dir", str(bad), command, *map(str, args)]) == EXIT_VALIDATION
+        assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        first_query = read_logs(log).records[0].query_id
-        assert f"model {huge}" in err and f"query {first_query}" in err and "nan" in err.lower()
+        named = ("model huge, rerank size 3", "beam size 0") if command == "bench" else (
+            f"model {huge}", f"query {first_query}")
+        assert all(part in err for part in named) and "nan" in err.lower()
         assert "Traceback" not in err
+        bad = tmp_path / "bad"
         assert not bad.exists() or not any(bad.iterdir())
+
+    @pytest.mark.parametrize("command", ("evaluate", "rerank", "oracle-compare", "bench"))
+    def test_nan_predictions_write_one_stderr_line(self, command, tmp_path):
+        """numpy's overflow warnings once came before the error line."""
+        argv, _, _ = self._nan_model_run(tmp_path, command)
+        env = {**os.environ, "PYTHONPATH": str(Path(mirank.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "mirank.cli", *argv], env=env, capture_output=True, text=True)
+        assert result.returncode == EXIT_VALIDATION
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
     def test_empty_training_log_is_validation(self, tmp_path):
         log = tmp_path / "empty.jsonl"
         log.write_text("")
         assert main(["--output-dir", str(tmp_path), "train", "midnn", str(log)]) == EXIT_VALIDATION
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         log.write_text(

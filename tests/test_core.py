@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mirank import CandidateSet, Item, QueryRecord, Ranking
+from mirank import CandidateSet, QueryRecord, Ranking
 from mirank.core import ValidationError, make_rng
 
 
@@ -27,39 +27,38 @@ class TestMakeRng:
 
 
 class TestItem:
+    """One item's id, price and features as a candidate set takes them."""
+
     def test_coerces_types(self):
-        item = Item(id=np.int64(3), price=np.float64(2.5), local_features=[1, 2])
-        assert isinstance(item.id, int) and isinstance(item.price, float)
-        assert item.local_features.dtype == np.float64
+        cs = CandidateSet([np.int64(3)], [np.float64(2.5)], [[1, 2]])
+        assert cs.ids.dtype == np.int64 and cs.prices.dtype == np.float64
+        assert cs.feature_matrix.dtype == np.float64
 
     @pytest.mark.parametrize("bad_id", [1.9, "2"])
     def test_rejects_non_integer_id(self, bad_id):
         with pytest.raises(ValidationError, match="must be integers"):
-            Item(id=bad_id, price=1.0, local_features=np.zeros(2))
+            CandidateSet([bad_id], [1.0], np.zeros((1, 2)))
 
     @pytest.mark.parametrize("price, features", [("2.5", [1.0]), (None, [1.0]), (2.5, ["1.5"]), (2.5, [None])])
     def test_rejects_non_numeric_floats(self, price, features):
         with pytest.raises(ValidationError, match="must be numbers"):
-            Item(id=0, price=price, local_features=features)
+            CandidateSet([0], [price], [features])
 
     def test_features_are_read_only(self):
-        item = Item(id=0, price=1.0, local_features=np.arange(3.0))
+        cs = CandidateSet([0], [1.0], [np.arange(3.0)])
         with pytest.raises(ValueError):
-            item.local_features[0] = 9.0
+            cs.feature_matrix[0, 0] = 9.0
 
 
 class TestCandidateSet:
     def test_prices_and_feature_matrix(self, rng):
-        items = tuple(Item(id=i, price=float(i + 1), local_features=rng.standard_normal(4)) for i in range(3))
-        cs = CandidateSet.of(items)
+        features = [rng.standard_normal(4) for _ in range(3)]
+        cs = CandidateSet(range(3), [1.0, 2.0, 3.0], features)
         assert len(cs) == 3
         assert np.array_equal(cs.ids, [0, 1, 2])
         assert np.array_equal(cs.prices, [1.0, 2.0, 3.0])
         assert cs.feature_matrix.shape == (3, 4)
-        assert np.array_equal(cs.feature_matrix[1], items[1].local_features)
-        rows = cs.items
-        assert [(row.id, row.price) for row in rows] == [(item.id, item.price) for item in items]
-        assert np.array_equal(rows[2].local_features, items[2].local_features)
+        assert np.array_equal(cs.feature_matrix[1], features[1])
 
     def test_arrays_are_read_only_copies(self):
         features = np.zeros((2, 3))
@@ -106,7 +105,7 @@ class TestRanking:
 
 class TestQueryRecord:
     def _items(self, n):
-        return CandidateSet.of(Item(id=i, price=1.0, local_features=np.zeros(2)) for i in range(n))
+        return CandidateSet(np.arange(n), np.ones(n), np.zeros((n, 2)))
 
     def test_candidate_set_roundtrip(self):
         cs = self._items(2)
@@ -160,12 +159,11 @@ class TestValidateCandidateSet:
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError, match="at least one item"):
-            CandidateSet.of(())
+            CandidateSet([], [], [])
 
     def test_rejects_duplicate_ids(self):
-        items = (Item(0, 1.0, np.zeros(2)), Item(0, 2.0, np.zeros(2)))
         with pytest.raises(ValidationError, match="duplicate"):
-            CandidateSet.of(items)
+            CandidateSet([0, 0], [1.0, 2.0], np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad_id", [1.9, "2", None, float("inf"), 2**70])
     def test_rejects_non_integer_ids(self, bad_id):
@@ -179,27 +177,24 @@ class TestValidateCandidateSet:
 
     def test_rejects_negative_id(self):
         with pytest.raises(ValidationError, match="non-negative"):
-            CandidateSet.of((Item(-1, 1.0, np.zeros(2)),))
+            CandidateSet([-1], [1.0], np.zeros((1, 2)))
 
     @pytest.mark.parametrize("price", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_price(self, price):
         with pytest.raises(ValidationError, match="price"):
-            CandidateSet.of((Item(0, price, np.zeros(2)),))
+            CandidateSet([0], [price], np.zeros((1, 2)))
 
     def test_rejects_mismatched_dimensions(self):
-        items = (Item(0, 1.0, np.zeros(2)), Item(1, 1.0, np.zeros(3)))
         with pytest.raises(ValidationError, match="item 1: feature dimension .* differs"):
-            CandidateSet.of(items)
+            CandidateSet([0, 1], [1.0, 1.0], [np.zeros(2), np.zeros(3)])
 
     def test_rejects_non_finite_features(self):
-        items = (Item(0, 1.0, np.array([1.0, 2.0])), Item(1, 1.0, np.array([1.0, np.nan])))
         with pytest.raises(ValidationError, match="item 1: local features contain non-finite"):
-            CandidateSet.of(items)
+            CandidateSet([0, 1], [1.0, 1.0], [[1.0, 2.0], [1.0, np.nan]])
 
     def test_rejects_infinite_features(self):
-        items = (Item(0, 1.0, np.array([np.inf, -np.inf])), Item(1, 1.0, np.array([0.0, 1.0])))
         with pytest.raises(ValidationError, match="item 0: local features contain non-finite"):
-            CandidateSet.of(items)
+            CandidateSet([0, 1], [1.0, 1.0], [[np.inf, -np.inf], [0.0, 1.0]])
 
     @pytest.mark.parametrize("prices, features, what", [
         (["2.5", 3.0], [[1.5, 0.0], [0.0, 1.0]], "prices"),

@@ -154,20 +154,20 @@ class TestAttentionDiagnostic:
         params = init_model("mirnn_attention", SMALL, seed=1)
         matrix = attention_diagnostic(params, self._records(4), size=4)
         assert matrix.n_records == 3
-        assert abs(matrix.row(2)[0] - 1.0) < 1e-12
+        assert abs(matrix.values[1, 0] - 1.0) < 1e-12
 
     def test_rows_sum_to_one(self):
         params = init_model("mirnn_attention", SMALL, seed=1)
         matrix = attention_diagnostic(params, self._records(6), size=6)
         for i in range(2, 7):
-            assert abs(matrix.row(i).sum() - 1.0) < 1e-10
+            assert abs(matrix.values[i - 1, : i - 1].sum() - 1.0) < 1e-10
 
     def test_zero_score_weights_give_uniform_rows(self):
         params = init_model("mirnn_attention", SMALL, seed=1)
         params = dataclasses.replace(params, blocks={**params.blocks, "w_g": np.zeros_like(params.blocks["w_g"])})
         matrix = attention_diagnostic(params, self._records(5), size=5)
         for i in range(2, 6):
-            assert np.allclose(matrix.row(i), 1.0 / (i - 1))
+            assert np.allclose(matrix.values[i - 1, : i - 1], 1.0 / (i - 1))
 
     def test_short_records_are_skipped_and_none_left_raises(self):
         params = init_model("mirnn_attention", SMALL, seed=1)

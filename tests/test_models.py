@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from mirank import ModelConfig, init_model, nn
-from mirank.core import MirankError, Ranking, make_rng
+from mirank import ModelConfig, QueryRecord, TrainConfig, init_model, nn, train
+from mirank.configs import VARIANT_TRAITS, expected_block_shapes
+from mirank.core import MirankError, Ranking, ValidationError, make_rng
 from mirank.features import extend_features
 from mirank.models import (
     advance_entries,
@@ -33,6 +34,37 @@ class TestInitModel:
         a = init_model("midnn", SMALL, seed=1)
         b = init_model("midnn", SMALL, seed=2)
         assert not np.array_equal(a.blocks["W1"], b.blocks["W1"])
+
+
+@pytest.mark.parametrize("variant", VARIANT_TRAITS)
+def test_traits_agree_with_the_blocks(variant, rng):
+    """Each row of the variant table matches the blocks the variant gets and
+    the blocks nn.recurrent dispatches on: attention <=> w_ctx and w_g,
+    recurrent <=> Wh, extended <=> 2d inputs."""
+    traits = VARIANT_TRAITS[variant]
+    shapes = expected_block_shapes(variant, SMALL)
+    assert ("w_ctx" in shapes) == ("w_g" in shapes) == traits.attention
+    assert ("Wh" in shapes) == traits.recurrent
+    assert SMALL.input_dim(variant) == (2 if traits.extended else 1) * SMALL.d
+    assert shapes["Wx" if traits.recurrent else "W1"][1] == SMALL.input_dim(variant)
+    params = init_model(variant, SMALL, seed=0)
+    assert params.traits is traits
+    if traits.recurrent:
+        x = rng.standard_normal((1, 3, SMALL.input_dim(variant)))
+        assert bool(nn.sequence_forward(params.blocks, x)[1]["alphas"]) == traits.attention
+
+
+@pytest.mark.parametrize("variant", ["lstm", "", None, ["midnn"]])
+def test_unknown_variant_is_validation(variant, rng):
+    record = QueryRecord("q", random_candidates(rng, 3, SMALL.d), [1, 0, 0])
+    calls = (
+        lambda: init_model(variant, SMALL, seed=0),
+        lambda: train(variant, [record], SMALL, TrainConfig(epochs=1), seed=0),
+        lambda: expected_block_shapes(variant, SMALL),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="unknown model variant"):
+            call()
 
 
 class TestFeedForwardScoring:

@@ -10,7 +10,7 @@ from mirank import BehaviorConfig, CandidateSet, ModelConfig, QueryRecord, Train
 from mirank.configs import VARIANTS
 from mirank.core import MirankError, ValidationError, make_rng
 from mirank.nn.common import PROB_EPS, cross_entropy, cross_entropy_batch, glorot_uniform, sigmoid
-from mirank.nn.gradcheck import gradient_check, relative_error
+from gradcheck import gradient_check, relative_error
 from mirank.nn.lstm import lstm_step_batch
 from mirank.nn.mlp import mlp_forward_batch
 from mirank.nn.optim import AdamState, adam_step

@@ -106,7 +106,7 @@ class TestRankDispatch:
         order = rank(params, cs, k=3, gamma=1.5).ranking.order
         assert rerank_top_n(params, Ranking(tuple(range(7))), cs, n=7, k=3, gamma=1.5).order == order
         assert model_policy(params, beam_size=3, gamma=1.5)(cs).order == order
-        if params.is_recurrent:
+        if params.traits.recurrent:
             assert beam_search(params, cs, k=3).ranking.order == order
 
 
@@ -258,7 +258,7 @@ def test_nan_model_gives_no_gmv(variant, rng):
         lambda: expected_gmv(params, cs, Ranking(tuple(range(5)))),
         lambda: exhaustive_oracle(params, cs),
     ]
-    if params.is_recurrent:
+    if params.traits.recurrent:
         searches += [lambda: beam_search(params, cs, 2), lambda: greedy_reference(params, cs)]
     for search in searches:
         with pytest.raises(NonFiniteError, match="expected GMV of nan"):

@@ -89,7 +89,7 @@ class TestSessionProbabilities:
     def test_empty_session_rejected(self):
         # An empty session cannot be built: the candidate set rejects it.
         with pytest.raises(MirankError):
-            session_probabilities(BehaviorConfig(), CandidateSet.of([]))
+            session_probabilities(BehaviorConfig(), CandidateSet([], [], []))
 
 
 class TestSessionLabels:

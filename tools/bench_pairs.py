@@ -17,7 +17,10 @@ process). Per workload it sums up each end-to-end metric of
 side, the change/base ratio of the medians, the number of pairs in which the
 change was better, and whether the gap between the medians, in the better
 direction, exceeds the base's interquartile range; and the number of pairs
-whose two runs wrote the same output digest.
+whose two runs wrote the same output digest. Each end-to-end metric also
+carries its ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether
+the change's median is worse than the base's by no more than that fraction
+of the base's median, the no-regression check.
 """
 
 from __future__ import annotations
@@ -67,9 +70,10 @@ def _stats(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per workload and metric (name -> "lower" or "higher" is better), the
-    statistics of both sides over the pairs in which both runs succeeded."""
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and metric (``BENCHMARK.json`` ``end_to_end`` entries:
+    ``name``, ``better`` "lower" or "higher", ``bound``), the statistics of
+    both sides over the pairs in which both runs succeeded."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict] = {}
@@ -87,7 +91,8 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
         summary[workload] = table
         if len(complete) < 2:
             continue
-        for name, better in {**metrics, "ru_minflt": "lower"}.items():
+        for entry in [*metrics, {"name": "ru_minflt", "better": "lower"}]:
+            name, better = entry["name"], entry["better"]
             values = {
                 side: [pair[side]["ru_minflt"] if name == "ru_minflt"
                        else pair[side]["result"]["metrics"][name]["value"] for pair in complete]
@@ -103,6 +108,11 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
                 "change_better_pairs": sum(sign * (c - b) > 0 for b, c in zip(values["base"], values["change"])),
                 "gain_exceeds_base_iqr": sign * (change["median"] - base["median"]) > base["q3"] - base["q1"],
             }
+            if "bound" in entry:
+                table[name]["bound"] = entry["bound"]
+                table[name]["within_bound"] = (
+                    sign * (change["median"] - base["median"]) >= -entry["bound"] * base["median"]
+                )
     return summary
 
 
@@ -125,7 +135,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     roots = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    metrics = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
     runs = []
     for workload, count in args.pairs.items():
         for pair in range(count):
@@ -140,7 +149,7 @@ def main(argv=None) -> int:
             f"--out {args.out.name}"
         ),
         "trees": {side: {"src_sha256": src_sha256(root)} for side, root in roots.items()},
-        "summary": summarize(runs, metrics),
+        "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
