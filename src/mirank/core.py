@@ -75,6 +75,17 @@ def _frozen_integers(values, what: str) -> np.ndarray:
     raise ValidationError(f"{what} must be integers within the int64 range")
 
 
+def _positions(order, n: int) -> np.ndarray:
+    """``order`` as int64 positions into n items; a position that is not a
+    whole number, or lies outside 0..n-1, raises instead of being cast or
+    wrapped around."""
+    order = _frozen_integers(order, "positions")
+    listed = order.ravel().tolist()  # builtin min and max beat their numpy forms on short orders
+    if listed and (min(listed) < 0 or max(listed) >= n):
+        raise ValidationError(f"position {next(i for i in listed if not 0 <= i < n)} is outside 0..{n - 1}")
+    return order
+
+
 class CandidateSet:
     """The ordered items to be ranked for one query, held as three read-only
     arrays: ``ids`` (N,), ``prices`` (N,) and ``feature_matrix`` (N, d).
@@ -147,18 +158,19 @@ class CandidateSet:
 
     def take(self, order) -> CandidateSet:
         """The items at positions ``order`` of this set, in that order."""
-        order = np.asarray(order, dtype=np.intp)
+        order = _positions(order, len(self))
         return CandidateSet(self._ids[order], self._prices[order], self._features[order])
 
 
 @dataclass(frozen=True)
 class Ranking:
-    """A permutation of candidate-set indices (0-based positions into the set)."""
+    """A permutation of candidate-set indices (0-based positions into the set);
+    positions that are not whole numbers raise instead of being truncated."""
 
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
+        order = tuple(_frozen_integers(self.order, "ranking positions").tolist())
         if sorted(order) != list(range(len(order))):
             raise ValidationError(f"order {order} is not a permutation of 0..{len(order) - 1}")
         object.__setattr__(self, "order", order)
@@ -215,7 +227,7 @@ class QueryRecord:
     def take(self, order) -> QueryRecord:
         """The record with its items, labels and probabilities at positions
         ``order``, in that order."""
-        order = np.asarray(order, dtype=np.intp)
+        order = _positions(order, len(self))
         probs = self.ground_truth_probs
         return QueryRecord(
             self.query_id, self.candidate_set.take(order), self.labels[order], None if probs is None else probs[order]

@@ -71,6 +71,15 @@ def input_projection(params: ModelParams, extended: np.ndarray) -> np.ndarray:
     return np.asarray(extended, dtype=np.float64) @ params.blocks["Wx"].T
 
 
+def _as_halves(array: np.ndarray, half: np.dtype) -> np.ndarray:
+    """(..., A) values as (...) single values of the A-double ``half`` dtype;
+    copied to float64 first only where a row is not one contiguous float64 run."""
+    array = np.asarray(array, dtype=np.float64)
+    if array.strides[-1] != array.itemsize:
+        array = array.copy()
+    return array.view(half)[..., 0]
+
+
 def advance_entries(
     params: ModelParams,
     hiddens: np.ndarray,
@@ -106,6 +115,13 @@ def advance_entries(
     Sums and activations are written in place wherever that is the same IEEE
     operation on the same operands.
 
+    An entry's attention pair tensor is (N, t, 2A), row (i, j) being
+    [a_i; a_j]. It is filled by whole half-row copies, viewed as (N, t, 2)
+    values of A doubles each, where broadcasting doubles would run N*t inner
+    loops of A elements. This is exact: the buffer keeps its C-contiguous
+    layout and receives the same bytes, so each item's (t, 2A) gemv in the
+    pair matmul is the same call on the same operands.
+
     At position 1 there are no predecessors and the attention context is zero,
     so the attention logit reduces to the plain recurrent one.
     """
@@ -133,9 +149,12 @@ def advance_entries(
             # buffer, so peak memory stays at (N, t, 2A) however wide the beam.
             scores = np.empty(reps.shape[:2] + (t,))
             pairs = np.empty((n_items, t, 2 * attn_dim))
+            half = np.dtype((np.void, 8 * attn_dim))
+            halves = pairs.view(half)
+            item_halves, cache_halves = _as_halves(reps, half), _as_halves(rep_caches[:, :t], half)
             for e in range(n_entries):
-                pairs[:, :, :attn_dim] = reps[e, :, None, :]
-                pairs[:, :, attn_dim:] = rep_caches[e, None, :t, :]
+                halves[:, :, 0] = item_halves[e, :, None]
+                halves[:, :, 1] = cache_halves[e]
                 np.matmul(pairs, blocks["w_g"], out=scores[e])
             alpha = softmax(np.maximum(scores, 0.0, out=scores))
             logits += (alpha @ histories[:, :t]) @ blocks["w_ctx"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import ModelParams
-from .core import CandidateSet, MirankError, NonFiniteError, Ranking
+from .core import CandidateSet, MirankError, NonFiniteError, Ranking, ValidationError
 from .features import extend_features
 from .models import (
     advance_entries,
@@ -76,9 +76,16 @@ def _order_probabilities(params: ModelParams, candidates: CandidateSet, orders: 
     return _item_probabilities(params, candidates)[orders]
 
 
+def _require_full_ranking(ranking: Ranking, candidates: CandidateSet) -> None:
+    """Raise a ValidationError unless the ranking orders every candidate."""
+    if len(ranking) != len(candidates):
+        raise ValidationError(f"ranking length {len(ranking)} differs from the candidate set size {len(candidates)}")
+
+
 def expected_gmv(params: ModelParams, candidates: CandidateSet, ranking: Ranking) -> float:
-    """Sum of price times purchase probability along the ranking; NaN or
-    infinity is a NonFiniteError."""
+    """Sum of price times purchase probability along the ranking, which must
+    order every candidate; NaN or infinity is a NonFiniteError."""
+    _require_full_ranking(ranking, candidates)
     order = np.asarray(ranking.order, dtype=int)
     probs = _order_probabilities(params, candidates, order[None, :])[0]
     return _finite_gmv(float(np.sum(candidates.prices[order] * probs)))
@@ -254,8 +261,10 @@ def rerank_top_n(
     """Re-order the top-n prefix of a base ranking with the chosen model.
 
     The global feature extension for the reranked items is computed over the
-    top-n subset only; positions after n keep the base order.
+    top-n subset only; positions after n keep the base order. The base
+    ranking must order every candidate.
     """
+    _require_full_ranking(base_ranking, candidates)
     if n < 1:
         raise MirankError(f"rerank size must be >= 1, got {n}")
     if n > len(candidates):

@@ -87,6 +87,20 @@ class TestCandidateSet:
         subset = record.take(order[:3])
         assert len(subset) == 3 and np.array_equal(subset.candidate_set.ids, cs.ids[order[:3]])
 
+    @pytest.mark.parametrize("order", [[0, 1.9], [0.5], [-1], [0, -2], [3], [0, 7], ["1"]])
+    def test_take_rejects_positions_that_are_not_whole_or_in_range(self, order):
+        """A fractional position is not truncated, and a negative one does not
+        wrap around to the end of the set."""
+        cs = CandidateSet([4, 5, 6], [1.0, 2.0, 3.0], np.eye(3))
+        record = QueryRecord("q", cs, [1, 0, 0])
+        for take in (cs.take, record.take):
+            with pytest.raises(ValidationError, match="position"):
+                take(order)
+
+    def test_take_accepts_whole_float_positions(self):
+        cs = CandidateSet([4, 5, 6], [1.0, 2.0, 3.0], np.eye(3))
+        assert cs.take([2.0, 0]).ids.tolist() == [6, 4]
+
 
 class TestRanking:
     def test_valid_permutation(self):
@@ -101,6 +115,16 @@ class TestRanking:
 
     def test_empty_ranking_allowed(self):
         assert Ranking(()).order == ()
+
+    @pytest.mark.parametrize("order", [(0, 1.7), (0.5, 1), ("0", "1"), (0, None)])
+    def test_rejects_positions_that_are_not_whole_numbers(self, order):
+        """(0, 1.7) used to read as (0, 1), and ("0", "1") was accepted."""
+        with pytest.raises(ValidationError, match="ranking positions must be integers"):
+            Ranking(order)
+
+    def test_whole_float_and_numpy_positions_become_ints(self):
+        r = Ranking((np.int64(1), 0.0))
+        assert r.order == (1, 0) and all(type(i) is int for i in r.order)
 
 
 class TestQueryRecord:

@@ -15,6 +15,7 @@ from mirank.models import (
     sequence_probabilities,
     sequence_probabilities_batch,
 )
+from mirank.nn.attention import representations, softmax
 from mirank.ranker import rank, rerank_top_n
 from conftest import chain_entry, random_candidates
 
@@ -210,3 +211,60 @@ class TestSequentialScoring:
         params = init_model("mirnn", SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 4, 3))
         assert nn.sequence_forward(params.blocks, feats[None])[1]["alphas"] == []
+
+
+def _advance_with_broadcast_fill(params, hiddens, cells, histories, rep_caches, position, extended, items):
+    """:func:`advance_entries` as it was before its pair tensor was filled by
+    half-row copies: two broadcast assignments of doubles per entry. Kept as
+    the reference that the half-row fill must match bit for bit."""
+    blocks = params.blocks
+    projected = input_projection(params, extended)
+    n_entries, n_items = len(hiddens), len(projected)
+    rows = np.arange(n_entries)[:, None]
+    z = projected[items]
+    z += (hiddens @ blocks["Wh"].T + blocks["b"])[:, None, :]
+    hidden_new, cell_new, _ = nn.cell_update(z, cells[:, None, :])
+    hidden_all = np.zeros((n_entries, n_items, hidden_new.shape[2]))
+    hidden_all[rows, items] = hidden_new
+    logits = hidden_all @ blocks["w_out"]
+    attn_dim = params.config.attn_size
+    reps = representations(blocks, hidden_all, position)
+    t = position - 1
+    scores = np.empty(reps.shape[:2] + (t,))
+    pairs = np.empty((n_items, t, 2 * attn_dim))
+    for e in range(n_entries):
+        pairs[:, :, :attn_dim] = reps[e, :, None, :]
+        pairs[:, :, attn_dim:] = rep_caches[e, None, :t, :]
+        np.matmul(pairs, blocks["w_g"], out=scores[e])
+    alpha = softmax(np.maximum(scores, 0.0, out=scores))
+    logits += (alpha @ histories[:, :t]) @ blocks["w_ctx"]
+    return nn.sigmoid(logits[rows, items]), hidden_new, cell_new, reps[rows, items]
+
+
+@pytest.mark.parametrize("draw", range(3))
+@pytest.mark.parametrize("attn_size", [1, 3, 10, 17])
+def test_half_row_pair_fill_matches_the_broadcast_fill_bit_for_bit(attn_size, draw):
+    """The attention step's pair tensor, filled by whole half-row copies,
+    gives the same probabilities, states and representations as the
+    broadcast fill, for random entry counts, item counts and positions, an
+    ``items`` narrower than N, and rep caches wider than position - 1, also
+    in Fortran order, whose rows are not contiguous."""
+    rng = make_rng(1000 * attn_size + draw)
+    config = ModelConfig(d=3, hidden_sizes=(5,), lstm_hidden=6, attn_size=attn_size, pos_size=2, max_positions=12)
+    params = init_model("mirnn_attention", config, seed=draw)
+    n_entries, n_items = int(rng.integers(1, 7)), int(rng.integers(4, 15))
+    position = int(rng.integers(3, n_items + 1))  # two predecessors or more, so their order counts
+    width = position - 1 + int(rng.integers(0, 4))
+    feats = extend_features(random_candidates(rng, n_items, config.d))
+    h_dim = config.lstm_hidden
+    hiddens, cells = rng.standard_normal((2, n_entries, h_dim))
+    histories = rng.standard_normal((n_entries, width, h_dim))
+    rep_caches = np.maximum(rng.standard_normal((n_entries, width, attn_size)), 0.0)
+    narrower = np.sort(np.argsort(rng.random((n_entries, n_items)))[:, : n_items - position + 1], axis=1)
+    all_items = np.broadcast_to(np.arange(n_items), (n_entries, n_items))
+    for items, caches in ((all_items, rep_caches), (narrower, rep_caches), (narrower, np.asfortranarray(rep_caches))):
+        state = (hiddens, cells, histories, caches, position, feats)
+        got = advance_entries(params, *state, items=items)
+        want = _advance_with_broadcast_fill(params, *state, items)
+        for name, a, b in zip(("probs", "hidden", "cell", "reps"), got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), name

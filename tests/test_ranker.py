@@ -12,7 +12,7 @@ from mirank.features import extend_features
 from mirank.metrics import model_policy
 from mirank.models import sequence_probabilities_batch
 from mirank.configs import ModelParams
-from mirank.core import MirankError, NonFiniteError, make_rng
+from mirank.core import MirankError, NonFiniteError, ValidationError, make_rng
 from mirank.ranker import (
     MAX_ORACLE_ITEMS,
     beam_search,
@@ -288,3 +288,20 @@ class TestRerankTopN:
             rerank_top_n(params, base, cs, n=0)
         with pytest.raises(MirankError):
             rerank_top_n(params, base, cs, n=5)
+
+    @pytest.mark.parametrize("variant", ["midnn", "mirnn"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0,), (1, 0, 2, 3)])
+    def test_ranking_must_match_the_candidate_set(self, variant, order, rng):
+        """On a 2-item set, a base of (0, 1, 2) used to rerank to (1, 0, 2),
+        (0,) dropped an item, and expected_gmv gave a one-item GMV or ended
+        in an IndexError."""
+        cs = random_candidates(rng, 2, 3)
+        params = init_model(variant, SMALL, seed=0)
+        calls = (
+            lambda: rerank_top_n(params, Ranking(order), cs, n=1),
+            lambda: rerank_top_n(params, Ranking(order), cs, n=2),
+            lambda: expected_gmv(params, cs, Ranking(order)),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="differs from the candidate set size 2"):
+                call()
