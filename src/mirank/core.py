@@ -75,15 +75,17 @@ def _frozen_integers(values, what: str) -> np.ndarray:
     raise ValidationError(f"{what} must be integers within the int64 range")
 
 
-def _positions(order, n: int) -> np.ndarray:
-    """``order`` as int64 positions into n items; a position that is not a
-    whole number, or lies outside 0..n-1, raises instead of being cast or
-    wrapped around."""
+def _positions(order, n: int) -> tuple[np.ndarray, list[int]]:
+    """``order`` as a vector of int64 positions into n items, and as a list;
+    a position that is not a whole number, or lies outside 0..n-1, raises
+    instead of being cast or wrapped around."""
     order = _frozen_integers(order, "positions")
-    listed = order.ravel().tolist()  # builtin min and max beat their numpy forms on short orders
+    if order.ndim != 1:
+        raise ValidationError(f"positions must be a vector, got shape {order.shape}")
+    listed = order.tolist()  # builtin min and max beat their numpy forms on short orders
     if listed and (min(listed) < 0 or max(listed) >= n):
         raise ValidationError(f"position {next(i for i in listed if not 0 <= i < n)} is outside 0..{n - 1}")
-    return order
+    return order, listed
 
 
 class CandidateSet:
@@ -157,9 +159,24 @@ class CandidateSet:
         return self._features
 
     def take(self, order) -> CandidateSet:
-        """The items at positions ``order`` of this set, in that order."""
-        order = _positions(order, len(self))
-        return CandidateSet(self._ids[order], self._prices[order], self._features[order])
+        """The items at positions ``order`` of this set, in that order.
+
+        Only ``order`` is checked: it must be a non-empty vector of distinct
+        whole positions in range. The rows it picks were checked when this
+        set was built, so the taken set is made from them as they are.
+        """
+        order, listed = _positions(order, len(self))
+        if not listed:
+            raise ValidationError("candidate set must contain at least one item")
+        if len(set(listed)) < len(listed):
+            duplicate = next(i for k, i in enumerate(listed) if i in listed[:k])
+            raise ValidationError(f"duplicate item id {self._ids[duplicate]} in candidate set")
+        taken = CandidateSet.__new__(CandidateSet)
+        taken._ids, taken._prices = self._ids.take(order), self._prices.take(order)
+        taken._features = self._features.take(order, axis=0)
+        for array in (taken._ids, taken._prices, taken._features):
+            array.setflags(write=False)
+        return taken
 
 
 @dataclass(frozen=True)
@@ -227,7 +244,7 @@ class QueryRecord:
     def take(self, order) -> QueryRecord:
         """The record with its items, labels and probabilities at positions
         ``order``, in that order."""
-        order = _positions(order, len(self))
+        order, _ = _positions(order, len(self))
         probs = self.ground_truth_probs
         return QueryRecord(
             self.query_id, self.candidate_set.take(order), self.labels[order], None if probs is None else probs[order]

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from ..configs import ModelConfig, ModelParams, TrainConfig, expected_block_shapes, variant_traits
-from ..core import MirankError, QueryRecord, make_rng
+from ..core import MirankError, QueryRecord, ValidationError, make_rng
 from ..features import extend_feature_matrix
 from .common import cross_entropy_batch, glorot_uniform
 from .mlp import mlp_backward, mlp_forward_batch
@@ -59,29 +60,40 @@ def batch_loss_and_grads(variant: str, blocks: dict[str, np.ndarray], x: np.ndar
     return loss, grads
 
 
-def _training_groups(variant: str, records: Sequence[QueryRecord]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (features, labels) groups that mini-batches are drawn from.
+def _training_groups(variant: str, records: Sequence[QueryRecord], config: ModelConfig):
+    """The groups that mini-batches are drawn from, as (size, batch) pairs:
+    ``batch(chosen)`` returns the features and labels at positions ``chosen``
+    of the group.
 
-    Feed-forward variants train on items: one group of all (n, F) item rows
-    and their (n,) labels, in record order. Recurrent variants train on whole
-    records: one group per record length, shortest first, of (R, T, F)
-    features and (R, T) labels, so that a batch is a row subset; the records
-    of one length are extended in one call.
+    Feed-forward variants train on items: one group of all items in record
+    order, whose (n, F) rows are filled once, record by record. Recurrent
+    variants train on whole records: one group per record length, shortest
+    first, and each batch stacks and extends only its chosen records, giving
+    (B, T, F) features and (B, T) labels. Each record's extension reads only
+    its own rows, so its features do not depend on the records it is batched
+    with.
     """
     traits = variant_traits(variant)
     if not traits.recurrent:
-        feats = [record.candidate_set.feature_matrix for record in records]
-        if traits.extended:
-            feats = [extend_feature_matrix(f) for f in feats]
+        feats = np.empty((sum(len(record) for record in records), config.input_dim(variant)))
+        start = 0
+        for record in records:
+            local = record.candidate_set.feature_matrix
+            feats[start : start + len(local)] = extend_feature_matrix(local) if traits.extended else local
+            start += len(local)
         labels = np.concatenate([record.labels for record in records]).astype(np.float64)
-        return [(np.vstack(feats), labels)]
+        return [(len(labels), lambda chosen: (feats[chosen], labels[chosen]))]
+
+    def batch(group: list[QueryRecord], chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        chosen_records = [group[i] for i in chosen]
+        return (
+            extend_feature_matrix(np.stack([r.candidate_set.feature_matrix for r in chosen_records])),
+            np.stack([r.labels for r in chosen_records]).astype(np.float64),
+        )
+
     # sorted() is stable, so each length group keeps the records' order.
     groups = [list(group) for _, group in groupby(sorted(records, key=len), key=len)]
-    return [
-        (extend_feature_matrix(np.stack([r.candidate_set.feature_matrix for r in group])),
-         np.stack([r.labels for r in group]).astype(np.float64))
-        for group in groups
-    ]
+    return [(len(group), partial(batch, group)) for group in groups]
 
 
 def train(
@@ -94,25 +106,29 @@ def train(
     """Train a variant on query records; deterministic for a fixed seed.
 
     Returns the trained parameters and the per-epoch mean per-item training
-    loss. Raises TrainingDiverged with epoch/step context if the loss goes
-    non-finite.
+    loss. Raises ValidationError, before the first step, naming the first
+    record whose feature dimension is not the model's ``d``, and
+    TrainingDiverged with epoch/step context if the loss goes non-finite.
     """
     if not records:
         raise MirankError("cannot train on an empty dataset")
+    for record in records:
+        d = record.candidate_set.feature_matrix.shape[1]
+        if d != model_config.d:
+            raise ValidationError(f"record {record.query_id} has d={d} features, the model takes d={model_config.d}")
     rng = make_rng(seed)
     blocks = init_blocks(variant, model_config, rng)
     state = AdamState()
     batch_size = train_config.sequence_batch_size if variant_traits(variant).recurrent else train_config.batch_size
-    groups = _training_groups(variant, records)
+    groups = _training_groups(variant, records, model_config)
     n_items = sum(len(record) for record in records)
     curve: list[float] = []
     for epoch in range(train_config.epochs):
         total_loss, step = 0.0, 0
-        for feats, labels in groups:
-            order = rng.permutation(len(feats))
-            for start in range(0, len(feats), batch_size):
-                chosen = order[start : start + batch_size]
-                loss, grads = batch_loss_and_grads(variant, blocks, feats[chosen], labels[chosen])
+        for size, batch in groups:
+            order = rng.permutation(size)
+            for start in range(0, size, batch_size):
+                loss, grads = batch_loss_and_grads(variant, blocks, *batch(order[start : start + batch_size]))
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}, step {step} ({variant})")
                 adam_step(blocks, grads, state, train_config.learning_rate)

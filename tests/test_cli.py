@@ -475,6 +475,24 @@ class TestExitCodes:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
+    @pytest.mark.parametrize("variant", ("mirnn", "midnn"))
+    def test_mixed_feature_dimension_is_validation(self, variant, tmp_path, capsys):
+        """A training log whose records have d = 3, 3, 4, 4 once ended in a
+        traceback with exit 1."""
+        log = tmp_path / "mixed.jsonl"
+        log.write_text("".join(
+            json.dumps({"query_id": f"q{q}", "labels": [1, 0], "items": [
+                {"id": i, "price": 1.0 + i, "features": [0.5 * (i + q)] * d} for i in range(2)
+            ]}) + "\n"
+            for q, d in enumerate((3, 3, 4, 4))
+        ))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["--output-dir", str(out), "train", variant, str(log), "--epochs", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: record q2 has d=4 features, the model takes d=3"]
+        assert not (out / f"{variant}.model").exists()
+
     def test_empty_training_log_is_validation(self, tmp_path):
         log = tmp_path / "empty.jsonl"
         log.write_text("")

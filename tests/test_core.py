@@ -101,6 +101,26 @@ class TestCandidateSet:
         cs = CandidateSet([4, 5, 6], [1.0, 2.0, 3.0], np.eye(3))
         assert cs.take([2.0, 0]).ids.tolist() == [6, 4]
 
+    @pytest.mark.parametrize("order, message", [
+        ([], "must contain at least one item"),
+        ([2, 0, 2], "duplicate item id 6"),
+        ([0, 1.5], "must be integers"),
+        ([0, 3], "position 3 is outside 0..2"),
+    ], ids=["empty", "repeated", "fractional", "out-of-range"])
+    def test_take_rejects_each_bad_order(self, order, message):
+        """take builds its set without the constructor's checks, so it keeps
+        the errors those checks gave a bad order."""
+        cs = CandidateSet([4, 5, 6], [1.0, 2.0, 3.0], np.eye(3))
+        with pytest.raises(ValidationError, match=message):
+            cs.take(order)
+
+    def test_taken_arrays_are_read_only(self):
+        cs = CandidateSet([4, 5, 6], [1.0, 2.0, 3.0], np.eye(3))
+        taken = cs.take([2, 0])
+        for array in (taken.ids, taken.prices, taken.feature_matrix):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
 
 class TestRanking:
     def test_valid_permutation(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,50 @@ class TestTrain:
         config = TrainConfig(learning_rate=1e308, epochs=3)
         with pytest.raises(TrainingDiverged, match="non-finite loss"):
             train("midnn", [record], ModelConfig(d=2, hidden_sizes=(3,)), config, seed=0)
+
+    @pytest.mark.parametrize("variant", ("mirnn", "midnn"))
+    def test_feature_dimension_must_match_the_model(self, variant):
+        """A log of mixed d, or a model d that no record has, once ended in a
+        raw ValueError from np.stack, np.vstack or a matmul."""
+        good = _tiny_records(3, 4, 3, seed=1)
+        odd = _tiny_records(1, 4, 4, seed=2)[0]
+        mixed = good[:2] + [QueryRecord("odd", odd.candidate_set, odd.labels)] + good[2:]
+        small = dict(hidden_sizes=(4,), lstm_hidden=3)
+        with pytest.raises(ValidationError, match="record odd has d=4 features, the model takes d=3"):
+            train(variant, mixed, ModelConfig(d=3, **small), TrainConfig(epochs=1), seed=0)
+        with pytest.raises(ValidationError, match="record q0 has d=3 features, the model takes d=10"):
+            train(variant, good, ModelConfig(d=10, **small), TrainConfig(epochs=1), seed=0)
+
+
+class TestTrainingMemory:
+    """Training holds the records plus one batch: a recurrent batch extends
+    only its own records, and feed-forward items are extended into one
+    preallocated row array. Peaks are tracemalloc's, over one epoch at the
+    default model size (d=23, so 46 extended features)."""
+
+    @staticmethod
+    def _peak(variant, records):
+        tracemalloc.start()
+        try:
+            train(variant, records, ModelConfig(), TrainConfig(epochs=1), seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_recurrent_peak_does_not_follow_the_log(self):
+        """An extended copy of every record made the peak over 400 records
+        1.79x that over 40."""
+        records = _tiny_records(400, 20, 23, seed=1)
+        ratio = self._peak("mirnn_attention", records) / self._peak("mirnn_attention", records[:40])
+        assert ratio < 1.3, ratio
+
+    def test_feed_forward_peak_is_about_one_row_array(self):
+        """Per-record extended rows joined by np.vstack made the peak 2.06x
+        the (n_items, 2d) float64 row array."""
+        records = _tiny_records(400, 20, 23, seed=1)
+        rows = 400 * 20 * 2 * 23 * np.dtype(np.float64).itemsize
+        ratio = self._peak("midnn", records) / rows
+        assert ratio < 1.5, ratio
 
 
 # SHA-256 over each variant's loss curve (little-endian float64), then each
