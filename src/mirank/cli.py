@@ -20,13 +20,13 @@ import click
 import numpy as np
 import yaml
 
-from .configs import VARIANTS, ModelConfig, TrainConfig, coerce, config_from
+from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, VARIANTS, ModelConfig, TrainConfig, coerce, config_from
 from .core import MirankError, NonFiniteError, Ranking, ValidationError
 from .features import extend_features
 # evaluate scores through logged_predictions alone; perfbench/tracer.py still
-# wraps attention_diagnostic, score_midnn_batch and sequence_probabilities here.
+# wraps attention_diagnostic and the two scorers below here, by these names.
 from .metrics import attention_diagnostic, latency_bench, logged_predictions, metric_report  # noqa: F401
-from .models import score_midnn_batch, sequence_probabilities  # noqa: F401
+from .models import item_probabilities as score_midnn_batch, sequence_probabilities  # noqa: F401
 from .nn.train import TrainingDiverged, train
 from .persistence import (
     LogFormatError,
@@ -46,8 +46,8 @@ EXIT_DIVERGED = 4
 DEFAULTS: dict = {
     **asdict(ModelConfig()),
     **asdict(TrainConfig()),
-    "gamma": 1.0,
-    "beam_size": 5,
+    "gamma": GAMMA,
+    "beam_size": BEAM_SIZE,
     "items_per_query": 50,
     "n_queries": 1000,
     "catalog_size": 500,
@@ -272,7 +272,7 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
 @cli.command()
 @click.argument("test_path", type=click.Path(exists=True))
 @click.argument("model_paths", type=click.Path(exists=True), nargs=-1, required=True)
-@click.option("--attention-size", type=click.IntRange(min=1), default=20, show_default=True)
+@click.option("--attention-size", type=click.IntRange(min=1), default=ATTENTION_SIZE, show_default=True)
 @click.pass_context
 def evaluate(ctx, test_path, model_paths, attention_size):
     """Compute AUC/RIG for each model on a test log (plus attention matrix)."""
@@ -315,7 +315,7 @@ def evaluate(ctx, test_path, model_paths, attention_size):
 @cli.command()
 @click.argument("model_paths", type=click.Path(exists=True), nargs=-1, required=True)
 @click.option("--sizes", type=str, default="10,20,40,80", show_default=True)
-@click.option("--beams", type=str, default="5", show_default=True)
+@click.option("--beams", type=str, default=str(BEAM_SIZE), show_default=True)
 @click.option("--reps", type=click.IntRange(min=1), default=5, show_default=True)
 @click.pass_context
 def bench(ctx, model_paths, sizes, beams, reps):

@@ -29,6 +29,8 @@ VARIANT_TRAITS = {
     "mirnn_attention": VariantTraits(extended=True, recurrent=True, attention=True, price_exponent=False),
 }
 VARIANTS = tuple(VARIANT_TRAITS)
+#: Defaults of the beam size, the baseline's price exponent and the attention diagnostic's positions.
+BEAM_SIZE, GAMMA, ATTENTION_SIZE = 5, 1.0, 20
 
 
 def variant_traits(variant) -> VariantTraits:
@@ -138,17 +140,22 @@ class TrainConfig:
 
 def coerce(key: str, value: Any, default: Any) -> Any:
     """``value`` converted to the type of ``default``: a tuple default takes a
-    list of ints, any other default's type is called on the value.
+    list of ints, any other default's type is called on the value. A number
+    default takes no bool, and an int default no fraction: neither is cast.
 
     Raises:
         ValidationError: naming ``key`` when the value does not convert.
     """
     try:
-        if not isinstance(default, tuple):
-            return type(default)(value)
-        if not isinstance(value, (list, tuple)):
-            raise TypeError("expected a list")
-        return tuple(int(v) for v in value)
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise TypeError("expected a list")
+            return tuple(coerce(key, v, 0) for v in value)
+        if isinstance(value, bool) and not isinstance(default, str):
+            raise TypeError("expected a number, not a bool")
+        if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+            raise ValueError("expected an integer")
+        return type(default)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"config key {key!r}: invalid value {value!r} ({exc})") from None
 

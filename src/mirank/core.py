@@ -75,6 +75,13 @@ def _frozen_integers(values, what: str) -> np.ndarray:
     raise ValidationError(f"{what} must be integers within the int64 range")
 
 
+def _rows_at(array: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """A read-only copy of the rows of ``array`` at positions ``order``."""
+    taken = array.take(order, axis=0)
+    taken.setflags(write=False)
+    return taken
+
+
 def _positions(order, n: int) -> tuple[np.ndarray, list[int]]:
     """``order`` as a vector of int64 positions into n items, and as a list;
     a position that is not a whole number, or lies outside 0..n-1, raises
@@ -165,6 +172,10 @@ class CandidateSet:
         whole positions in range. The rows it picks were checked when this
         set was built, so the taken set is made from them as they are.
         """
+        return self._take(order)[1]
+
+    def _take(self, order) -> tuple[np.ndarray, CandidateSet]:
+        """The checked ``order`` as an int64 vector, and :meth:`take` of it."""
         order, listed = _positions(order, len(self))
         if not listed:
             raise ValidationError("candidate set must contain at least one item")
@@ -172,11 +183,9 @@ class CandidateSet:
             duplicate = next(i for k, i in enumerate(listed) if i in listed[:k])
             raise ValidationError(f"duplicate item id {self._ids[duplicate]} in candidate set")
         taken = CandidateSet.__new__(CandidateSet)
-        taken._ids, taken._prices = self._ids.take(order), self._prices.take(order)
-        taken._features = self._features.take(order, axis=0)
-        for array in (taken._ids, taken._prices, taken._features):
-            array.setflags(write=False)
-        return taken
+        taken._ids, taken._prices = _rows_at(self._ids, order), _rows_at(self._prices, order)
+        taken._features = _rows_at(self._features, order)
+        return order, taken
 
 
 @dataclass(frozen=True)
@@ -243,9 +252,10 @@ class QueryRecord:
 
     def take(self, order) -> QueryRecord:
         """The record with its items, labels and probabilities at positions
-        ``order``, in that order."""
-        order, _ = _positions(order, len(self))
+        ``order``, in that order; only ``order`` is checked."""
+        order, candidates = self.candidate_set._take(order)
         probs = self.ground_truth_probs
-        return QueryRecord(
-            self.query_id, self.candidate_set.take(order), self.labels[order], None if probs is None else probs[order]
-        )
+        taken = QueryRecord.__new__(QueryRecord)
+        vars(taken).update(query_id=self.query_id, candidate_set=candidates, labels=_rows_at(self.labels, order),
+                           ground_truth_probs=None if probs is None else _rows_at(probs, order))
+        return taken

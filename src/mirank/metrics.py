@@ -9,10 +9,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .configs import ModelParams
+from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, ModelParams
 from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, make_rng
 from .features import extend_features
-from .models import baseline_probabilities, logged_forward, score_midnn_batch
+from .models import item_probabilities, logged_forward
 from .nn.common import cross_entropy_batch
 from .ranker import rank
 from .simgen import BehaviorConfig, _subset_sampler, generate_catalog, session_probabilities
@@ -164,7 +164,7 @@ def compare_policies(
     return PolicyComparison(policy_names=names, gmv=gmv)
 
 
-def model_policy(params: ModelParams, beam_size: int = 5, gamma: float = 1.0):
+def model_policy(params: ModelParams, beam_size: int = BEAM_SIZE, gamma: float = GAMMA):
     """Ranking callable for a trained model, usable with compare_policies."""
     return lambda candidates: rank(params, candidates, beam_size, gamma).ranking
 
@@ -187,7 +187,7 @@ class AttentionMatrix:
 
 
 def attention_diagnostic(
-    params: ModelParams, records: Sequence[QueryRecord], size: int = 20
+    params: ModelParams, records: Sequence[QueryRecord], size: int = ATTENTION_SIZE
 ) -> AttentionMatrix:
     """Average attention weights along the logged order of qualifying records.
 
@@ -221,13 +221,13 @@ def logged_predictions(
     """
     traits = params.traits
     if not traits.recurrent:
-        rows, score, inverse = np.vstack(extended), score_midnn_batch, None
+        rows, inverse = np.vstack(extended), None
         if not traits.extended:
             # Score each distinct item once: BLAS rounding can depend on a row's
             # place in the batch, which would split exact ties between repeats.
             rows, inverse = np.unique(rows[:, : rows.shape[1] // 2], axis=0, return_inverse=True)
-            score = baseline_probabilities
-        probs = np.concatenate([score(params, rows[s : s + ROW_CHUNK]) for s in range(0, len(rows), ROW_CHUNK)])
+        chunks = range(0, len(rows), ROW_CHUNK)
+        probs = np.concatenate([item_probabilities(params, rows[s : s + ROW_CHUNK]) for s in chunks])
         return (probs if inverse is None else probs[inverse.ravel()]), None
     size = attention_size if traits.attention else None
     per_record: list = [None] * len(extended)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .configs import ModelConfig, ModelParams
-from .core import MirankError, make_rng
+from .core import MirankError, ValidationError, make_rng
 from . import nn
 from .nn.attention import representations, softmax
 from .nn.train import init_blocks
@@ -27,10 +27,9 @@ __all__ = [
     "advance_entries",
     "init_model",
     "input_projection",
+    "item_probabilities",
     "logged_forward",
-    "score_midnn_batch",
     "sequence_probabilities",
-    "sequence_probabilities_batch",
 ]
 
 
@@ -49,17 +48,15 @@ def _require_variant(params: ModelParams, **traits: bool) -> None:
 # Feed-forward scoring
 
 
-def score_midnn_batch(params: ModelParams, extended: np.ndarray) -> np.ndarray:
-    _require_variant(params, extended=True, recurrent=False)
-    probs, _ = nn.mlp_forward_batch(params.blocks, extended)
-    return probs
-
-
-def baseline_probabilities(params: ModelParams, local: np.ndarray) -> np.ndarray:
-    """Purchase probabilities from (n, d) local feature rows; order-independent."""
-    _require_variant(params, extended=False)
-    probs, _ = nn.mlp_forward_batch(params.blocks, local)
-    return probs
+def item_probabilities(params: ModelParams, rows: np.ndarray) -> np.ndarray:
+    """Order-independent purchase probabilities of a feed-forward model from
+    (n, F) rows: local features for ``baseline``, extended for ``midnn``. A
+    recurrent model is a MirankError, rows of another width a ValidationError."""
+    _require_variant(params, recurrent=False)
+    width = params.config.input_dim(params.variant)
+    if np.ndim(rows) != 2 or np.shape(rows)[1] != width:
+        raise ValidationError(f"{params.variant} scores rows of {width} features, got shape {np.shape(rows)}")
+    return nn.mlp_forward_batch(params.blocks, rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +84,8 @@ def advance_entries(
     histories: np.ndarray | None,
     rep_caches: np.ndarray | None,
     position: int,
-    extended: np.ndarray,
+    projected: np.ndarray,
     *,
-    projected: np.ndarray | None = None,
     items: np.ndarray | None = None,
 ):
     """Advance E beam entries at once, each against M of the N candidate items.
@@ -99,8 +95,8 @@ def advance_entries(
     T >= position - 1, and only their first position - 1 columns are read
     (beam search passes (E, N) buffers filled up to the current step);
     ``mirnn`` reads neither, and may pass None for both.
-    ``extended`` is the shared (N, F) feature matrix and ``projected`` its
-    :func:`input_projection`, computed here if not given. ``items`` is an
+    ``projected`` is the (N, 4H) :func:`input_projection` of the shared
+    (N, F) feature matrix, computed once per query. ``items`` is an
     (E, M) array of item indices, row e naming the items entry e is advanced
     with (beam search passes each entry's unplaced items); by default every
     entry is advanced with all N items. Returns (probs (E, M), hidden'
@@ -127,8 +123,6 @@ def advance_entries(
     """
     _require_variant(params, recurrent=True)
     blocks = params.blocks
-    if projected is None:
-        projected = input_projection(params, extended)
     n_entries, n_items = len(hiddens), len(projected)
     if items is None:
         items = np.broadcast_to(np.arange(n_items), (n_entries, n_items))
@@ -166,15 +160,9 @@ def advance_entries(
 # Whole-sequence evaluation (non-incremental; the beam search oracle path)
 
 
-def sequence_probabilities(params: ModelParams, extended: np.ndarray, order) -> np.ndarray:
-    """Per-position probabilities for one full order, recomputed from scratch."""
-    return sequence_probabilities_batch(params, extended, np.asarray(order)[None, :])[0]
-
-
-def sequence_probabilities_batch(
-    params: ModelParams, extended: np.ndarray, orders: np.ndarray
-) -> np.ndarray:
-    """Per-position probabilities for a (Q, T) batch of orders over one set."""
+def sequence_probabilities(params: ModelParams, extended: np.ndarray, orders) -> np.ndarray:
+    """(Q, T) per-position probabilities of a (Q, T) batch of orders over one
+    set's (N, F) extended features, each order recomputed from scratch."""
     _require_variant(params, recurrent=True)
     x = np.asarray(extended, dtype=np.float64)[np.asarray(orders, dtype=int)]
     probs, _ = nn.sequence_forward(params.blocks, x)

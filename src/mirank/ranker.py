@@ -16,17 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import ModelParams
+from .configs import BEAM_SIZE, GAMMA, ModelParams
 from .core import CandidateSet, MirankError, NonFiniteError, Ranking, ValidationError
 from .features import extend_features
-from .models import (
-    advance_entries,
-    input_projection,
-    baseline_probabilities,
-    score_midnn_batch,
-    sequence_probabilities,
-    sequence_probabilities_batch,
-)
+from .models import advance_entries, input_projection, item_probabilities, sequence_probabilities
 
 __all__ = [
     "RankResult",
@@ -62,18 +55,17 @@ class RankResult:
         _finite_gmv(self.expected_gmv)
 
 
-def _item_probabilities(params: ModelParams, candidates: CandidateSet) -> np.ndarray:
+def _set_probabilities(params: ModelParams, candidates: CandidateSet) -> np.ndarray:
     """Order-independent purchase probability of each candidate (feed-forward models)."""
-    if not params.traits.extended:
-        return baseline_probabilities(params, candidates.feature_matrix)
-    return score_midnn_batch(params, extend_features(candidates))
+    rows = extend_features(candidates) if params.traits.extended else candidates.feature_matrix
+    return item_probabilities(params, rows)
 
 
 def _order_probabilities(params: ModelParams, candidates: CandidateSet, orders: np.ndarray) -> np.ndarray:
     """(Q, T) purchase probabilities at each position of a (Q, T) batch of orders."""
     if params.traits.recurrent:
-        return sequence_probabilities_batch(params, extend_features(candidates), orders)
-    return _item_probabilities(params, candidates)[orders]
+        return sequence_probabilities(params, extend_features(candidates), orders)
+    return _set_probabilities(params, candidates)[orders]
 
 
 def _require_full_ranking(ranking: Ranking, candidates: CandidateSet) -> None:
@@ -97,7 +89,7 @@ def _descending(scores: np.ndarray, tie_keys: np.ndarray) -> np.ndarray:
     return np.lexsort((tie_keys, -scores))
 
 
-def rank(params: ModelParams, candidates: CandidateSet, k: int = 5, gamma: float = 1.0) -> RankResult:
+def rank(params: ModelParams, candidates: CandidateSet, k: int = BEAM_SIZE, gamma: float = GAMMA) -> RankResult:
     """The model's best order of the candidates: the one place where a variant
     picks its search.
 
@@ -112,7 +104,7 @@ def rank(params: ModelParams, candidates: CandidateSet, k: int = 5, gamma: float
         raise MirankError(f"gamma must be finite and nonnegative, got {gamma}")
     if params.traits.recurrent:
         return beam_search(params, candidates, k)
-    probs = _item_probabilities(params, candidates)
+    probs = _set_probabilities(params, candidates)
     weights = candidates.prices**gamma if params.traits.price_exponent else candidates.prices
     order = _descending(weights * probs, candidates.ids)
     return RankResult(
@@ -165,7 +157,7 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
         rep_caches = np.zeros((1, n, params.config.attn_size))
     for step in range(n):
         step_probs, hidden_new, cell_new, reps_new = advance_entries(
-            params, hiddens, cells, histories, rep_caches, step + 1, feats, projected=projected, items=items
+            params, hiddens, cells, histories, rep_caches, step + 1, projected, items=items
         )
         totals = (gmvs[:, None] + prices[items] * step_probs).ravel()
         # Orders the extended id sequences as (prefix, new id) would.
@@ -215,7 +207,7 @@ def greedy_reference(params: ModelParams, candidates: CandidateSet) -> RankResul
         best = None
         for item_idx in unused:
             trial = order + [item_idx]
-            p = float(sequence_probabilities(params, feats, trial)[-1])
+            p = float(sequence_probabilities(params, feats, [trial])[0, -1])
             key = (-prices[item_idx] * p, candidates.ids[item_idx])
             if best is None or key < best[0]:
                 best = (key, item_idx, p)
@@ -255,8 +247,8 @@ def rerank_top_n(
     base_ranking: Ranking,
     candidates: CandidateSet,
     n: int,
-    k: int = 5,
-    gamma: float = 1.0,
+    k: int = BEAM_SIZE,
+    gamma: float = GAMMA,
 ) -> Ranking:
     """Re-order the top-n prefix of a base ranking with the chosen model.
 

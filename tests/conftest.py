@@ -7,7 +7,7 @@ import pytest
 
 from mirank import CandidateSet
 from mirank.core import QueryRecord, make_rng
-from mirank.models import advance_entries
+from mirank.models import advance_entries, input_projection
 
 
 def random_candidates(rng: np.random.Generator, n: int, d: int) -> CandidateSet:
@@ -42,7 +42,7 @@ def chain_entry(params, extended: np.ndarray, order):
     probs = []
     for position, item in enumerate(order, start=1):
         prob, hidden, cell, rep = advance_entries(
-            params, hidden, cell, history, rep_cache, position, extended[item : item + 1]
+            params, hidden, cell, history, rep_cache, position, input_projection(params, extended[item : item + 1])
         )
         hidden, cell = hidden[:, 0], cell[:, 0]
         probs.append(prob[0, 0])

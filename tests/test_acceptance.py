@@ -203,7 +203,7 @@ def test_criterion_04_incremental_naive_equivalence(tiny_trained, capsys):
             cs = random_candidates(rng, length, 6)
             feats = extend_features(cs)
             order = rng.permutation(length)
-            full = sequence_probabilities(params, feats, order)
+            full = sequence_probabilities(params, feats, [order])[0]
             chained, _ = chain_entry(params, feats, order)
             worst = max(worst, float(np.max(np.abs(chained - full))))
             assert worst < 1e-9
@@ -384,12 +384,12 @@ def test_criterion_08_counted_work_slopes(monkeypatch, capsys):
     counts = collections.Counter()
     advance, mlp = mirank.ranker.advance_entries, mirank.nn.mlp_forward_batch
 
-    def counted_advance(params, hiddens, cells, histories, rep_caches, position, extended, **kwargs):
+    def counted_advance(params, hiddens, cells, histories, rep_caches, position, projected, **kwargs):
         items = kwargs.get("items")
-        counts["cell_updates"] += len(hiddens) * len(extended) if items is None else items.size
+        counts["cell_updates"] += len(hiddens) * len(projected) if items is None else items.size
         if rep_caches is not None and position > 1:
-            counts["pair_scores"] += len(hiddens) * len(extended) * (position - 1)
-        return advance(params, hiddens, cells, histories, rep_caches, position, extended, **kwargs)
+            counts["pair_scores"] += len(hiddens) * len(projected) * (position - 1)
+        return advance(params, hiddens, cells, histories, rep_caches, position, projected, **kwargs)
 
     def counted_mlp(blocks, x):
         counts["mlp_rows"] += len(x)

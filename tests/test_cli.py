@@ -533,6 +533,38 @@ class TestExitCodes:
             "train", "mirnn", str(out / "train.jsonl"), *flags,
         ]) == EXIT_VALIDATION
 
+    @staticmethod
+    def _train_with_config(tmp_path, config):
+        """Exit code of a one-record midnn ``train`` run under the YAML ``config``."""
+        log, config_path = tmp_path / "log.jsonl", tmp_path / "config.yaml"
+        log.write_text(
+            '{"query_id": "q0", "items": ['
+            '{"id": 0, "price": 1.0, "features": [1.0, -1.0]}, '
+            '{"id": 1, "price": 2.0, "features": [0.0, 1.0]}], "labels": [1, 0]}\n'
+        )
+        config_path.write_text(config)
+        return main(["--config", str(config_path), "--output-dir", str(tmp_path), "train", "midnn", str(log)])
+
+    @pytest.mark.parametrize("config, key", (
+        ("epochs: 1.9\n", "epochs"),
+        ("epochs: true\n", "epochs"),
+        ("hidden_sizes: [4.7, 3]\n", "hidden_sizes"),
+        ("hidden_sizes: [4, false]\n", "hidden_sizes"),
+        ("learning_rate: true\n", "learning_rate"),
+    ), ids=("fractional-epochs", "bool-epochs", "fractional-hidden-size", "bool-hidden-size", "bool-learning-rate"))
+    def test_fractional_or_bool_config_number_is_validation(self, config, key, tmp_path, capsys):
+        """An integer key takes no fraction and no bool, and a float key no
+        bool: each once trained with the value truncated and exited 0."""
+        assert self._train_with_config(tmp_path, config) == EXIT_VALIDATION
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_integer_text_and_whole_floats_still_convert(self, tmp_path):
+        config = "epochs: '2'\nbatch_size: 4.0\nhidden_sizes: ['3', 2.0]\nlearning_rate: '1e-2'\n"
+        assert self._train_with_config(tmp_path, config) == 0
+        resolved = json.loads((tmp_path / "manifest_train_midnn.json").read_text())["resolved_config"]
+        keys = ("epochs", "batch_size", "hidden_sizes", "learning_rate")
+        assert [resolved[key] for key in keys] == [2, 4, [3, 2], 0.01]
+
 
 def test_import_leaves_scipy_stats_unloaded():
     """The package and its CLI load scipy.special only: scipy.stats would add

@@ -108,16 +108,19 @@ class TestCandidateSet:
         ([0, 3], "position 3 is outside 0..2"),
     ], ids=["empty", "repeated", "fractional", "out-of-range"])
     def test_take_rejects_each_bad_order(self, order, message):
-        """take builds its set without the constructor's checks, so it keeps
-        the errors those checks gave a bad order."""
+        """Both takes build their results without the constructors' checks, so
+        they keep the errors those checks gave a bad order."""
         cs = CandidateSet([4, 5, 6], [1.0, 2.0, 3.0], np.eye(3))
-        with pytest.raises(ValidationError, match=message):
-            cs.take(order)
+        record = QueryRecord("q", cs, [1, 0, 0], [0.5, 0.25, 0.0])
+        for take in (cs.take, record.take):
+            with pytest.raises(ValidationError, match=message):
+                take(order)
 
     def test_taken_arrays_are_read_only(self):
         cs = CandidateSet([4, 5, 6], [1.0, 2.0, 3.0], np.eye(3))
         taken = cs.take([2, 0])
-        for array in (taken.ids, taken.prices, taken.feature_matrix):
+        record = QueryRecord("q", cs, [1, 0, 0], [0.5, 0.25, 0.0]).take([2, 0])
+        for array in (taken.ids, taken.prices, taken.feature_matrix, record.labels, record.ground_truth_probs):
             with pytest.raises(ValueError):
                 array[0] = 1
 

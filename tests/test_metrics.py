@@ -186,11 +186,11 @@ MIXED_LENGTHS = (9, 4, 12, 6, 9, 15, 4, 12, 7, 9)
 def _per_record_predictions(params, record):
     candidates = record.candidate_set
     if params.variant == "baseline":
-        return models.baseline_probabilities(params, candidates.feature_matrix)
+        return models.item_probabilities(params, candidates.feature_matrix)
     feats = extend_features(candidates)
     if params.variant == "midnn":
-        return models.score_midnn_batch(params, feats)
-    return models.sequence_probabilities(params, feats, range(len(record)))
+        return models.item_probabilities(params, feats)
+    return models.sequence_probabilities(params, feats, [range(len(record))])[0]
 
 
 class TestLoggedPredictions:

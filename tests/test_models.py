@@ -7,14 +7,7 @@ from mirank import ModelConfig, QueryRecord, TrainConfig, init_model, nn, train
 from mirank.configs import VARIANT_TRAITS, expected_block_shapes
 from mirank.core import MirankError, Ranking, ValidationError, make_rng
 from mirank.features import extend_features
-from mirank.models import (
-    advance_entries,
-    baseline_probabilities,
-    input_projection,
-    score_midnn_batch,
-    sequence_probabilities,
-    sequence_probabilities_batch,
-)
+from mirank.models import advance_entries, input_projection, item_probabilities, sequence_probabilities
 from mirank.nn.attention import representations, softmax
 from mirank.ranker import rank, rerank_top_n
 from conftest import chain_entry, random_candidates
@@ -72,16 +65,16 @@ class TestFeedForwardScoring:
     def test_midnn_batch_matches_single(self, rng):
         params = init_model("midnn", SMALL, seed=0)
         feats = extend_features(random_candidates(rng, 6, 3))
-        batch = score_midnn_batch(params, feats)
+        batch = item_probabilities(params, feats)
         for row, expected in zip(feats, batch):
-            assert abs(score_midnn_batch(params, row[None, :])[0] - expected) < 1e-12
+            assert abs(item_probabilities(params, row[None, :])[0] - expected) < 1e-12
 
     def test_baseline_batch_matches_single_and_scales_with_gamma(self, rng):
         params = init_model("baseline", SMALL, seed=0)
         cs = random_candidates(rng, 5, 3)
-        batch = baseline_probabilities(params, cs.feature_matrix)
+        batch = item_probabilities(params, cs.feature_matrix)
         for row, expected in zip(cs.feature_matrix, batch):
-            assert abs(baseline_probabilities(params, row[None, :])[0] - expected) < 1e-12
+            assert abs(item_probabilities(params, row[None, :])[0] - expected) < 1e-12
         for gamma in (0.0, 1.0, 2.5):
             result = rank(params, cs, gamma=gamma)
             order = list(result.ranking.order)
@@ -102,9 +95,18 @@ class TestFeedForwardScoring:
         midnn = init_model("midnn", SMALL, seed=0)
         cs = random_candidates(rng, 3, 3)
         with pytest.raises(MirankError):
-            score_midnn_batch(init_model("baseline", SMALL, seed=0), extend_features(cs))
-        with pytest.raises(MirankError):
             advance_entries(midnn, np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 0, 4)), None, 1, cs.feature_matrix)
+
+    @pytest.mark.parametrize("variant, extended", [
+        ("mirnn", True), ("mirnn_attention", True), ("midnn", False), ("baseline", True),
+    ])
+    def test_item_probabilities_rejects_a_recurrent_model_or_rows_of_another_width(self, variant, extended, rng):
+        """Each is a MirankError: a midnn given local rows once ended in a raw
+        ValueError from the MLP's matmul."""
+        cs = random_candidates(rng, 3, SMALL.d)
+        rows = extend_features(cs) if extended else cs.feature_matrix
+        with pytest.raises(MirankError, match="recurrent|features"):
+            item_probabilities(init_model(variant, SMALL, seed=0), rows)
 
 
 def _entries(params, feats, prefixes):
@@ -119,22 +121,23 @@ class TestSequentialScoring:
         params = init_model(variant, SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 6, 3))
         order = list(rng.permutation(6))
-        full = sequence_probabilities(params, feats, order)
+        full = sequence_probabilities(params, feats, [order])[0]
         assert np.allclose(chain_entry(params, feats, order)[0], full, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", RECURRENT)
     def test_batch_expansion_matches_single_advances(self, variant, rng):
         """A call on a subset of the items equals the all-items call at those
-        items, down to a single item, with the projection given or not."""
+        items, down to a single item, with the subset's rows projected alone
+        or taken from the whole set's projection."""
         params = init_model(variant, SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 6, 3))
         # three divergent beam entries, each two items deep
         state = _entries(params, feats, [(0, 1), (2, 3), (4, 5)])
-        full = advance_entries(params, *state, 3, feats)
         projected = input_projection(params, feats)
+        full = advance_entries(params, *state, 3, projected)
         for subset in ([4, 0, 2], [5]):
-            for given in (None, projected[subset]):
-                part = advance_entries(params, *state, 3, feats[subset], projected=given)
+            for given in (input_projection(params, feats[subset]), projected[subset]):
+                part = advance_entries(params, *state, 3, given)
                 for got, want in zip(part, full):
                     if want is None:
                         assert got is None
@@ -148,9 +151,10 @@ class TestSequentialScoring:
         params = init_model(variant, SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 6, 3))
         state = _entries(params, feats, [(0, 1), (2, 3), (4, 5)])
-        full = advance_entries(params, *state, 3, feats)
+        projected = input_projection(params, feats)
+        full = advance_entries(params, *state, 3, projected)
         items = np.array([[2, 3, 4, 5], [0, 1, 4, 5], [0, 1, 2, 3]])
-        part = advance_entries(params, *state, 3, feats, items=items)
+        part = advance_entries(params, *state, 3, projected, items=items)
         for got, want in zip(part, full):
             if want is None:
                 assert got is None
@@ -162,11 +166,12 @@ class TestSequentialScoring:
         params = init_model(variant, SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 6, 3))
         hiddens, cells, histories, rep_caches = _entries(params, feats, [(0, 1), (2, 3), (4, 5)])
-        batch = advance_entries(params, hiddens, cells, histories, rep_caches, 3, feats)
+        projected = input_projection(params, feats)
+        batch = advance_entries(params, hiddens, cells, histories, rep_caches, 3, projected)
         for e in range(3):
             single = advance_entries(
                 params, hiddens[e : e + 1], cells[e : e + 1], histories[e : e + 1],
-                None if rep_caches is None else rep_caches[e : e + 1], 3, feats,
+                None if rep_caches is None else rep_caches[e : e + 1], 3, projected,
             )
             for got, want in zip(single, batch):
                 if want is None:
@@ -182,7 +187,7 @@ class TestSequentialScoring:
         h_dim = SMALL.lstm_hidden
         probs, hidden, _, _ = advance_entries(
             params, np.zeros((1, h_dim)), np.zeros((1, h_dim)), np.zeros((1, 0, h_dim)),
-            np.zeros((1, 0, SMALL.attn_size)), 1, feats,
+            np.zeros((1, 0, SMALL.attn_size)), 1, input_projection(params, feats),
         )
         from mirank.nn import sigmoid
 
@@ -192,9 +197,9 @@ class TestSequentialScoring:
         params = init_model("mirnn", SMALL, seed=4)
         feats = extend_features(random_candidates(rng, 5, 3))
         orders = np.array([rng.permutation(5) for _ in range(4)])
-        batch = sequence_probabilities_batch(params, feats, orders)
+        batch = sequence_probabilities(params, feats, orders)
         for row, order in zip(batch, orders):
-            assert np.allclose(row, sequence_probabilities(params, feats, order), atol=1e-13)
+            assert np.allclose(row, sequence_probabilities(params, feats, [order])[0], atol=1e-13)
 
     def test_attention_weights_shape_and_normalization(self, rng):
         params = init_model("mirnn_attention", SMALL, seed=4)
@@ -213,12 +218,11 @@ class TestSequentialScoring:
         assert nn.sequence_forward(params.blocks, feats[None])[1]["alphas"] == []
 
 
-def _advance_with_broadcast_fill(params, hiddens, cells, histories, rep_caches, position, extended, items):
+def _advance_with_broadcast_fill(params, hiddens, cells, histories, rep_caches, position, projected, items):
     """:func:`advance_entries` as it was before its pair tensor was filled by
     half-row copies: two broadcast assignments of doubles per entry. Kept as
     the reference that the half-row fill must match bit for bit."""
     blocks = params.blocks
-    projected = input_projection(params, extended)
     n_entries, n_items = len(hiddens), len(projected)
     rows = np.arange(n_entries)[:, None]
     z = projected[items]
@@ -263,7 +267,7 @@ def test_half_row_pair_fill_matches_the_broadcast_fill_bit_for_bit(attn_size, dr
     narrower = np.sort(np.argsort(rng.random((n_entries, n_items)))[:, : n_items - position + 1], axis=1)
     all_items = np.broadcast_to(np.arange(n_items), (n_entries, n_items))
     for items, caches in ((all_items, rep_caches), (narrower, rep_caches), (narrower, np.asfortranarray(rep_caches))):
-        state = (hiddens, cells, histories, caches, position, feats)
+        state = (hiddens, cells, histories, caches, position, input_projection(params, feats))
         got = advance_entries(params, *state, items=items)
         want = _advance_with_broadcast_fill(params, *state, items)
         for name, a, b in zip(("probs", "hidden", "cell", "reps"), got, want):

@@ -14,7 +14,7 @@ from mirank.nn.common import PROB_EPS, cross_entropy, cross_entropy_batch, gloro
 from gradcheck import gradient_check, relative_error
 from mirank.nn.lstm import lstm_step_batch
 from mirank.nn.mlp import mlp_forward_batch
-from mirank.nn.optim import AdamState, adam_step
+from mirank.nn.optim import BETA1, BETA2, EPS, AdamState, adam_step
 from mirank.nn.recurrent import sequence_forward
 from mirank.nn.train import TrainingDiverged, init_blocks, train
 
@@ -142,11 +142,11 @@ class TestAdam:
     def test_two_steps_hand_computed(self):
         blocks = {"w": np.array([1.0])}
         state = AdamState()
-        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = 0.1, BETA1, BETA2, EPS
 
         w, m, v = 1.0, 0.0, 0.0
         for grad in (0.5, -0.25):
-            adam_step(blocks, {"w": np.array([grad])}, state, lr, b1, b2)
+            adam_step(blocks, {"w": np.array([grad])}, state, lr)
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad**2
             m_hat = m / (1 - b1**state.t)

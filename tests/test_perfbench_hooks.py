@@ -34,3 +34,30 @@ def test_advance_entries_takes_the_counted_arguments(tracer):
     import mirank.ranker
 
     inspect.signature(mirank.ranker.advance_entries).bind(*range(7))
+
+
+def test_traced_beam_counts_every_entry_item_pair(tracer, monkeypatch):
+    """A traced beam search counts E*N pairs per step: the tracer reads N as
+    the length of advance_entries' seventh argument, the (N, 4H) input
+    projection, and E as the number of hidden rows."""
+    import mirank.ranker
+    from mirank import ModelConfig, init_model
+    from mirank.core import make_rng
+    from conftest import random_candidates
+
+    entries = []
+    advance = mirank.ranker.advance_entries
+
+    def recorded(params, hiddens, *args, **kwargs):
+        entries.append(len(hiddens))
+        return advance(params, hiddens, *args, **kwargs)
+
+    monkeypatch.setattr(mirank.ranker, "advance_entries", recorded)
+    config = ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=12)
+    n = 6
+    candidates = random_candidates(make_rng(5), n, config.d)
+    with tracer.Tracer(tracer.timed_phase_patches()) as traced:
+        mirank.ranker.beam_search(init_model("mirnn_attention", config, seed=0), candidates, 3)
+    assert entries == [1, 3, 3, 3, 3, 3]
+    assert traced.counts["models.advance_entries.calls"] == n
+    assert traced.counts["models.advance_entries.pairs"] == n * sum(entries)

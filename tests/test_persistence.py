@@ -43,6 +43,18 @@ class TestModelRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["m.mirk"]
 
 
+def _rewrite_header(path, field: bytes, bad: bytes) -> None:
+    """Replace ``field`` with ``bad`` in the model header at ``path``, with a
+    checksum that matches, so only the header's contents are wrong."""
+    data = path.read_bytes()
+    header_len = struct.unpack("<II", data[4:12])[1]
+    header = data[12 : 12 + header_len]
+    assert field in header
+    header = header.replace(field, bad)
+    payload = data[:4] + struct.pack("<II", 1, len(header)) + header + data[12 + header_len : -32]
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
 class TestModelCorruption:
     @pytest.fixture
     def saved(self, tmp_path):
@@ -98,14 +110,19 @@ class TestModelCorruption:
         (b'"lstm_hidden": 4', b'"lstm_hidden": 0'),
     ), ids=("empty-hidden-sizes", "zero-hidden-size", "lstm-hidden-0"))
     def test_header_sizes_below_one_are_format_errors(self, field, bad, saved):
-        data = saved.read_bytes()
-        header_len = struct.unpack("<II", data[4:12])[1]
-        header = data[12 : 12 + header_len]
-        assert field in header
-        header = header.replace(field, bad)
-        payload = data[:4] + struct.pack("<II", 1, len(header)) + header + data[12 + header_len : -32]
-        saved.write_bytes(payload + hashlib.sha256(payload).digest())
+        _rewrite_header(saved, field, bad)
         with pytest.raises(ModelFormatError, match="must"):
+            load_model(saved)
+
+    @pytest.mark.parametrize("field, bad", (
+        (b'"lstm_hidden": 4', b'"lstm_hidden": 4.5'),
+        (b'"lstm_hidden": 4', b'"lstm_hidden": true'),
+        (b'"hidden_sizes": [5, 4]', b'"hidden_sizes": [5.5, 4]'),
+    ), ids=("fractional-lstm-hidden", "bool-lstm-hidden", "fractional-hidden-size"))
+    def test_header_sizes_that_are_not_integers_are_format_errors(self, field, bad, saved):
+        """A fraction or a bool in a stored size is not truncated to an int."""
+        _rewrite_header(saved, field, bad)
+        with pytest.raises(ModelFormatError, match="invalid value"):
             load_model(saved)
 
     def test_all_errors_share_a_catchable_base(self):

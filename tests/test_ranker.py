@@ -10,7 +10,7 @@ from mirank import ModelConfig, Ranking, init_model
 from mirank.configs import VARIANTS
 from mirank.features import extend_features
 from mirank.metrics import model_policy
-from mirank.models import sequence_probabilities_batch
+from mirank.models import sequence_probabilities
 from mirank.configs import ModelParams
 from mirank.core import MirankError, NonFiniteError, ValidationError, make_rng
 from mirank.ranker import (
@@ -146,9 +146,8 @@ class TestBeamSearch:
         params = init_model("mirnn_attention", SMALL, seed=3)
         result = beam_search(params, cs, k=4)
         from mirank.features import extend_features
-        from mirank.models import sequence_probabilities
 
-        recomputed = sequence_probabilities(params, extend_features(cs), result.ranking.order)
+        recomputed = sequence_probabilities(params, extend_features(cs), [result.ranking.order])[0]
         assert np.allclose(result.per_position_probabilities, recomputed, atol=1e-10)
 
     def test_input_guards(self, rng):
@@ -164,14 +163,14 @@ class TestBeamSearch:
 
 def reference_beam(params, cs, k):
     """Beam search from scratch: every step rescores each kept prefix extended
-    by each unplaced item with ``sequence_probabilities_batch``, and keeps the
+    by each unplaced item with ``sequence_probabilities``, and keeps the
     top k by GMV, ties by the item-id sequence, then by (entry, item)."""
     feats = extend_features(cs)
     ids = cs.ids.tolist()
     kept = [()]
     for _ in range(len(cs)):
         grown = np.array([prefix + (i,) for prefix in kept for i in range(len(cs)) if i not in prefix])
-        probs = sequence_probabilities_batch(params, feats, grown)
+        probs = sequence_probabilities(params, feats, grown)
         gmvs = (cs.prices[grown] * probs).sum(axis=1)
         best = sorted(range(len(grown)), key=lambda r: (-gmvs[r], [ids[i] for i in grown[r]]))[:k]
         kept = [tuple(grown[r]) for r in best]
