@@ -37,7 +37,7 @@ from .persistence import (
     write_logs,
 )
 from .ranker import beam_search, exhaustive_oracle, expected_gmv, greedy_reference, rerank_top_n
-from .simgen import BehaviorConfig, generate_catalog, generate_logs
+from .simgen import ITEMS_PER_QUERY, RANKING_POLICY, TRAIN_FRACTION, BehaviorConfig, generate_catalog, generate_logs
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
@@ -48,29 +48,36 @@ DEFAULTS: dict = {
     **asdict(TrainConfig()),
     "gamma": GAMMA,
     "beam_size": BEAM_SIZE,
-    "items_per_query": 50,
+    "items_per_query": ITEMS_PER_QUERY,
     "n_queries": 1000,
     "catalog_size": 500,
-    "train_fraction": 0.8,
-    "ranking_policy": "random",
+    "train_fraction": TRAIN_FRACTION,
+    "ranking_policy": RANKING_POLICY,
     # The seed comes from --seed, not from the config.
     **{key: value for key, value in asdict(BehaviorConfig()).items() if key != "seed"},
 }
 
 
-def _resolve_config(config_path: str | None, overrides: dict) -> dict:
-    resolved = dict(DEFAULTS)
-    if config_path:
+def _read_config(config_path: str) -> dict:
+    """The YAML config file at ``config_path``, each value converted to the type of its
+    default; a file that does not parse, or is not a mapping of known keys, is a ValidationError."""
+    try:
         with open(config_path, "r", encoding="utf-8") as handle:
             loaded = yaml.safe_load(handle) or {}
-        if not isinstance(loaded, dict):
-            raise ValidationError(f"config file {config_path} must hold a mapping")
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise ValidationError(f"unknown config keys in {config_path}: {sorted(unknown)}")
-        resolved.update(loaded)
-    resolved.update({key: value for key, value in overrides.items() if value is not None})
-    return {key: coerce(key, value, DEFAULTS[key]) for key, value in resolved.items()}
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        reason = " ".join(str(exc).split())  # PyYAML spreads its message over lines
+        raise ValidationError(f"config file {config_path} does not parse: {reason}") from None
+    if not isinstance(loaded, dict):
+        raise ValidationError(f"config file {config_path} must hold a mapping")
+    unknown = set(loaded) - set(DEFAULTS)
+    if unknown:
+        raise ValidationError(f"unknown config keys in {config_path}: {sorted(unknown, key=str)}")
+    return {key: coerce(key, value, DEFAULTS[key]) for key, value in loaded.items()}
+
+
+def _resolve_config(ctx, flags: dict) -> dict:
+    """The defaults, overridden by the config file, overridden by the flags given."""
+    return {**DEFAULTS, **ctx.obj["config"], **{key: value for key, value in flags.items() if value is not None}}
 
 
 def _load_model_for(model_path, dataset, log_path):
@@ -168,7 +175,7 @@ def _read_records(path, role: str):
 @click.pass_context
 def cli(ctx, seed, config_path, output_dir):
     """Mutual-influence-aware reranking toolkit."""
-    ctx.obj = {"seed": seed, "config_path": config_path, "out": Path(output_dir)}
+    ctx.obj = {"seed": seed, "config": _read_config(config_path) if config_path else {}, "out": Path(output_dir)}
 
 
 @cli.command()
@@ -186,7 +193,7 @@ def cli(ctx, seed, config_path, output_dir):
 @click.pass_context
 def generate(ctx, **flags):
     """Generate synthetic train/test query logs."""
-    cfg = _resolve_config(ctx.obj["config_path"], flags)
+    cfg = _resolve_config(ctx, flags)
     seed = ctx.obj["seed"]
     behavior = config_from(BehaviorConfig, {**cfg, "seed": seed})
     catalog = generate_catalog(cfg["catalog_size"], cfg["d"], seed)
@@ -214,14 +221,14 @@ def generate(ctx, **flags):
 @click.option("--epochs", type=int, default=None)
 @click.option("--batch-size", type=int, default=None)
 @click.option("--learning-rate", type=float, default=None)
-@click.option("--hidden-sizes", type=str, default=None, help="Comma-separated, default 50,50,30.")
+@click.option("--hidden-sizes", help=f"Comma-separated, default {','.join(map(str, ModelConfig.hidden_sizes))}.")
 @click.option("--lstm-hidden", type=int, default=None)
 @click.pass_context
 def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
     """Train a model variant on a JSONL training log."""
     if hidden_sizes is not None:
         flags["hidden_sizes"] = _parse_int_list("--hidden-sizes", hidden_sizes)
-    cfg = _resolve_config(ctx.obj["config_path"], flags)
+    cfg = _resolve_config(ctx, flags)
     seed = ctx.obj["seed"]
     dataset = _read_records(train_path, "training")
     cfg["d"] = dataset.records[0].candidate_set.feature_matrix.shape[1]
@@ -243,7 +250,7 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
 @click.pass_context
 def rerank(ctx, model_path, log_path, rerank_size, **flags):
     """Rerank the top-N prefix of each logged record with a trained model."""
-    cfg = _resolve_config(ctx.obj["config_path"], flags)
+    cfg = _resolve_config(ctx, flags)
     dataset = _read_records(log_path, "rerank")
     params = _load_model_for(model_path, dataset, log_path)
     out = _out_dir(ctx)
@@ -295,13 +302,7 @@ def evaluate(ctx, test_path, model_paths, attention_size):
             query_id = dataset.records[np.searchsorted(ends, first_nan, side="right")].query_id
             raise NonFiniteError(f"model {model_path}: {exc}, the first in query {query_id}") from None
         name = Path(model_path).stem
-        report[name] = {
-            "variant": params.variant,
-            "auc": metrics.auc,
-            "rig": metrics.rig,
-            "n_samples": metrics.n_samples,
-            "positive_rate": metrics.positive_rate,
-        }
+        report[name] = {"variant": params.variant, **asdict(metrics)}
         if matrix is not None:
             matrices[name] = matrix.values
     for name, values in matrices.items():

@@ -7,7 +7,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import ValidationError
+from .core import MirankError, ValidationError, _whole
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,13 @@ def variant_traits(variant) -> VariantTraits:
     return VARIANT_TRAITS[variant]
 
 
+def coerce_fields(config) -> None:
+    """Convert each field of the frozen dataclass ``config`` in place by :func:`coerce`:
+    library calls, YAML, flags and model headers meet one type rule."""
+    for f in fields(config):
+        object.__setattr__(config, f.name, coerce(f.name, getattr(config, f.name), f.default))
+
+
 def _require_positive(config, keys) -> None:
     """Raise unless every named integer field of ``config`` is at least 1."""
     for key in keys:
@@ -49,12 +56,8 @@ def _require_positive(config, keys) -> None:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture sizes shared by all variants.
-
-    Defaults follow the reference setup: 23 local features (46 after
-    extension), MLP hidden sizes (50, 50, 30), LSTM hidden size 50,
-    attention representation size 10, position embedding size 5.
-    """
+    """Architecture sizes shared by all variants, each a whole number of at
+    least 1; the defaults follow the reference setup."""
 
     d: int = 23
     hidden_sizes: tuple[int, ...] = (50, 50, 30)
@@ -64,6 +67,7 @@ class ModelConfig:
     max_positions: int = 100
 
     def __post_init__(self):
+        coerce_fields(self)
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
             raise ValidationError(f"hidden_sizes must list one or more sizes >= 1, got {self.hidden_sizes}")
         _require_positive(self, ("d", "lstm_hidden", "attn_size", "pos_size", "max_positions"))
@@ -122,6 +126,13 @@ class ModelParams:
         """The variant's row of :data:`VARIANT_TRAITS`."""
         return VARIANT_TRAITS[self.variant]
 
+    def require(self, operation: str, trait: str, value: bool = True) -> None:
+        """Raise a MirankError naming ``operation`` and ``trait`` unless the variant's ``trait`` is ``value``."""
+        if getattr(VARIANT_TRAITS[self.variant], trait) != value:
+            kind = trait if value else f"non-{trait}"
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise MirankError(f"{operation} requires {article} {kind} model, got {self.variant!r}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -133,6 +144,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
+        coerce_fields(self)
         _require_positive(self, ("epochs", "batch_size", "sequence_batch_size"))
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError(f"learning_rate must be positive and finite, got {self.learning_rate}")
@@ -153,7 +165,7 @@ def coerce(key: str, value: Any, default: Any) -> Any:
             return tuple(coerce(key, v, 0) for v in value)
         if isinstance(value, bool) and not isinstance(default, str):
             raise TypeError("expected a number, not a bool")
-        if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+        if isinstance(default, int) and not isinstance(value, str) and not _whole(value):
             raise ValueError("expected an integer")
         return type(default)(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -161,8 +173,6 @@ def coerce(key: str, value: Any, default: Any) -> Any:
 
 
 def config_from(cls: type, values: Mapping[str, Any]):
-    """Build the config dataclass ``cls`` from untyped values (YAML, flags, a
-    model header): each field in ``values`` is coerced to the type of its
-    default, fields not in ``values`` keep their defaults, and keys that are
-    not fields are ignored."""
-    return cls(**{f.name: coerce(f.name, values[f.name], f.default) for f in fields(cls) if f.name in values})
+    """The config dataclass ``cls`` built from the values of its fields in ``values``;
+    other fields keep their defaults, and other keys are ignored."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})

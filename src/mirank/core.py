@@ -35,10 +35,15 @@ class NonFiniteError(MirankError):
     """A model gave NaN or infinity where a result must be a finite number."""
 
 
+def _whole(value) -> bool:
+    """Whether the scalar ``value`` is an integer (a bool is one) or a float with no fractional part."""
+    return isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer()
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator for a 64-bit seed; no global RNG state is used."""
-    if not 0 <= int(seed) < 2**64:
-        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    """Deterministic generator for a whole 64-bit seed, not a bool; no global RNG state is used."""
+    if isinstance(seed, bool) or not _whole(seed) or not 0 <= int(seed) < 2**64:
+        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
@@ -70,7 +75,7 @@ def _frozen_integers(values, what: str) -> np.ndarray:
         return array
     # Only a failing check walks the values, to name the first offender.
     for value in np.array(values, dtype=object).ravel():
-        if not isinstance(value, (int, np.integer)) and not (isinstance(value, float) and value.is_integer()):
+        if not _whole(value):
             raise ValidationError(f"{what} must be integers, got {value!r}")
     raise ValidationError(f"{what} must be integers within the int64 range")
 
@@ -82,17 +87,30 @@ def _rows_at(array: np.ndarray, order: np.ndarray) -> np.ndarray:
     return taken
 
 
-def _positions(order, n: int) -> tuple[np.ndarray, list[int]]:
-    """``order`` as a vector of int64 positions into n items, and as a list;
-    a position that is not a whole number, or lies outside 0..n-1, raises
-    instead of being cast or wrapped around."""
+def _first_duplicate(values: list):
+    """The first of ``values`` equal to an earlier one, or None if all differ."""
+    if len(set(values)) == len(values):  # builtin set beats its numpy forms on short lists
+        return None
+    return next(value for k, value in enumerate(values) if value in values[:k])
+
+
+def _positions(order, ids: np.ndarray) -> np.ndarray:
+    """``order`` as a vector of int64 positions into the items ``ids``. It
+    must be a non-empty vector of distinct whole positions in 0..n-1: any
+    other order raises instead of being cast or wrapped around."""
     order = _frozen_integers(order, "positions")
     if order.ndim != 1:
         raise ValidationError(f"positions must be a vector, got shape {order.shape}")
     listed = order.tolist()  # builtin min and max beat their numpy forms on short orders
-    if listed and (min(listed) < 0 or max(listed) >= n):
+    if not listed:
+        raise ValidationError("candidate set must contain at least one item")
+    n = len(ids)
+    if min(listed) < 0 or max(listed) >= n:
         raise ValidationError(f"position {next(i for i in listed if not 0 <= i < n)} is outside 0..{n - 1}")
-    return order, listed
+    duplicate = _first_duplicate(listed)
+    if duplicate is not None:
+        raise ValidationError(f"duplicate item id {ids[duplicate]} in candidate set")
+    return order
 
 
 class CandidateSet:
@@ -122,8 +140,8 @@ class CandidateSet:
         listed = ids.tolist()  # builtin min and set beat their numpy forms on short sets
         if min(listed) < 0:
             raise ValidationError(f"item {next(i for i in listed if i < 0)}: id must be non-negative")
-        if len(set(listed)) < len(listed):
-            duplicate = next(i for k, i in enumerate(listed) if i in listed[:k])
+        duplicate = _first_duplicate(listed)
+        if duplicate is not None:
             raise ValidationError(f"duplicate item id {duplicate} in candidate set")
         valid = np.isfinite(prices) & (prices > 0)
         if not valid.all():
@@ -176,12 +194,7 @@ class CandidateSet:
 
     def _take(self, order) -> tuple[np.ndarray, CandidateSet]:
         """The checked ``order`` as an int64 vector, and :meth:`take` of it."""
-        order, listed = _positions(order, len(self))
-        if not listed:
-            raise ValidationError("candidate set must contain at least one item")
-        if len(set(listed)) < len(listed):
-            duplicate = next(i for k, i in enumerate(listed) if i in listed[:k])
-            raise ValidationError(f"duplicate item id {self._ids[duplicate]} in candidate set")
+        order = _positions(order, self._ids)
         taken = CandidateSet.__new__(CandidateSet)
         taken._ids, taken._prices = _rows_at(self._ids, order), _rows_at(self._prices, order)
         taken._features = _rows_at(self._features, order)

@@ -121,13 +121,6 @@ class PolicyComparison:
     policy_names: tuple[str, ...]
     gmv: np.ndarray  # (n_queries, n_policies)
 
-    def mean(self, name: str) -> float:
-        return float(self.gmv[:, self.policy_names.index(name)].mean())
-
-    def stderr(self, name: str) -> float:
-        column = self.gmv[:, self.policy_names.index(name)]
-        return float(column.std(ddof=1) / np.sqrt(len(column)))
-
     def paired_difference(self, a: str, b: str) -> tuple[float, float]:
         """Mean and standard error of per-query GMV(a) - GMV(b)."""
         diff = (
@@ -194,8 +187,7 @@ def attention_diagnostic(
     Uses records of length >= size; features are extended over each record's
     full candidate set, and the model walks the first ``size`` positions.
     """
-    if not params.traits.attention:
-        raise MirankError(f"attention diagnostic requires an attention model, got {params.variant!r}")
+    params.require("attention_diagnostic", "attention")
     prefixes = [extend_features(r.candidate_set)[:size] for r in records if len(r) >= size]
     return logged_predictions(params, prefixes, attention_size=size)[1]
 

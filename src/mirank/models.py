@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .configs import ModelConfig, ModelParams
-from .core import MirankError, ValidationError, make_rng
+from .core import ValidationError, make_rng
 from . import nn
 from .nn.attention import representations, softmax
 from .nn.train import init_blocks
@@ -38,12 +38,6 @@ def init_model(variant: str, config: ModelConfig, seed: int) -> ModelParams:
     return ModelParams(variant=variant, config=config, blocks=init_blocks(variant, config, make_rng(seed)))
 
 
-def _require_variant(params: ModelParams, **traits: bool) -> None:
-    """Raise unless the model's variant has each of the given trait values."""
-    if any(getattr(params.traits, name) != value for name, value in traits.items()):
-        raise MirankError(f"operation requires a model with {traits}, got {params.variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # Feed-forward scoring
 
@@ -52,7 +46,7 @@ def item_probabilities(params: ModelParams, rows: np.ndarray) -> np.ndarray:
     """Order-independent purchase probabilities of a feed-forward model from
     (n, F) rows: local features for ``baseline``, extended for ``midnn``. A
     recurrent model is a MirankError, rows of another width a ValidationError."""
-    _require_variant(params, recurrent=False)
+    params.require("item_probabilities", "recurrent", False)
     width = params.config.input_dim(params.variant)
     if np.ndim(rows) != 2 or np.shape(rows)[1] != width:
         raise ValidationError(f"{params.variant} scores rows of {width} features, got shape {np.shape(rows)}")
@@ -121,7 +115,7 @@ def advance_entries(
     At position 1 there are no predecessors and the attention context is zero,
     so the attention logit reduces to the plain recurrent one.
     """
-    _require_variant(params, recurrent=True)
+    params.require("advance_entries", "recurrent")
     blocks = params.blocks
     n_entries, n_items = len(hiddens), len(projected)
     if items is None:
@@ -163,7 +157,7 @@ def advance_entries(
 def sequence_probabilities(params: ModelParams, extended: np.ndarray, orders) -> np.ndarray:
     """(Q, T) per-position probabilities of a (Q, T) batch of orders over one
     set's (N, F) extended features, each order recomputed from scratch."""
-    _require_variant(params, recurrent=True)
+    params.require("sequence_probabilities", "recurrent")
     x = np.asarray(extended, dtype=np.float64)[np.asarray(orders, dtype=int)]
     probs, _ = nn.sequence_forward(params.blocks, x)
     return probs
@@ -184,7 +178,7 @@ def logged_forward(params: ModelParams, extended: Sequence[np.ndarray]):
     are those of :func:`nn.sequence_forward` without training caches, so
     ``caches`` holds only ``"alphas"``. Memory holds one chunk's states.
     """
-    _require_variant(params, recurrent=True)
+    params.require("logged_forward", "recurrent")
     buckets: dict[int, list[int]] = defaultdict(list)
     for index, feats in enumerate(extended):
         buckets[len(feats)].append(index)

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .configs import ModelConfig, ModelParams, config_from, expected_block_shapes
+from .configs import ModelConfig, ModelParams, expected_block_shapes
 from .core import CandidateSet, MirankError, QueryRecord, ValidationError
 from .simgen import Dataset
 
@@ -126,7 +126,7 @@ def load_model(path) -> ModelParams:
         header = json.loads(payload[12 : 12 + header_len].decode("utf-8"))
         variant = header["variant"]
         # Every field is stored: a missing one is a format error, not a default.
-        config = config_from(ModelConfig, {f.name: header["config"][f.name] for f in fields(ModelConfig)})
+        config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
         declared = [(entry["name"], tuple(entry["shape"])) for entry in header["blocks"]]
     except (KeyError, TypeError, ValueError, UnicodeDecodeError, ValidationError) as exc:
         raise ModelFormatError(f"{path}: unparseable header ({exc})") from exc

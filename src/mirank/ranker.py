@@ -130,8 +130,7 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     answer is row 0 of the last step. The kept pairs are read from the pool by
     their flat index.
     """
-    if not params.traits.recurrent:
-        raise MirankError(f"beam_search requires a recurrent model, got {params.variant!r}")
+    params.require("beam_search", "recurrent")
     if k < 1:
         raise MirankError(f"beam size must be >= 1, got {k}")
     n = len(candidates)

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .configs import coerce_fields
 from .core import CandidateSet, MirankError, QueryRecord, ValidationError, make_rng
 from .nn.common import sigmoid
 
@@ -51,6 +52,7 @@ class BehaviorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        coerce_fields(self)
         if not 0.0 < self.base_rate < 1.0:
             raise ValidationError(f"base_rate must be in (0, 1), got {self.base_rate}")
         strengths = (
@@ -156,6 +158,9 @@ def _subset_sampler(catalog: CandidateSet, items_per_query: int) -> Callable:
     return sample
 
 
+#: Defaults of the items per query, the share of train records and the display order policy.
+ITEMS_PER_QUERY, TRAIN_FRACTION, RANKING_POLICY = 50, 0.8, "random"
+
 RANKING_POLICIES: dict[str, Callable] = {
     "random": lambda candidates, rng: rng.permutation(len(candidates)),
     "as_sampled": lambda candidates, rng: np.arange(len(candidates)),
@@ -172,10 +177,10 @@ def generate_logs(
     config: BehaviorConfig,
     catalog: CandidateSet,
     n_queries: int,
-    items_per_query: int = 50,
-    ranking_policy: str = "random",
+    items_per_query: int = ITEMS_PER_QUERY,
+    ranking_policy: str = RANKING_POLICY,
     seed: int = 0,
-    train_fraction: float = 0.8,
+    train_fraction: float = TRAIN_FRACTION,
 ) -> Dataset:
     """Sample query records: a price-band catalog subset (see
     ``_subset_sampler``), ordered by policy, with labels.

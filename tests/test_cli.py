@@ -286,6 +286,36 @@ class TestConfigLayering:
         out = tmp_path / "run"
         assert main(["--config", str(config), "--output-dir", str(out), "generate"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("config, code", (
+        ("beam_size: 2\n", 0),
+        ("not_a_key: 1\n", EXIT_VALIDATION),
+        ("- 1\n- 2\n", EXIT_VALIDATION),
+        ("epochs: 1.5\n", EXIT_VALIDATION),
+        ("epochs: [1\n", EXIT_VALIDATION),
+        ("\xff: 1\n", EXIT_VALIDATION),
+    ), ids=("valid", "unknown-key", "list", "fractional", "malformed", "not-utf8"))
+    @pytest.mark.parametrize("command", ("evaluate", "bench", "oracle-compare"))
+    def test_every_command_checks_the_config_file(self, command, config, code, tmp_path, capsys):
+        """evaluate, bench and oracle-compare once ignored --config and exited
+        0 on a bad file; a file that does not parse ended in a traceback."""
+        log, model, config_path = tmp_path / "test.jsonl", tmp_path / "mirnn.model", tmp_path / "config.yaml"
+        write_logs(mixed_length_log((5, 4), d=3), log)
+        save_model(init_model("mirnn", ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=4), seed=0), model)
+        config_path.write_bytes(config.encode("latin-1"))
+        args = {
+            "evaluate": [str(log), str(model)],
+            "bench": [str(model), "--sizes", "2,3", "--beams", "1", "--reps", "1"],
+            "oracle-compare": [str(model), str(log), "--max-n", "3", "--beams", "1"],
+        }[command]
+        out = tmp_path / "run"
+        assert main(["--config", str(config_path), "--output-dir", str(out), command, *args]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1 and "config" in err
+            assert not out.exists()
+        else:
+            assert err == "" and any(out.iterdir())
+
 
 class TestExitCodes:
     def test_missing_input_path_is_validation(self, tmp_path):

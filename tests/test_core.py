@@ -16,14 +16,17 @@ class TestMakeRng:
     def test_different_seeds_differ(self):
         assert not np.array_equal(make_rng(1).standard_normal(5), make_rng(2).standard_normal(5))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "7"])
     def test_rejects_out_of_range_seed(self, seed):
+        """A seed out of range, or not a whole number, raises; 1.5 once seeded
+        the stream of 1."""
         with pytest.raises(ValidationError):
             make_rng(seed)
 
     def test_accepts_boundary_seeds(self):
         make_rng(0)
-        make_rng(2**64 - 1)
+        top = make_rng(2**64 - 1).standard_normal(3)
+        assert np.array_equal(make_rng(np.uint64(2**64 - 1)).standard_normal(3), top)
 
 
 class TestItem:

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from mirank import ModelConfig, QueryRecord, TrainConfig, init_model, nn, train
+from mirank import BehaviorConfig, ModelConfig, QueryRecord, TrainConfig, init_model, nn, train
 from mirank.configs import VARIANT_TRAITS, expected_block_shapes
 from mirank.core import MirankError, Ranking, ValidationError, make_rng
 from mirank.features import extend_features
-from mirank.models import advance_entries, input_projection, item_probabilities, sequence_probabilities
+from mirank.models import (
+    advance_entries,
+    input_projection,
+    item_probabilities,
+    logged_forward,
+    sequence_probabilities,
+)
 from mirank.nn.attention import representations, softmax
 from mirank.ranker import rank, rerank_top_n
 from conftest import chain_entry, random_candidates
@@ -61,6 +67,30 @@ def test_unknown_variant_is_validation(variant, rng):
             call()
 
 
+@pytest.mark.parametrize("cls, values, key", [
+    (ModelConfig, {"d": 2.5}, "d"),
+    (ModelConfig, {"hidden_sizes": (4.5,)}, "hidden_sizes"),
+    (ModelConfig, {"lstm_hidden": True}, "lstm_hidden"),
+    (TrainConfig, {"epochs": 1.5}, "epochs"),
+    (TrainConfig, {"learning_rate": True}, "learning_rate"),
+    (BehaviorConfig, {"seed": 1.5}, "seed"),
+], ids=("fractional-d", "fractional-hidden-size", "bool-lstm-hidden", "fractional-epochs", "bool-learning-rate",
+        "fractional-seed"))
+def test_library_configs_take_the_yaml_rule(cls, values, key):
+    """A library config converts its values as YAML, flags and model headers
+    do: a fraction for an integer, or a bool for a number, once constructed
+    and ended later in a raw TypeError."""
+    with pytest.raises(ValidationError, match=f"config key '{key}'"):
+        cls(**values)
+
+
+def test_library_configs_convert_numpy_numbers():
+    config = ModelConfig(d=np.int64(3), hidden_sizes=[np.int64(5), 4.0])
+    assert (config.d, config.hidden_sizes) == (3, (5, 4))
+    assert type(config.d) is int and all(type(size) is int for size in config.hidden_sizes)
+    assert type(TrainConfig(learning_rate=np.float32(0.5)).learning_rate) is float
+
+
 class TestFeedForwardScoring:
     def test_midnn_batch_matches_single(self, rng):
         params = init_model("midnn", SMALL, seed=0)
@@ -92,10 +122,22 @@ class TestFeedForwardScoring:
             rerank_top_n(params, Ranking(tuple(range(len(cs)))), cs, n=3, gamma=-0.5)
 
     def test_variant_guards(self, rng):
+        """Each guard names the operation and the trait it needs."""
         midnn = init_model("midnn", SMALL, seed=0)
         cs = random_candidates(rng, 3, 3)
-        with pytest.raises(MirankError):
-            advance_entries(midnn, np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 0, 4)), None, 1, cs.feature_matrix)
+        feats = extend_features(cs)
+        calls = {
+            "advance_entries": lambda: advance_entries(
+                midnn, np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 0, 4)), None, 1, cs.feature_matrix
+            ),
+            "sequence_probabilities": lambda: sequence_probabilities(midnn, feats, [[0, 1, 2]]),
+            "logged_forward": lambda: next(logged_forward(midnn, [feats])),
+        }
+        for operation, call in calls.items():
+            with pytest.raises(MirankError, match=rf"^{operation} requires a recurrent model, got 'midnn'$"):
+                call()
+        with pytest.raises(MirankError, match=r"^item_probabilities requires a non-recurrent model, got 'mirnn'$"):
+            item_probabilities(init_model("mirnn", SMALL, seed=0), feats)
 
     @pytest.mark.parametrize("variant, extended", [
         ("mirnn", True), ("mirnn_attention", True), ("midnn", False), ("baseline", True),

@@ -38,6 +38,18 @@ class TestModelRoundTrip:
         for name in params.blocks:
             assert np.array_equal(loaded.blocks[name], params.blocks[name])
 
+    def test_numpy_integer_sizes_round_trip(self, tmp_path):
+        """save_model once raised TypeError on a config holding numpy integers."""
+        config = ModelConfig(d=np.int64(3), hidden_sizes=(np.int64(5), 4), lstm_hidden=np.int32(4),
+                             attn_size=3, pos_size=2, max_positions=12)
+        params = init_model("mirnn_attention", config, seed=3)
+        path = tmp_path / "model.mirk"
+        save_model(params, path)
+        loaded = load_model(path)
+        assert loaded.config == config == SMALL
+        for name in params.blocks:
+            assert np.array_equal(loaded.blocks[name], params.blocks[name])
+
     def test_no_temp_files_left_behind(self, tmp_path):
         save_model(init_model("midnn", SMALL, seed=0), tmp_path / "m.mirk")
         assert [p.name for p in tmp_path.iterdir()] == ["m.mirk"]

@@ -153,11 +153,11 @@ class TestBeamSearch:
     def test_input_guards(self, rng):
         cs = random_candidates(rng, 4, 3)
         recurrent = init_model("mirnn", SMALL, seed=0)
-        with pytest.raises(MirankError):
+        with pytest.raises(MirankError, match="^beam_search requires a recurrent model, got 'midnn'$"):
             beam_search(init_model("midnn", SMALL, seed=0), cs, k=2)
         with pytest.raises(MirankError):
             beam_search(recurrent, cs, k=0)
-        with pytest.raises(MirankError):
+        with pytest.raises(MirankError, match="^sequence_probabilities requires a recurrent model, got 'midnn'$"):
             greedy_reference(init_model("midnn", SMALL, seed=0), cs)
 
 
