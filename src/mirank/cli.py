@@ -20,7 +20,7 @@ import click
 import numpy as np
 import yaml
 
-from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, VARIANTS, ModelConfig, TrainConfig, coerce, config_from
+from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, VARIANT_TRAITS, VARIANTS, ModelConfig, TrainConfig, coerce, config_from
 from .core import MirankError, NonFiniteError, Ranking, ValidationError
 from .features import extend_features
 # evaluate scores through logged_predictions alone; perfbench/tracer.py still
@@ -219,13 +219,15 @@ def generate(ctx, **flags):
 @click.argument("variant", type=click.Choice(VARIANTS))
 @click.argument("train_path", type=click.Path(exists=True))
 @click.option("--epochs", type=int, default=None)
-@click.option("--batch-size", type=int, default=None)
+@click.option("--batch-size", type=int, default=None, help="Feed-forward variants only.")
 @click.option("--learning-rate", type=float, default=None)
 @click.option("--hidden-sizes", help=f"Comma-separated, default {','.join(map(str, ModelConfig.hidden_sizes))}.")
 @click.option("--lstm-hidden", type=int, default=None)
 @click.pass_context
 def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
     """Train a model variant on a JSONL training log."""
+    if flags["batch_size"] is not None and VARIANT_TRAITS[variant].recurrent:
+        raise ValidationError(f"--batch-size sets the feed-forward batch; {variant} reads the sequence_batch_size config key")
     if hidden_sizes is not None:
         flags["hidden_sizes"] = _parse_int_list("--hidden-sizes", hidden_sizes)
     cfg = _resolve_config(ctx, flags)
@@ -285,13 +287,12 @@ def evaluate(ctx, test_path, model_paths, attention_size):
     """Compute AUC/RIG for each model on a test log (plus attention matrix)."""
     dataset = _read_records(test_path, "test")
     models = [(model_path, _load_model_for(model_path, dataset, test_path)) for model_path in model_paths]
-    out = _out_dir(ctx)
     extended = [extend_features(record.candidate_set) for record in dataset.records]
     labels = np.concatenate([record.labels for record in dataset.records])
     report: dict = {}
     matrices = {}
-    # Every model is scored before any file is written, so a failing model
-    # leaves no output behind.
+    # Every model is scored before the output directory is made, so a failing
+    # model leaves no output behind.
     for model_path, params in models:
         predictions, matrix = logged_predictions(params, extended, attention_size)
         try:
@@ -305,6 +306,7 @@ def evaluate(ctx, test_path, model_paths, attention_size):
         report[name] = {"variant": params.variant, **asdict(metrics)}
         if matrix is not None:
             matrices[name] = matrix.values
+    out = _out_dir(ctx)
     for name, values in matrices.items():
         _write_csv(out / f"attention_matrix_{name}.csv", values)
     (out / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True))
@@ -346,8 +348,8 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
     """Compare beam-search GMV against the exhaustive oracle on small prefixes."""
     dataset = _read_records(log_path, "oracle-compare")
     params = _load_model_for(model_path, dataset, log_path)
+    params.require("oracle-compare", "recurrent")
     beam_sizes = _parse_int_list("--beams", beams)
-    out = _out_dir(ctx)
     rows = []
     for record in dataset.records:
         subset = record.candidate_set.take(np.arange(min(max_n, len(record))))
@@ -357,6 +359,7 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
             for k in beam_sizes:
                 beam = beam_search(params, subset, k).expected_gmv
                 rows.append([record.query_id, k, beam, oracle, greedy, beam / oracle])
+    out = _out_dir(ctx)
     _write_csv(out / "oracle_compare.csv", rows,
                ["query_id", "beam_size", "beam_gmv", "oracle_gmv", "greedy_gmv", "ratio"])
     _write_manifest(out, "oracle_compare", ctx.obj["seed"],

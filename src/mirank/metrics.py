@@ -9,10 +9,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import nn
 from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, ModelParams
 from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, make_rng
 from .features import extend_features
-from .models import item_probabilities, logged_forward
+from .models import item_probabilities
 from .nn.common import cross_entropy_batch
 from .ranker import rank
 from .simgen import BehaviorConfig, _subset_sampler, generate_catalog, session_probabilities
@@ -192,8 +193,10 @@ def attention_diagnostic(
     return logged_predictions(params, prefixes, attention_size=size)[1]
 
 
-# Rows per MLP call when a whole log is scored, so memory stays bounded.
+# Rows per MLP call, and records per recurrent forward pass, when a whole log
+# is scored: memory stays bounded while each matmul stays wide.
 ROW_CHUNK = 8192
+LOG_CHUNK = 64
 
 
 def logged_predictions(
@@ -208,8 +211,11 @@ def logged_predictions(
     the :func:`attention_diagnostic` matrix over the records at least that
     long, read from the same forward pass, and None otherwise.
 
-    The recurrent models are causal, so the first ``attention_size`` positions
-    of a full-record forward equal a forward over that prefix alone.
+    A recurrent model scores records of one length together, shortest first
+    and in log order within a length, in (B, T, F) batches of at most
+    LOG_CHUNK records; memory holds one batch's states. The models are
+    causal, so the first ``attention_size`` positions of a full-record
+    forward equal a forward over that prefix alone.
     """
     traits = params.traits
     if not traits.recurrent:
@@ -225,13 +231,20 @@ def logged_predictions(
     per_record: list = [None] * len(extended)
     total = np.zeros((size, size)) if size is not None else None
     count = 0
-    for chunk, probs, caches in logged_forward(params, extended):
-        for row, index in enumerate(chunk):
-            per_record[index] = probs[row]
-        if size is not None and probs.shape[1] >= size:
-            for t in range(1, size):
-                total[t, :t] += caches["alphas"][t].sum(axis=0)
-            count += len(chunk)
+    by_length: dict[int, list[int]] = {}
+    for index, feats in enumerate(extended):
+        by_length.setdefault(len(feats), []).append(index)
+    for length, indices in sorted(by_length.items()):
+        for start in range(0, len(indices), LOG_CHUNK):
+            chunk = indices[start : start + LOG_CHUNK]
+            # An attribute lookup, so that a wrapper set on mirank.nn sees every pass.
+            probs, caches = nn.sequence_forward(params.blocks, np.stack([extended[i] for i in chunk]))
+            for row, index in enumerate(chunk):
+                per_record[index] = probs[row]
+            if size is not None and length >= size:
+                for t in range(1, size):
+                    total[t, :t] += caches["alphas"][t].sum(axis=0)
+                count += len(chunk)
     if size is not None and count == 0:
         raise MirankError(f"no records of length >= {size} for the attention diagnostic")
     attention = AttentionMatrix(values=total / count, n_records=count) if size is not None else None

@@ -12,9 +12,6 @@ orders through :func:`nn.sequence_forward`.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Sequence
-
 import numpy as np
 
 from .configs import ModelConfig, ModelParams
@@ -28,7 +25,6 @@ __all__ = [
     "init_model",
     "input_projection",
     "item_probabilities",
-    "logged_forward",
     "sequence_probabilities",
 ]
 
@@ -161,30 +157,3 @@ def sequence_probabilities(params: ModelParams, extended: np.ndarray, orders) ->
     x = np.asarray(extended, dtype=np.float64)[np.asarray(orders, dtype=int)]
     probs, _ = nn.sequence_forward(params.blocks, x)
     return probs
-
-
-# Records per forward pass when a whole log is scored: bounds the states held
-# at once on large logs while keeping each step's matmuls wide.
-LOG_CHUNK = 64
-
-
-def logged_forward(params: ModelParams, extended: Sequence[np.ndarray]):
-    """Forward pass over each record's logged order, many records at a time.
-
-    ``extended`` holds one (T, F) matrix per record, rows in logged order.
-    Records are grouped by length, so each chunk of at most LOG_CHUNK of them
-    stacks into one (B, T, F) batch. Yields (indices, probs, caches) per
-    chunk: ``indices`` locate its records in ``extended``; probs and caches
-    are those of :func:`nn.sequence_forward` without training caches, so
-    ``caches`` holds only ``"alphas"``. Memory holds one chunk's states.
-    """
-    params.require("logged_forward", "recurrent")
-    buckets: dict[int, list[int]] = defaultdict(list)
-    for index, feats in enumerate(extended):
-        buckets[len(feats)].append(index)
-    for length in sorted(buckets):
-        indices = buckets[length]
-        for start in range(0, len(indices), LOG_CHUNK):
-            chunk = indices[start : start + LOG_CHUNK]
-            probs, caches = nn.sequence_forward(params.blocks, np.stack([extended[i] for i in chunk]))
-            yield chunk, probs, caches

@@ -8,9 +8,7 @@ from scipy.special import expit
 # Probabilities are clamped into [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
 
-
-def sigmoid(x, out=None):
-    return expit(x, out=out)
+sigmoid = expit
 
 
 def cross_entropy(prediction: float, label: int) -> float:

@@ -13,10 +13,6 @@ import numpy as np
 from .common import sigmoid
 
 
-def hidden_dim(params: dict[str, np.ndarray]) -> int:
-    return params["Wh"].shape[1]
-
-
 def lstm_step_batch(
     params: dict[str, np.ndarray],
     hidden: np.ndarray,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .attention import position_row, representations, softmax
 from .common import sigmoid
-from .lstm import hidden_dim, lstm_step_batch, lstm_step_backward
+from .lstm import lstm_step_batch, lstm_step_backward
 
 
 def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray, keep_caches: bool = False):
@@ -43,7 +43,7 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray, keep_caches: 
     """
     x = np.asarray(x, dtype=np.float64)
     batch, length, _ = x.shape
-    h_dim = hidden_dim(params)
+    h_dim = params["Wh"].shape[1]
     attention = "w_ctx" in params
     hiddens = np.zeros((batch, length, h_dim)) if attention or keep_caches else None
     h = np.zeros((batch, h_dim))

@@ -455,19 +455,23 @@ class TestExitCodes:
 
     @staticmethod
     def _nan_model_run(tmp_path, command):
-        """The argv of ``command`` on a midnn model whose blocks alternate
-        +-1e300: it saves and loads (every value is finite) but predicts NaN.
-        evaluate scores a sound model first. Also returns the model's path
-        and the log's first query id."""
+        """The argv of ``command`` on a model whose blocks alternate +-1e300:
+        it saves and loads (every value is finite) but predicts NaN. The model
+        is a midnn, or a mirnn_attention for oracle-compare, which needs a
+        recurrent model (a +-1e300 mirnn saturates to a finite GMV). evaluate
+        scores a sound model first. Also returns the model's path and the
+        log's first query id."""
         out = tmp_path / "run"
         assert _generate(out) == 0
-        fresh = init_model("midnn", ModelConfig(d=4, hidden_sizes=(4,)), seed=0)
+        variant = "mirnn_attention" if command == "oracle-compare" else "midnn"
+        config = ModelConfig(d=4, hidden_sizes=(4,), lstm_hidden=3, attn_size=2, pos_size=2)
+        fresh = init_model(variant, config, seed=0)
         huge = out / "huge.model"
-        save_model(ModelParams("midnn", fresh.config, {
+        save_model(ModelParams(variant, fresh.config, {
             name: np.resize([1e300, -1e300], block.shape) for name, block in fresh.blocks.items()
         }), huge)
         sound = out / "sound.model"
-        save_model(init_model("mirnn_attention", ModelConfig(d=4, lstm_hidden=3, attn_size=2, pos_size=2), seed=0), sound)
+        save_model(init_model("mirnn_attention", config, seed=0), sound)
         log = out / "test.jsonl"
         args = {
             "evaluate": [log, sound, huge, "--attention-size", "5"],
@@ -483,7 +487,8 @@ class TestExitCodes:
         """evaluate and rerank once exited 0 with NaN in metrics.json and
         rerank_gmv.csv, oracle-compare ended in a traceback, and bench named
         neither the model nor the size; now each exits 2 naming the model and
-        the query (bench: the rerank size), and leaves no output file."""
+        the query (bench: the rerank size), and leaves no output file; only
+        rerank, which writes as it goes, may leave an empty directory."""
         argv, huge, first_query = self._nan_model_run(tmp_path, command)
         capsys.readouterr()
         assert main(argv) == EXIT_VALIDATION
@@ -493,7 +498,7 @@ class TestExitCodes:
         assert all(part in err for part in named) and "nan" in err.lower()
         assert "Traceback" not in err
         bad = tmp_path / "bad"
-        assert not bad.exists() or not any(bad.iterdir())
+        assert not bad.exists() or command == "rerank" and not any(bad.iterdir())
 
     @pytest.mark.parametrize("command", ("evaluate", "rerank", "oracle-compare", "bench"))
     def test_nan_predictions_write_one_stderr_line(self, command, tmp_path):
@@ -504,6 +509,32 @@ class TestExitCodes:
         assert result.returncode == EXIT_VALIDATION
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+    def test_oracle_compare_on_a_feed_forward_model_is_validation(self, tmp_path, capsys):
+        """oracle-compare on a midnn once made its output directory and ran
+        the exhaustive oracle before it failed."""
+        out = tmp_path / "run"
+        assert _generate(out) == 0
+        model = out / "midnn.model"
+        save_model(init_model("midnn", ModelConfig(d=4, hidden_sizes=(4,)), seed=0), model)
+        capsys.readouterr()
+        bad = tmp_path / "bad"
+        assert main(["--output-dir", str(bad), "oracle-compare", str(model), str(out / "test.jsonl")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == ["error: oracle-compare requires a recurrent model, got 'midnn'"]
+        assert not bad.exists()
+
+    @pytest.mark.parametrize("variant", ("mirnn", "mirnn_attention"))
+    def test_batch_size_flag_on_a_recurrent_variant_is_validation(self, variant, tmp_path, capsys):
+        """A recurrent variant trains in batches of sequence_batch_size, so
+        --batch-size once changed nothing but the manifest."""
+        out = tmp_path / "run"
+        assert _generate(out) == 0
+        capsys.readouterr()
+        argv = ["--output-dir", str(out), "train", variant, str(out / "train.jsonl"), "--batch-size", "8"]
+        assert main(argv) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --batch-size ") and "sequence_batch_size" in lines[0]
+        assert not (out / f"{variant}.model").exists()
 
     @pytest.mark.parametrize("variant", ("mirnn", "midnn"))
     def test_mixed_feature_dimension_is_validation(self, variant, tmp_path, capsys):
@@ -543,7 +574,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags, config", (
         (("--epochs", "0"), ""),
-        (("--batch-size", "0"), ""),
+        ((), "batch_size: 0\n"),
         ((), "hidden_sizes: 8\n"),
         ((), "lstm_hidden: abc\n"),
         (("--hidden-sizes", ","), ""),

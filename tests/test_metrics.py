@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirank import BehaviorConfig, ModelConfig, extend_features, generate_catalog, init_model
-from mirank import models, nn
+from mirank import metrics, models, nn
 from mirank.core import MirankError, NonFiniteError, QueryRecord, Ranking, make_rng
 from mirank.metrics import (
     DegenerateLabelsError,
@@ -197,7 +197,7 @@ class TestLoggedPredictions:
     @pytest.mark.parametrize("variant", ["baseline", "midnn", "mirnn", "mirnn_attention"])
     def test_matches_per_record_scoring_in_log_order(self, variant, monkeypatch):
         # Two records per chunk, so equal-length records span several chunks.
-        monkeypatch.setattr(models, "LOG_CHUNK", 2)
+        monkeypatch.setattr(metrics, "LOG_CHUNK", 2)
         records = mixed_length_log(MIXED_LENGTHS, d=3)
         params = init_model(variant, SMALL, seed=2)
         extended = [extend_features(r.candidate_set) for r in records]
@@ -238,7 +238,7 @@ class TestBatchedAttentionDiagnostic:
         return total / len(qualifying), len(qualifying)
 
     def test_matches_per_record_average(self, monkeypatch):
-        monkeypatch.setattr(models, "LOG_CHUNK", 2)
+        monkeypatch.setattr(metrics, "LOG_CHUNK", 2)
         records = mixed_length_log(MIXED_LENGTHS, d=3)
         params = init_model("mirnn_attention", SMALL, seed=6)
         expected, count = self._reference(params, records, self.SIZE)

@@ -11,7 +11,6 @@ from mirank.models import (
     advance_entries,
     input_projection,
     item_probabilities,
-    logged_forward,
     sequence_probabilities,
 )
 from mirank.nn.attention import representations, softmax
@@ -131,7 +130,6 @@ class TestFeedForwardScoring:
                 midnn, np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 0, 4)), None, 1, cs.feature_matrix
             ),
             "sequence_probabilities": lambda: sequence_probabilities(midnn, feats, [[0, 1, 2]]),
-            "logged_forward": lambda: next(logged_forward(midnn, [feats])),
         }
         for operation, call in calls.items():
             with pytest.raises(MirankError, match=rf"^{operation} requires a recurrent model, got 'midnn'$"):

@@ -61,3 +61,25 @@ def test_traced_beam_counts_every_entry_item_pair(tracer, monkeypatch):
     assert entries == [1, 3, 3, 3, 3, 3]
     assert traced.counts["models.advance_entries.calls"] == n
     assert traced.counts["models.advance_entries.pairs"] == n * sum(entries)
+
+
+def test_traced_log_scoring_counts_every_forward_pass(tracer, monkeypatch):
+    """logged_predictions runs one sequence_forward pass per chunk of equal
+    length records, and reaches it through the mirank.nn attribute the tracer
+    wraps: a name bound at import would read 0 passes here."""
+    import mirank.metrics
+    from collections import Counter
+    from mirank import ModelConfig, extend_features, init_model
+    from conftest import mixed_length_log
+
+    monkeypatch.setattr(mirank.metrics, "LOG_CHUNK", 2)
+    lengths = (9, 4, 12, 6, 9, 15, 4, 12, 7, 9)
+    records = mixed_length_log(lengths, d=3)
+    config = ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=16)
+    params = init_model("mirnn_attention", config, seed=0)
+    extended = [extend_features(record.candidate_set) for record in records]
+    with tracer.Tracer(tracer.timed_phase_patches()) as traced:
+        mirank.metrics.logged_predictions(params, extended, attention_size=5)
+    groups = sum(-(-count // 2) for count in Counter(lengths).values())
+    assert groups == 7
+    assert traced.counts["nn.recurrent.sequence_forward.calls"] == groups
