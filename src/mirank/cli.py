@@ -169,7 +169,7 @@ def _read_records(path, role: str):
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True, help="64-bit unsigned seed.")
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True, help="64-bit unsigned seed.")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="YAML/JSON config file.")
 @click.option("--output-dir", type=click.Path(), default=".", show_default=True)
 @click.pass_context
@@ -255,6 +255,13 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
     cfg = _resolve_config(ctx, flags)
     dataset = _read_records(log_path, "rerank")
     params = _load_model_for(model_path, dataset, log_path)
+    # Checked before the output directory is made; the feed-forward models ignore the beam size.
+    if rerank_size is not None and rerank_size < 1:
+        raise ValidationError(f"--rerank-size must be >= 1, got {rerank_size}")
+    if params.traits.recurrent and cfg["beam_size"] < 1:
+        raise ValidationError(f"beam_size (--beam-size or config key) must be >= 1, got {cfg['beam_size']}")
+    if not 0 <= cfg["gamma"] < np.inf:
+        raise ValidationError(f"gamma (--gamma or config key) must be finite and nonnegative, got {cfg['gamma']}")
     out = _out_dir(ctx)
     rows = []
 

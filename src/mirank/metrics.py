@@ -278,7 +278,8 @@ def latency_bench(
     """Median and minimum ranking wall time over random candidate sets, with
     log-log slope fits of time vs rerank size (at the smallest beam size) and
     time vs beam size (at the largest rerank size). Repeated sizes count
-    once, and a slope is fitted only over at least two distinct sizes.
+    once, and a slope is fitted only over at least two distinct sizes. The
+    candidates of rerank size n are drawn from seed ``(seed + n) % 2**64``.
 
     Repetitions go round all (model, beam size, rerank size) cells in turn, so
     a slow stretch of the machine falls on every cell alike; each timed run
@@ -289,7 +290,7 @@ def latency_bench(
     """
     rerank_sizes, beam_sizes = list(dict.fromkeys(rerank_sizes)), list(dict.fromkeys(beam_sizes))
     first_params = next(iter(models.values()))
-    catalogs = {n: generate_catalog(n, first_params.config.d, seed + n) for n in rerank_sizes}
+    catalogs = {n: generate_catalog(n, first_params.config.d, (seed + n) % 2**64) for n in rerank_sizes}
     # The feed-forward models sort without a beam: their one cell has beam size 0.
     beams = {name: beam_sizes if params.traits.recurrent else [0] for name, params in models.items()}
     policies = {(name, k): model_policy(models[name], beam_size=k) for name in models for k in beams[name]}

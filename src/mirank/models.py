@@ -17,7 +17,7 @@ import numpy as np
 from .configs import ModelConfig, ModelParams
 from .core import ValidationError, make_rng
 from . import nn
-from .nn.attention import representations, softmax
+from .nn.recurrent import representations, softmax
 from .nn.train import init_blocks
 
 __all__ = [

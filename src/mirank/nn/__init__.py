@@ -2,7 +2,6 @@
 
 from .common import sigmoid
 from .mlp import mlp_forward_batch
-from .lstm import cell_update
-from .recurrent import sequence_forward
+from .recurrent import cell_update, sequence_forward
 
 __all__ = ["cell_update", "mlp_forward_batch", "sequence_forward", "sigmoid"]

@@ -1,7 +1,10 @@
-"""Training loop: mini-batch Adam over items (feed-forward) or sequences (recurrent)."""
+"""Training loop: mini-batch Adam over items (feed-forward) or sequences
+(recurrent), with an Adam-style adaptive per-parameter optimizer that is
+seed-deterministic."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
 from typing import Sequence
@@ -13,8 +16,39 @@ from ..core import MirankError, QueryRecord, ValidationError, make_rng
 from ..features import extend_feature_matrix
 from .common import cross_entropy_batch, glorot_uniform
 from .mlp import mlp_backward, mlp_forward_batch
-from .optim import AdamState, adam_step
 from .recurrent import sequence_backward, sequence_forward
+
+
+#: Adam's moment decay rates and the denominator's guard against division by zero.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+@dataclass
+class AdamState:
+    """First/second moment accumulators, keyed like the parameter blocks."""
+
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+    t: int = 0
+
+
+def adam_step(
+    blocks: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    state: AdamState,
+    learning_rate: float,
+) -> None:
+    """Update ``blocks`` in place from ``grads``; ``state`` carries the moments."""
+    state.t += 1
+    for name, grad in grads.items():
+        if name not in state.m:
+            state.m[name] = np.zeros_like(grad)
+            state.v[name] = np.zeros_like(grad)
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * grad
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * grad**2
+        m_hat = state.m[name] / (1.0 - BETA1**state.t)
+        v_hat = state.v[name] / (1.0 - BETA2**state.t)
+        blocks[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class TrainingDiverged(MirankError):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import parse_pairs, summarize  # noqa: E402
+from bench_pairs import fresh_copy, parse_pairs, src_sha256, summarize  # noqa: E402
 
 
 RSS = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
@@ -62,3 +62,22 @@ def test_within_bound_allows_a_loss_up_to_the_bound_in_the_better_direction():
 def test_summary_needs_two_pairs():
     runs = [_run("rerank_lstm", 0, "base", 1.0, 1), _run("rerank_lstm", 0, "change", 1.0, 1)]
     assert summarize(runs, RSS) == {"rerank_lstm": {"pairs": 1, "outputs_sha256_equal_pairs": 1}}
+
+
+def test_fresh_copy_takes_sources_and_the_benchmark_spec_only(tmp_path):
+    """A side runs from a copy of its src/ and perfbench/ and of the change's
+    BENCHMARK.json: no bytecode, benchmark work files or other files."""
+    checkout = tmp_path / "checkout"
+    for name in ("src/mirank/__init__.py", "src/mirank/__pycache__/core.pyc", "perfbench/run.py",
+                 "perfbench/__pycache__/run.pyc", "perfbench/.bench_work/run-1/log.jsonl", "tools/x.py",
+                 "BENCHMARK.json"):
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text(name)
+    spec = tmp_path / "spec.json"
+    spec.write_text("{}")
+    copy = fresh_copy(checkout, tmp_path / "copies" / "base", spec)
+    assert copy == tmp_path / "copies" / "base"
+    files = sorted(str(path.relative_to(copy)) for path in copy.rglob("*") if path.is_file())
+    assert files == ["BENCHMARK.json", "perfbench/run.py", "src/mirank/__init__.py"]
+    assert (copy / "BENCHMARK.json").read_text() == "{}"
+    assert src_sha256(copy) == src_sha256(checkout)

@@ -362,6 +362,69 @@ class TestExitCodes:
             assert "gamma" in err and "Traceback" not in err
         assert main([*args, "--gamma", "0"]) == 0
 
+    @pytest.mark.parametrize("seed", ("-1", str(2**64)))
+    @pytest.mark.parametrize("command", ("generate", "train", "rerank", "evaluate", "bench", "oracle-compare"))
+    def test_seed_out_of_range_is_validation(self, command, seed, tmp_path, capsys):
+        """Once only the commands that draw from the seed checked it: bench
+        and evaluate exited 0 on --seed -1 and recorded it."""
+        log, model = tmp_path / "test.jsonl", tmp_path / "mirnn.model"
+        write_logs(mixed_length_log((5, 4), d=3), log)
+        save_model(init_model("mirnn", ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=4), seed=0), model)
+        args = {
+            "generate": [*GEN_FLAGS],
+            "train": ["mirnn", str(log), "--epochs", "1"],
+            "rerank": [str(model), str(log)],
+            "evaluate": [str(log), str(model)],
+            "bench": [str(model), "--sizes", "2,3", "--beams", "1", "--reps", "1"],
+            "oracle-compare": [str(model), str(log), "--max-n", "3", "--beams", "1"],
+        }[command]
+        out = tmp_path / "run"
+        assert main(["--seed", seed, "--output-dir", str(out), command, *args]) == EXIT_VALIDATION
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_runs_bench(self, tmp_path):
+        """bench draws the candidates of rerank size n from seed (seed + n) mod 2**64."""
+        model, out = tmp_path / "mirnn.model", tmp_path / "run"
+        save_model(init_model("mirnn", ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=4), seed=0), model)
+        seed = 2**64 - 1
+        argv = ["--seed", str(seed), "--output-dir", str(out), "bench", str(model), "--sizes", "2,3", "--reps", "1"]
+        assert main(argv) == 0
+        assert json.loads((out / "manifest_bench.json").read_text())["seed"] == seed
+
+    @pytest.mark.parametrize("variant, flags, config, named", (
+        ("mirnn", ("--rerank-size", "0"), None, "--rerank-size"),
+        ("midnn", ("--rerank-size", "-2"), None, "--rerank-size"),
+        ("mirnn", ("--beam-size", "0"), None, "beam_size"),
+        ("mirnn_attention", ("--beam-size", "-1"), None, "beam_size"),
+        ("mirnn", (), "beam_size: 0\n", "beam_size"),
+        ("mirnn", ("--gamma", "-1"), None, "gamma"),
+        ("baseline", (), "gamma: .nan\n", "gamma"),
+    ), ids=("rerank-size-0", "rerank-size-negative", "beam-size-0", "beam-size-negative", "config-beam-size-0",
+            "gamma-negative", "config-gamma-nan"))
+    def test_bad_rerank_setting_leaves_no_directory(self, variant, flags, config, named, tmp_path, capsys):
+        """Each of these once exited 2 only after making an empty output directory."""
+        log, model = tmp_path / "test.jsonl", tmp_path / "model.model"
+        write_logs(mixed_length_log((5, 4), d=3), log)
+        model_config = ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=4, attn_size=2, pos_size=2)
+        save_model(init_model(variant, model_config, seed=0), model)
+        config_flags = []
+        if config is not None:
+            (tmp_path / "config.yaml").write_text(config)
+            config_flags = ["--config", str(tmp_path / "config.yaml")]
+        out = tmp_path / "run"
+        assert main([*config_flags, "--output-dir", str(out), "rerank", str(model), str(log), *flags]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ("baseline", "midnn"))
+    def test_feed_forward_rerank_ignores_the_beam_size(self, variant, tmp_path):
+        log, model = tmp_path / "test.jsonl", tmp_path / "model.model"
+        write_logs(mixed_length_log((5, 4), d=3), log)
+        save_model(init_model(variant, ModelConfig(d=3, hidden_sizes=(4,)), seed=0), model)
+        assert main(["--output-dir", str(tmp_path / "run"), "rerank", str(model), str(log), "--beam-size", "0"]) == 0
+
     def test_non_finite_log_number_is_io(self, tmp_path, capsys):
         save_model(init_model("midnn", ModelConfig(d=2, hidden_sizes=(3,)), seed=0), tmp_path / "midnn.model")
         log = tmp_path / "nan.jsonl"

@@ -13,7 +13,7 @@ from mirank.models import (
     item_probabilities,
     sequence_probabilities,
 )
-from mirank.nn.attention import representations, softmax
+from mirank.nn.recurrent import representations, softmax
 from mirank.ranker import rank, rerank_top_n
 from conftest import chain_entry, random_candidates
 

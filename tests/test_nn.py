@@ -12,11 +12,9 @@ from mirank.configs import VARIANTS
 from mirank.core import MirankError, ValidationError, make_rng
 from mirank.nn.common import PROB_EPS, cross_entropy, cross_entropy_batch, glorot_uniform, sigmoid
 from gradcheck import gradient_check, relative_error
-from mirank.nn.lstm import lstm_step_batch
 from mirank.nn.mlp import mlp_forward_batch
-from mirank.nn.optim import BETA1, BETA2, EPS, AdamState, adam_step
-from mirank.nn.recurrent import sequence_forward
-from mirank.nn.train import TrainingDiverged, init_blocks, train
+from mirank.nn.recurrent import lstm_step_batch, sequence_forward
+from mirank.nn.train import BETA1, BETA2, EPS, AdamState, TrainingDiverged, adam_step, init_blocks, train
 
 
 def _sig(x: float) -> float:

@@ -83,3 +83,25 @@ def test_traced_log_scoring_counts_every_forward_pass(tracer, monkeypatch):
     groups = sum(-(-count // 2) for count in Counter(lengths).values())
     assert groups == 7
     assert traced.counts["nn.recurrent.sequence_forward.calls"] == groups
+
+
+def test_traced_training_counts_every_step(tracer):
+    """One epoch of train runs lstm_step_batch once per position of every
+    batch and adam_step once per batch; sequence_forward and train look
+    both up as module globals at call time, so a name bound at import (a
+    default argument, a closure, an alias) would read 0 calls here."""
+    import sys
+    from collections import Counter
+    from mirank import ModelConfig, TrainConfig
+    from conftest import mixed_length_log
+
+    train = sys.modules["mirank.nn.train"].train
+    lengths = (5, 3, 5, 7, 5, 3, 7, 5)
+    records = mixed_length_log(lengths, d=3)
+    config = ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=8)
+    with tracer.Tracer(tracer.timed_phase_patches()) as traced:
+        train("mirnn_attention", records, config, TrainConfig(epochs=1, sequence_batch_size=3), seed=0)
+    batches = {length: -(-count // 3) for length, count in Counter(lengths).items()}
+    assert traced.counts["nn.optim.adam_step.calls"] == sum(batches.values()) == 4
+    assert traced.counts["nn.lstm.lstm_step_batch.calls"] == sum(length * n for length, n in batches.items()) == 20
+    assert traced.counts["nn.lstm.lstm_step_backward.calls"] == 20

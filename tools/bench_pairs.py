@@ -7,9 +7,14 @@ Run from anywhere, with both checkouts on disk:
         --seconds 20 --pairs evaluate=10,rerank_attention=3,rerank_lstm=3,train_attention=3 \\
         --out BENCH_12.json
 
+Both sides run from fresh copies, never in place: the ``src/`` and
+``perfbench/`` of each checkout, and the change's ``BENCHMARK.json``, are
+copied (without ``__pycache__`` or ``.bench_work``) into two sibling
+directories of one temporary directory, so both run at the same path depth
+from files no earlier run has touched; the copies are removed at the end.
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds N --trace 0``,
-unmodified, in each checkout, one after the other; the checkout that goes
-first alternates from pair to pair. The file keeps every run's ``env`` line
+unmodified, in each copy, one after the other; the side that goes first
+alternates from pair to pair. The file keeps every run's ``env`` line
 and result line as perfbench printed them, its ``info`` values (the output
 digest among them), and its minor page faults (``ru_minflt`` of its
 process). Per workload it sums up each end-to-end metric of
@@ -29,9 +34,11 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("base", "change")
@@ -43,6 +50,17 @@ def src_sha256(root: Path) -> str:
     for path in sorted((root / "src").rglob("*.py")):
         digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def fresh_copy(checkout: Path, dest: Path, benchmark: Path) -> Path:
+    """``dest``, made to hold a copy of the ``src/`` and ``perfbench/`` of
+    ``checkout`` and of the ``BENCHMARK.json`` at ``benchmark``, without
+    ``__pycache__`` or ``.bench_work`` directories."""
+    ignore = shutil.ignore_patterns("__pycache__", ".bench_work")
+    for name in ("src", "perfbench"):
+        shutil.copytree(checkout / name, dest / name, ignore=ignore)
+    shutil.copyfile(benchmark, dest / "BENCHMARK.json")
+    return dest
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -133,22 +151,25 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=parse_pairs, required=True, help="workload=count,...")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    roots = {"base": args.base.resolve(), "change": args.change.resolve()}
-    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    benchmark = args.change.resolve() / "BENCHMARK.json"
+    spec = json.loads(benchmark.read_text())
     runs = []
-    for workload, count in args.pairs.items():
-        for pair in range(count):
-            for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                run = run_perfbench(roots[side], workload, args.seed, args.seconds)
-                runs.append({"workload": workload, "pair": pair, "side": side, **run})
-                print(f"{workload} pair {pair} {side}: exit {run['exit_code']}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
+        roots = {side: fresh_copy(getattr(args, side).resolve(), Path(scratch) / side, benchmark) for side in SIDES}
+        trees = {side: {"src_sha256": src_sha256(root)} for side, root in roots.items()}
+        for workload, count in args.pairs.items():
+            for pair in range(count):
+                for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
+                    run = run_perfbench(roots[side], workload, args.seed, args.seconds)
+                    runs.append({"workload": workload, "pair": pair, "side": side, **run})
+                    print(f"{workload} pair {pair} {side}: exit {run['exit_code']}", file=sys.stderr)
     report = {
         "command": (
             f"python3 tools/bench_pairs.py --base BASE --change CHANGE --seed {args.seed} "
             f"--seconds {args.seconds} --pairs {','.join(f'{w}={c}' for w, c in args.pairs.items())} "
             f"--out {args.out.name}"
         ),
-        "trees": {side: {"src_sha256": src_sha256(root)} for side, root in roots.items()},
+        "trees": trees,
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }
