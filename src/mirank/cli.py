@@ -8,9 +8,8 @@ input files, so each experiment grid cell is auditable.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import hashlib
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -21,21 +20,14 @@ import numpy as np
 import yaml
 
 from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, VARIANT_TRAITS, VARIANTS, ModelConfig, TrainConfig, coerce, config_from
-from .core import MirankError, NonFiniteError, Ranking, ValidationError
+from .core import MirankError, NonFiniteError, Ranking, ValidationError, naming
 from .features import extend_features
 # evaluate scores through logged_predictions alone; perfbench/tracer.py still
 # wraps attention_diagnostic and the two scorers below here, by these names.
 from .metrics import attention_diagnostic, latency_bench, logged_predictions, metric_report  # noqa: F401
 from .models import item_probabilities as score_midnn_batch, sequence_probabilities  # noqa: F401
 from .nn.train import TrainingDiverged, train
-from .persistence import (
-    LogFormatError,
-    ModelFileError,
-    load_model,
-    read_logs,
-    save_model,
-    write_logs,
-)
+from .persistence import LogFormatError, ModelFileError, _atomic_write, _sha256, load_model, read_logs, save_model, write_logs
 from .ranker import beam_search, exhaustive_oracle, expected_gmv, greedy_reference, rerank_top_n
 from .simgen import ITEMS_PER_QUERY, RANKING_POLICY, TRAIN_FRACTION, BehaviorConfig, generate_catalog, generate_logs
 
@@ -62,8 +54,7 @@ def _read_config(config_path: str) -> dict:
     """The YAML config file at ``config_path``, each value converted to the type of its
     default; a file that does not parse, or is not a mapping of known keys, is a ValidationError."""
     try:
-        with open(config_path, "r", encoding="utf-8") as handle:
-            loaded = yaml.safe_load(handle) or {}
+        loaded = yaml.safe_load(Path(config_path).read_text(encoding="utf-8")) or {}
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         reason = " ".join(str(exc).split())  # PyYAML spreads its message over lines
         raise ValidationError(f"config file {config_path} does not parse: {reason}") from None
@@ -93,41 +84,29 @@ def _load_model_for(model_path, dataset, log_path):
     return params
 
 
-def _out_dir(ctx) -> Path:
-    """The run's output directory, created if missing."""
-    out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_csv(path: Path, rows, header=None) -> None:
     """Write ``rows`` as a CSV table under an optional header row; csv
-    writes each float in its shortest round-trip form."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+    writes each float in its shortest round-trip form. The table is built in
+    memory first, so rows that raise leave ``path`` as it was."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, (text.getvalue().encode("utf-8"),))
 
 
-def _sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, read in 64 KiB blocks so that memory does not
-    grow with the file."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def _write_json(path: Path, obj) -> str:
+    """Write ``obj`` as indented JSON with sorted keys; returns the text."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    _atomic_write(path, (text.encode("utf-8"),))
+    return text
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, cfg: dict, inputs: list) -> None:
-    manifest = {
-        "command": command,
-        "seed": seed,
-        "resolved_config": cfg,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-    }
-    (out_dir / f"manifest_{command}.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    checksums = {str(p): _sha256(p) for p in inputs}
+    _write_json(out_dir / f"manifest_{command}.json",
+                {"command": command, "seed": seed, "resolved_config": cfg, "inputs": checksums})
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -150,15 +129,6 @@ def _parse_int_list(flag: str, text: str) -> list[int]:
     return values
 
 
-@contextlib.contextmanager
-def _naming(model_path, query_id):
-    """Re-raise a NonFiniteError with the model and the query it came from."""
-    try:
-        yield
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"model {model_path}, query {query_id}: {exc}") from None
-
-
 def _read_records(path, role: str):
     """The Dataset of the JSONL log at ``path``; a log with no records is a
     ValidationError, whichever command reads it."""
@@ -168,7 +138,7 @@ def _read_records(path, role: str):
     return dataset
 
 
-@click.group()
+@click.group(no_args_is_help=False)  # no command is a one-line rejection too, not a help block
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True, help="64-bit unsigned seed.")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="YAML/JSON config file.")
 @click.option("--output-dir", type=click.Path(), default=".", show_default=True)
@@ -206,7 +176,7 @@ def generate(ctx, **flags):
         seed=seed,
         train_fraction=cfg["train_fraction"],
     )
-    out = _out_dir(ctx)
+    out = ctx.obj["out"]
     write_logs(dataset.train_records, out / "train.jsonl")
     write_logs(dataset.test_records, out / "test.jsonl")
     _write_manifest(out, "generate", seed, cfg, [])
@@ -235,7 +205,7 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
     dataset = _read_records(train_path, "training")
     cfg["d"] = dataset.records[0].candidate_set.feature_matrix.shape[1]
     params, curve = train(variant, dataset.records, config_from(ModelConfig, cfg), config_from(TrainConfig, cfg), seed)
-    out = _out_dir(ctx)
+    out = ctx.obj["out"]
     model_path = out / f"{variant}.model"
     save_model(params, model_path)
     _write_csv(out / f"{variant}_loss_curve.csv", enumerate(curve), ["epoch", "mean_loss"])
@@ -255,24 +225,25 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
     cfg = _resolve_config(ctx, flags)
     dataset = _read_records(log_path, "rerank")
     params = _load_model_for(model_path, dataset, log_path)
-    # Checked before the output directory is made; the feed-forward models ignore the beam size.
+    # The feed-forward models ignore the beam size.
     if rerank_size is not None and rerank_size < 1:
         raise ValidationError(f"--rerank-size must be >= 1, got {rerank_size}")
     if params.traits.recurrent and cfg["beam_size"] < 1:
         raise ValidationError(f"beam_size (--beam-size or config key) must be >= 1, got {cfg['beam_size']}")
     if not 0 <= cfg["gamma"] < np.inf:
         raise ValidationError(f"gamma (--gamma or config key) must be finite and nonnegative, got {cfg['gamma']}")
-    out = _out_dir(ctx)
+    out = ctx.obj["out"]
     rows = []
 
     def reranked():
         """Each record in its new order, one at a time, so the log is
-        written as it is reranked; its GMV row is kept for the table."""
+        written as it is reranked (and the directory made only once the
+        first record is); its GMV row is kept for the table."""
         for record in dataset.records:
             candidates = record.candidate_set
             n = len(record) if rerank_size is None else min(rerank_size, len(record))
             base = Ranking(tuple(range(len(record))))
-            with _naming(model_path, record.query_id):
+            with naming(f"model {model_path}, query {record.query_id}"):
                 ranking = rerank_top_n(
                     params, base, candidates, n, k=cfg["beam_size"], gamma=cfg["gamma"]
                 )
@@ -298,8 +269,6 @@ def evaluate(ctx, test_path, model_paths, attention_size):
     labels = np.concatenate([record.labels for record in dataset.records])
     report: dict = {}
     matrices = {}
-    # Every model is scored before the output directory is made, so a failing
-    # model leaves no output behind.
     for model_path, params in models:
         predictions, matrix = logged_predictions(params, extended, attention_size)
         try:
@@ -313,13 +282,13 @@ def evaluate(ctx, test_path, model_paths, attention_size):
         report[name] = {"variant": params.variant, **asdict(metrics)}
         if matrix is not None:
             matrices[name] = matrix.values
-    out = _out_dir(ctx)
+    out = ctx.obj["out"]
     for name, values in matrices.items():
         _write_csv(out / f"attention_matrix_{name}.csv", values)
-    (out / "metrics.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    text = _write_json(out / "metrics.json", report)
     _write_manifest(out, "evaluate", ctx.obj["seed"], {"attention_size": attention_size},
                     [Path(test_path), *map(Path, model_paths)])
-    _echo(json.dumps(report, indent=2, sort_keys=True))
+    _echo(text)
 
 
 @cli.command()
@@ -335,14 +304,14 @@ def bench(ctx, model_paths, sizes, beams, reps):
         raise ValidationError(f"--sizes needs at least two distinct rerank sizes to fit a slope, got {sizes!r}")
     models = {Path(p).stem: load_model(p) for p in model_paths}
     profile = latency_bench(models, rerank_sizes, _parse_int_list("--beams", beams), reps, ctx.obj["seed"])
-    out = _out_dir(ctx)
+    out = ctx.obj["out"]
     header = ["model", "rerank_size", "beam_size", "median_seconds", "min_seconds"]
     _write_csv(out / "latency.csv", ([row[key] for key in header] for row in profile.rows), header)
     slopes = {"slope_vs_n": profile.slope_vs_n, "slope_vs_k": profile.slope_vs_k}
-    (out / "latency_slopes.json").write_text(json.dumps(slopes, indent=2, sort_keys=True))
+    text = _write_json(out / "latency_slopes.json", slopes)
     _write_manifest(out, "bench", ctx.obj["seed"],
                     {"sizes": sizes, "beams": beams, "reps": reps}, list(map(Path, model_paths)))
-    _echo(json.dumps(slopes, indent=2, sort_keys=True))
+    _echo(text)
 
 
 @cli.command("oracle-compare")
@@ -360,13 +329,13 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
     rows = []
     for record in dataset.records:
         subset = record.candidate_set.take(np.arange(min(max_n, len(record))))
-        with _naming(model_path, record.query_id):
+        with naming(f"model {model_path}, query {record.query_id}"):
             oracle = exhaustive_oracle(params, subset).expected_gmv
             greedy = greedy_reference(params, subset).expected_gmv
             for k in beam_sizes:
                 beam = beam_search(params, subset, k).expected_gmv
                 rows.append([record.query_id, k, beam, oracle, greedy, beam / oracle])
-    out = _out_dir(ctx)
+    out = ctx.obj["out"]
     _write_csv(out / "oracle_compare.csv", rows,
                ["query_id", "beam_size", "beam_gmv", "oracle_gmv", "greedy_gmv", "ratio"])
     _write_manifest(out, "oracle_compare", ctx.obj["seed"],
@@ -384,7 +353,7 @@ def main(argv=None) -> int:
             cli.main(args=argv, standalone_mode=False)
         return 0
     except click.ClickException as exc:
-        exc.show()
+        _echo(f"error: {exc.format_message()}", err=True)
         return EXIT_VALIDATION
     except click.Abort:
         return EXIT_VALIDATION

@@ -8,6 +8,7 @@ public function boundaries.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "ValidationError",
     "NonFiniteError",
     "make_rng",
+    "naming",
 ]
 
 
@@ -33,6 +35,16 @@ class ValidationError(MirankError):
 
 class NonFiniteError(MirankError):
     """A model gave NaN or infinity where a result must be a finite number."""
+
+
+@contextlib.contextmanager
+def naming(context: str):
+    """Re-raise a NonFiniteError from the block as ``"{context}: {message}"``,
+    so the error names the model and input it came from."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{context}: {exc}") from None
 
 
 def _whole(value) -> bool:
@@ -149,12 +161,16 @@ class CandidateSet:
             raise ValidationError(f"item {ids[i]}: price must be positive and finite, got {prices[i]}")
         try:
             features = _frozen(feature_matrix, "local features")
-        except ValueError:  # ragged rows name the first item off the first row's shape
-            shapes = [np.shape(row) for row in feature_matrix]
-            for item_id, shape in zip(listed, shapes):
-                if shape != shapes[0]:
+        except ValueError:  # ragged rows name the first item that is nested or off the first row's shape
+            shapes = []
+            for item_id, row in zip(listed, feature_matrix):
+                try:
+                    shapes.append(np.shape(row))
+                except ValueError:
+                    raise ValidationError(f"item {item_id}: local features must be a flat vector of numbers") from None
+                if shapes[-1] != shapes[0]:
                     raise ValidationError(
-                        f"item {item_id}: feature dimension {shape} differs from the set's dimension {shapes[0]}"
+                        f"item {item_id}: feature dimension {shapes[-1]} differs from the set's dimension {shapes[0]}"
                     ) from None
             raise
         if features.ndim != 2:

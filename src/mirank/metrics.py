@@ -11,7 +11,7 @@ import numpy as np
 
 from . import nn
 from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, ModelParams
-from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, make_rng
+from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, make_rng, naming
 from .features import extend_features
 from .models import item_probabilities
 from .nn.common import cross_entropy_batch
@@ -288,6 +288,7 @@ def latency_bench(
     ever adds time, so the fastest repetition is the least noisy estimate of
     the work itself.
     """
+    make_rng(seed)  # rejects, naming it, a seed that is not a 64-bit unsigned integer, before any draw
     rerank_sizes, beam_sizes = list(dict.fromkeys(rerank_sizes)), list(dict.fromkeys(beam_sizes))
     first_params = next(iter(models.values()))
     catalogs = {n: generate_catalog(n, first_params.config.d, (seed + n) % 2**64) for n in rerank_sizes}
@@ -300,10 +301,8 @@ def latency_bench(
     for _ in range(repetitions):
         for (name, k, n), times in samples.items():
             rank, candidates = policies[name, k], catalogs[n]
-            try:
+            with naming(f"model {name}, rerank size {n}, beam size {k}"):
                 rank(candidates)  # warm-up; the timed call repeats it exactly, so only this one can fail
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"model {name}, rerank size {n}, beam size {k}: {exc}") from None
             start = time.perf_counter()
             rank(candidates)
             times.append(time.perf_counter() - start)

@@ -4,8 +4,8 @@ The model container embeds the configuration snapshot, so inference never
 needs a sidecar config, and carries a SHA-256 checksum over the whole
 payload. Floats in JSONL are written with Python's shortest round-trip
 representation, so write-then-read reproduces every value exactly. All
-writes go through a temp file and rename, so concurrent readers never see a
-partial file.
+writes, the CLI's tables, reports and manifests included, go through a temp
+file and rename, so concurrent readers never see a partial file.
 """
 
 from __future__ import annotations
@@ -69,14 +69,18 @@ class LogFormatError(MirankError):
 def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
     """Write the byte ``chunks`` to a temp file beside ``path``, then rename
     it over ``path``, so ``path`` holds either its old bytes or all the new
-    ones. Only one chunk is held at a time. The temp file is created with the
-    mode a plain ``open()`` gives (0o666 less the umask); if writing fails,
-    it is removed and ``path`` is left as it was."""
-    path = Path(path)
+    ones. Only one chunk is held at a time. Nothing is created until the first
+    chunk exists: then the missing parent directories are made, and the temp
+    file with the mode a plain ``open()`` gives (0o666 less the umask). If
+    writing fails, the temp file is removed and ``path`` is left as it was."""
+    path, chunks = Path(path), iter(chunks)
+    first = next(chunks, b"")
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
+            handle.write(first)
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -85,8 +89,19 @@ def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
+def _sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read in 64 KiB blocks so that memory does not
+    grow with the file."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def save_model(params: ModelParams, path) -> None:
-    """Serialize parameters to the checksummed binary container."""
+    """Serialize parameters to the checksummed binary container, making any
+    missing parent directories."""
     header = {
         "variant": params.variant,
         "config": asdict(params.config),
@@ -101,7 +116,7 @@ def save_model(params: ModelParams, path) -> None:
         for entry in header["blocks"]
     )
     payload = _MAGIC + struct.pack("<II", _VERSION, len(header_bytes)) + header_bytes + body
-    _atomic_write(Path(path), (payload, hashlib.sha256(payload).digest()))
+    _atomic_write(path, (payload, hashlib.sha256(payload).digest()))
 
 
 def load_model(path) -> ModelParams:
@@ -171,16 +186,15 @@ def _record_to_json(record: QueryRecord) -> dict:
     return obj
 
 
-def write_logs(dataset: Dataset | Iterable[QueryRecord], path) -> None:
-    """Write records as one JSON object per line (the split is not stored).
+def write_logs(records: Iterable[QueryRecord], path) -> None:
+    """Write records as one JSON object per line (the split is not stored),
+    making any missing parent directories once the first line is encoded.
 
     Lines are encoded and written one record at a time, so memory holds one
-    record's line, not the whole log. ``dataset`` may be any iterable of
-    records, a generator included; if it raises partway, ``path`` keeps its
-    old bytes."""
-    records = dataset.records if isinstance(dataset, Dataset) else dataset
+    record's line, not the whole log. ``records`` may be any iterable, a
+    generator included; if it raises partway, ``path`` keeps its old bytes."""
     lines = ((json.dumps(_record_to_json(record)) + "\n").encode("utf-8") for record in records)
-    _atomic_write(Path(path), lines)
+    _atomic_write(path, lines)
 
 
 def _parse_record(obj: dict, line_no: int) -> QueryRecord:

@@ -41,7 +41,8 @@ class BehaviorConfig:
             every item from position 3 on.
         base_rate: Purchase probability when every effect and the quality
             signal are zero.
-        seed: Seed for label sampling and the fixed quality projection.
+        seed: Seed of the fixed quality projection only; labels are drawn
+            from the ``seed`` given to ``generate_logs``.
     """
 
     price_sensitivity: float = 0.0
@@ -133,9 +134,6 @@ class Dataset:
     def records(self) -> tuple[QueryRecord, ...]:
         """Every record, train then test."""
         return self.train_records + self.test_records
-
-    def __len__(self) -> int:
-        return len(self.train_records) + len(self.test_records)
 
 
 def _subset_sampler(catalog: CandidateSet, items_per_query: int) -> Callable:

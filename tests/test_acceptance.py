@@ -466,9 +466,9 @@ def test_criterion_11_persistence(tmp_path, capsys):
     catalog = generate_catalog(30, 4, seed=12)
     logs = generate_logs(BehaviorConfig(base_rate=0.3, price_sensitivity=1.0), catalog, n_queries=8, items_per_query=5, seed=13)
     log_path = tmp_path / "logs.jsonl"
-    write_logs(logs, log_path)
+    write_logs(logs.records, log_path)
     reread = read_logs(log_path)
-    write_logs(reread, tmp_path / "logs2.jsonl")
+    write_logs(reread.records, tmp_path / "logs2.jsonl")
     assert (tmp_path / "logs2.jsonl").read_bytes() == log_path.read_bytes()
 
     reference = tmp_path / "mirnn.model"

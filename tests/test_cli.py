@@ -20,7 +20,8 @@ import yaml
 import mirank
 
 from mirank import ModelConfig, init_model
-from mirank.cli import DEFAULTS, EXIT_DIVERGED, EXIT_IO, EXIT_VALIDATION, main
+from mirank import persistence
+from mirank.cli import DEFAULTS, EXIT_DIVERGED, EXIT_IO, EXIT_VALIDATION, _write_csv, main
 from mirank.configs import VARIANTS, ModelParams
 from mirank.persistence import load_model, read_logs, save_model, write_logs
 from conftest import mixed_length_log
@@ -101,7 +102,7 @@ class TestPipeline:
         ]) == 0
         reranked = read_logs(out / "reranked.jsonl")
         original = read_logs(out / "test.jsonl")
-        assert len(reranked) == len(original)
+        assert len(reranked.records) == len(original.records)
         for a, b in zip(original.records, reranked.records):
             a_ids, b_ids = a.candidate_set.ids, b.candidate_set.ids
             assert sorted(a_ids.tolist()) == sorted(b_ids.tolist())
@@ -126,7 +127,7 @@ class TestPipeline:
             "--max-n", "4", "--beams", "1,2",
         ]) == 0
         lines = (out / "oracle_compare.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + 2 * len(original)
+        assert len(lines) == 1 + 2 * len(original.records)
         for line in lines[1:]:
             assert float(line.split(",")[-1]) <= 1.0 + 1e-9
 
@@ -149,8 +150,8 @@ class TestPipeline:
     def test_generate_without_train_split(self, tmp_path):
         out = tmp_path / "run"
         assert _generate(out, extra=["--train-fraction", "0"]) == 0
-        assert len(read_logs(out / "train.jsonl")) == 0
-        assert len(read_logs(out / "test.jsonl")) == 12
+        assert len(read_logs(out / "train.jsonl").records) == 0
+        assert len(read_logs(out / "test.jsonl").records) == 12
 
     def test_swapped_stdout_is_released(self, tmp_path):
         """An in-process caller that points sys.stdout at a fresh buffer per
@@ -200,6 +201,48 @@ class TestPipeline:
             if path.is_file() and not path.name.startswith("manifest_")
         }
         assert digests == PINNED_OUTPUT_DIGESTS
+
+    def test_every_output_file_goes_through_the_atomic_writer(self, tmp_path, monkeypatch):
+        """Every file the six commands write, tables, reports and manifests
+        included, reaches disk through persistence._atomic_write, which also
+        makes the missing output directories."""
+        written = []
+        atomic_write = persistence._atomic_write
+
+        def recording(path, chunks):
+            written.append(path)
+            atomic_write(path, chunks)
+
+        monkeypatch.setattr(persistence, "_atomic_write", recording)
+        monkeypatch.setattr("mirank.cli._atomic_write", recording)
+        out = tmp_path / "nested" / "run"
+        assert _generate(out) == 0
+        midnn, mirnn, test_log = str(out / "midnn.model"), str(out / "mirnn.model"), str(out / "test.jsonl")
+        for argv in (
+            ["train", "midnn", str(out / "train.jsonl"), "--epochs", "1"],
+            ["train", "mirnn", str(out / "train.jsonl"), "--epochs", "1"],
+            ["rerank", mirnn, test_log],
+            ["evaluate", test_log, midnn, mirnn],
+            ["bench", mirnn, "--sizes", "2,3", "--reps", "1"],
+            ["oracle-compare", mirnn, test_log, "--max-n", "3", "--beams", "1"],
+        ):
+            assert main(["--output-dir", str(out), *argv]) == 0
+        files = sorted(path for path in out.rglob("*") if path.is_file())
+        assert len(files) == 19 and sorted(written) == files
+
+    def test_failed_table_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "table.csv"
+        _write_csv(path, [[1, 0.1]], ["id", "value"])
+        assert path.read_bytes() == b"id,value\r\n1,0.1\r\n"
+
+        def rows():
+            yield [2, 0.2]
+            raise RuntimeError("rows failed")
+
+        with pytest.raises(RuntimeError, match="rows failed"):
+            _write_csv(path, rows(), ["id", "value"])
+        assert path.read_bytes() == b"id,value\r\n1,0.1\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 
@@ -266,7 +309,7 @@ class TestConfigLayering:
         assert manifest["resolved_config"]["items_per_query"] == 4  # file wins
         assert manifest["resolved_config"]["ranking_policy"] == "random"  # default
         assert manifest["resolved_config"]["price_sensitivity"] == 1e-3
-        total = len(read_logs(out / "train.jsonl")) + len(read_logs(out / "test.jsonl"))
+        total = len(read_logs(out / "train.jsonl").records) + len(read_logs(out / "test.jsonl").records)
         assert total == 6
 
     def test_config_keys_are_pinned(self):
@@ -453,10 +496,11 @@ class TestExitCodes:
         ('{"id": 1, "price": 2.0, "features": ["0.3", 0.4]}', ""),
         ('{"id": 1, "price": 2.0, "features": [0.3, 0.4]}', ', "ground_truth_probs": ["0.5", 0.5]'),
         ('{"id": 1, "price": 2.0, "features": [0.3, 0.4]}', ', "ground_truth_probs": [null, 0.5]'),
+        ('{"id": 1, "price": 2.0, "features": [0.3, [0.4]]}', ""),
     ), ids=(
         "price-overflow", "feature-overflow", "duplicate-id", "zero-price", "negative-price",
         "truth-overflow", "negative-truth", "fractional-id", "string-id",
-        "string-price", "null-price", "string-feature", "string-truth", "null-truth",
+        "string-price", "null-price", "string-feature", "string-truth", "null-truth", "nested-feature",
     ))
     def test_invalid_candidate_set_is_io(self, item, probs, tmp_path, capsys):
         save_model(init_model("midnn", ModelConfig(d=2, hidden_sizes=(3,)), seed=0), tmp_path / "midnn.model")
@@ -498,14 +542,23 @@ class TestExitCodes:
         (("generate", "--items-per-query", "0"), "items_per_query"),
         (("generate", "--items-per-query", "-1"), "items_per_query"),
         (("train", "mirnn", "{log}", "--hidden-sizes", "4,a"), "--hidden-sizes"),
+        (("--seed", "-1", "generate"), "--seed"),
+        (("generate", "--no-such-flag"), "--no-such-flag"),
+        (("train", "mirnn"), "TRAIN_PATH"),
+        (("train", "lstm", "{log}"), "'lstm'"),
+        (("no-such-command",), "no-such-command"),
+        ((), "Missing command"),
     ), ids=(
         "attention-size-negative", "reps-0", "sizes-empty", "sizes-text", "sizes-one", "sizes-repeated",
         "sizes-0", "beams-empty", "max-n-0", "max-n-negative", "train-fraction-above-1", "n-queries-negative", "d-0",
-        "items-per-query-0", "items-per-query-negative", "hidden-sizes-text",
+        "items-per-query-0", "items-per-query-negative", "hidden-sizes-text", "seed-negative", "unknown-option",
+        "missing-argument", "unknown-variant", "unknown-command", "no-command",
     ))
     def test_bad_list_or_count_is_validation(self, args, named, tmp_path, capsys):
         """Each of these once ended in a traceback, or in exit 0 with a NaN
-        or an out-of-range split."""
+        or an out-of-range split; click's own rejections (the last six) once
+        printed a usage block above an `Error:` line. Now each prints one
+        `error:` line, exits 2 and makes no output directory."""
         out = tmp_path / "run"
         assert _generate(out) == 0
         model = out / "mirnn_attention.model"
@@ -513,8 +566,10 @@ class TestExitCodes:
         capsys.readouterr()
         args = [arg.format(log=out / "test.jsonl", model=model) for arg in args]
         assert main(["--output-dir", str(tmp_path / "bad"), *args]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], captured.err
+        assert captured.out == "" and not (tmp_path / "bad").exists()
 
     @staticmethod
     def _nan_model_run(tmp_path, command):
@@ -550,8 +605,8 @@ class TestExitCodes:
         """evaluate and rerank once exited 0 with NaN in metrics.json and
         rerank_gmv.csv, oracle-compare ended in a traceback, and bench named
         neither the model nor the size; now each exits 2 naming the model and
-        the query (bench: the rerank size), and leaves no output file; only
-        rerank, which writes as it goes, may leave an empty directory."""
+        the query (bench: the rerank size), and leaves no output directory:
+        rerank fails on its first record, before anything is written."""
         argv, huge, first_query = self._nan_model_run(tmp_path, command)
         capsys.readouterr()
         assert main(argv) == EXIT_VALIDATION
@@ -561,7 +616,7 @@ class TestExitCodes:
         assert all(part in err for part in named) and "nan" in err.lower()
         assert "Traceback" not in err
         bad = tmp_path / "bad"
-        assert not bad.exists() or command == "rerank" and not any(bad.iterdir())
+        assert not bad.exists()
 
     @pytest.mark.parametrize("command", ("evaluate", "rerank", "oracle-compare", "bench"))
     def test_nan_predictions_write_one_stderr_line(self, command, tmp_path):

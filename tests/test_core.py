@@ -109,7 +109,8 @@ class TestCandidateSet:
         ([2, 0, 2], "duplicate item id 6"),
         ([0, 1.5], "must be integers"),
         ([0, 3], "position 3 is outside 0..2"),
-    ], ids=["empty", "repeated", "fractional", "out-of-range"])
+        ([[0, 1]], "positions must be a vector"),
+    ], ids=["empty", "repeated", "fractional", "out-of-range", "not-a-vector"])
     def test_take_rejects_each_bad_order(self, order, message):
         """Both takes build their results without the constructors' checks, so
         they keep the errors those checks gave a bad order."""
@@ -237,6 +238,23 @@ class TestValidateCandidateSet:
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValidationError, match="item 1: feature dimension .* differs"):
             CandidateSet([0, 1], [1.0, 1.0], [np.zeros(2), np.zeros(3)])
+
+    @pytest.mark.parametrize("features, item", [
+        ([[1, 2], [3, [4]]], 1),
+        ([[3, [4]], [1, 2]], 0),
+    ], ids=["second-row", "first-row"])
+    def test_rejects_nested_feature_rows(self, features, item):
+        """A row that nests a list once ended in numpy's raw ValueError."""
+        with pytest.raises(ValidationError, match=f"item {item}: local features must be a flat vector"):
+            CandidateSet([0, 1], [1.0, 2.0], features)
+
+    @pytest.mark.parametrize("ids, prices, features, message", [
+        ([0, 1, 2], [1.0, 2.0], np.zeros((3, 2)), "one price each"),
+        ([0, 1, 2], [1.0, 2.0, 3.0], np.zeros((2, 2)), "3 items but 2 feature rows"),
+    ], ids=["ids-and-prices", "ids-and-feature-rows"])
+    def test_rejects_columns_of_different_lengths(self, ids, prices, features, message):
+        with pytest.raises(ValidationError, match=message):
+            CandidateSet(ids, prices, features)
 
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValidationError, match="item 1: local features contain non-finite"):

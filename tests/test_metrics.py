@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mirank import BehaviorConfig, ModelConfig, extend_features, generate_catalog, init_model
 from mirank import metrics, models, nn
-from mirank.core import MirankError, NonFiniteError, QueryRecord, Ranking, make_rng
+from mirank.core import MirankError, NonFiniteError, QueryRecord, Ranking, ValidationError, make_rng
 from mirank.metrics import (
     DegenerateLabelsError,
     attention_diagnostic,
@@ -292,3 +292,15 @@ class TestLatencyBench:
         profile = latency_bench(models, rerank_sizes=[4, 8, 4], beam_sizes=[1, 2, 1], repetitions=1, seed=0)
         assert len(profile.rows) == 4
         assert set(profile.slope_vs_n) == set(profile.slope_vs_k) == {"mirnn"}
+
+    @pytest.mark.parametrize("seed", [-5, 1.5, True, 2**64], ids=["negative", "fractional", "bool", "too-large"])
+    def test_rejects_a_bad_seed_before_any_draw(self, seed, monkeypatch):
+        """latency_bench once ran on seed -5, since only (seed + n) mod 2**64
+        reached a check, and on seed 1.5 named 3.5, a value never given."""
+        def no_draw(*args):
+            raise AssertionError("a catalog was drawn")
+
+        monkeypatch.setattr(metrics, "generate_catalog", no_draw)
+        models = {"mirnn": init_model("mirnn", SMALL, seed=0)}
+        with pytest.raises(ValidationError, match=f"seed must be a 64-bit unsigned integer, got {seed!r}$"):
+            latency_bench(models, rerank_sizes=[2, 3], beam_sizes=[1], repetitions=1, seed=seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mirank import BehaviorConfig, ModelConfig, QueryRecord, TrainConfig, init_model, nn, train
-from mirank.configs import VARIANT_TRAITS, expected_block_shapes
+from mirank.configs import VARIANT_TRAITS, ModelParams, expected_block_shapes
 from mirank.core import MirankError, Ranking, ValidationError, make_rng
 from mirank.features import extend_features
 from mirank.models import (
@@ -81,6 +81,18 @@ def test_library_configs_take_the_yaml_rule(cls, values, key):
     and ended later in a raw TypeError."""
     with pytest.raises(ValidationError, match=f"config key '{key}'"):
         cls(**values)
+
+
+@pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("inf"), float("nan")])
+def test_learning_rate_must_be_positive_and_finite(learning_rate):
+    with pytest.raises(ValidationError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=learning_rate)
+
+
+def test_model_params_reject_blocks_of_another_variant():
+    blocks = init_model("midnn", SMALL, seed=0).blocks
+    with pytest.raises(ValidationError, match="parameter blocks do not match variant 'mirnn'"):
+        ModelParams("mirnn", SMALL, blocks)
 
 
 def test_library_configs_convert_numpy_numbers():

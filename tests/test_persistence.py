@@ -54,6 +54,17 @@ class TestModelRoundTrip:
         save_model(init_model("midnn", SMALL, seed=0), tmp_path / "m.mirk")
         assert [p.name for p in tmp_path.iterdir()] == ["m.mirk"]
 
+    def test_missing_parent_directories_are_made(self, tmp_path):
+        params = init_model("midnn", SMALL, seed=0)
+        save_model(params, tmp_path / "a" / "b" / "m.mirk")
+        assert load_model(tmp_path / "a" / "b" / "m.mirk").config == params.config
+
+
+def _reseal(path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` with the checksum that matches it, so
+    only its contents can be wrong."""
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
 
 def _rewrite_header(path, field: bytes, bad: bytes) -> None:
     """Replace ``field`` with ``bad`` in the model header at ``path``, with a
@@ -63,8 +74,7 @@ def _rewrite_header(path, field: bytes, bad: bytes) -> None:
     header = data[12 : 12 + header_len]
     assert field in header
     header = header.replace(field, bad)
-    payload = data[:4] + struct.pack("<II", 1, len(header)) + header + data[12 + header_len : -32]
-    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    _reseal(path, data[:4] + struct.pack("<II", 1, len(header)) + header + data[12 + header_len : -32])
 
 
 class TestModelCorruption:
@@ -106,13 +116,7 @@ class TestModelCorruption:
         params = init_model("mirnn", SMALL, seed=0)
         path = tmp_path / "model.mirk"
         save_model(params, path)
-        data = path.read_bytes()
-        header_len = struct.unpack("<II", data[4:12])[1]
-        header = data[12 : 12 + header_len].replace(b'"mirnn"', b'"midnn"')
-        import hashlib
-
-        payload = data[:4] + struct.pack("<II", 1, len(header)) + header + data[12 + header_len : -32]
-        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        _rewrite_header(path, b'"mirnn"', b'"midnn"')
         with pytest.raises(ModelShapeError):
             load_model(path)
 
@@ -135,6 +139,26 @@ class TestModelCorruption:
         """A fraction or a bool in a stored size is not truncated to an int."""
         _rewrite_header(saved, field, bad)
         with pytest.raises(ModelFormatError, match="invalid value"):
+            load_model(saved)
+
+    @pytest.mark.parametrize("edit, error, message", (
+        (lambda p: p[:8] + struct.pack("<I", len(p)) + p[12:], ModelFormatError, "header length exceeds file size"),
+        (lambda p: p[:-8], ModelFormatError, "extends past end of file"),
+        (lambda p: p + bytes(8), ModelFormatError, "8 trailing bytes after blocks"),
+        (lambda p: p[:-8] + struct.pack("<d", float("nan")), ModelShapeError, "non-finite values"),
+        (lambda p: p[:-8] + struct.pack("<d", -float("inf")), ModelShapeError, "non-finite values"),
+    ), ids=("header-past-end", "truncated-block", "trailing-bytes", "nan-block", "inf-block"))
+    def test_checksummed_payload_with_bad_contents(self, edit, error, message, saved):
+        """Each payload carries a checksum that matches it, so only its layout
+        or values can reject it; a finite-values-only model file rests on the
+        last check."""
+        _reseal(saved, edit(saved.read_bytes()[:-32]))
+        with pytest.raises(error, match=message):
+            load_model(saved)
+
+    def test_unknown_variant_is_a_format_error(self, saved):
+        _rewrite_header(saved, b'"variant": "mirnn"', b'"variant": "gru"')
+        with pytest.raises(ModelFormatError, match="unknown model variant"):
             load_model(saved)
 
     def test_all_errors_share_a_catchable_base(self):
@@ -175,9 +199,9 @@ class TestLogRoundTrip:
     def test_values_survive_exactly(self, tmp_path):
         data = self._dataset()
         path = tmp_path / "logs.jsonl"
-        write_logs(data, path)
+        write_logs(data.records, path)
         loaded = read_logs(path)
-        assert len(loaded) == len(data)
+        assert len(loaded.records) == len(data.records)
         for a, b in zip(data.records, loaded.records):
             assert a.query_id == b.query_id
             assert np.array_equal(a.labels, b.labels)
@@ -195,7 +219,7 @@ class TestLogRoundTrip:
         )
         data = generate_logs(config, generate_catalog(40, 3, seed=4), n_queries=12, items_per_query=7, seed=5)
         path = tmp_path / "logs.jsonl"
-        write_logs(data, path)
+        write_logs(data.records, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "28698e75ec996f1d1ab66dd1edefb5f1b5cbf251c3b590f14f03a8683f767689"
 
@@ -233,6 +257,20 @@ class TestStreamedLogWrite:
             write_logs(records_then_error(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["logs.jsonl"]
+
+    def test_directories_are_made_only_once_the_first_line_is(self, tmp_path):
+        """A source that fails on its first record leaves no directory; one
+        that yields makes every missing parent."""
+        def no_records():
+            raise RuntimeError("source failed")
+            yield
+
+        path = tmp_path / "a" / "b" / "logs.jsonl"
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_logs(no_records(), path)
+        assert not (tmp_path / "a").exists()
+        write_logs(self._records(2), path)
+        assert [record.query_id for record in read_logs(path).records] == ["q0", "q1"]
 
     def test_file_mode_matches_plain_open(self, tmp_path):
         """The temp file is not created owner-only: the log gets the mode
@@ -309,7 +347,7 @@ class TestLogErrors:
         path = tmp_path / "logs.jsonl"
         write_logs(self._one_record_logs(), path)
         path.write_text("\n" + path.read_text() + "\n\n")
-        assert len(read_logs(path)) == 1
+        assert len(read_logs(path).records) == 1
 
     @staticmethod
     def _one_record_logs():

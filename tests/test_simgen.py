@@ -135,7 +135,7 @@ class TestDataset:
         data = generate_logs(BehaviorConfig(base_rate=0.4), catalog, n_queries=10, items_per_query=5, seed=2)
         assert len(data.train_records) == 8
         assert len(data.test_records) == 2
-        assert len(data) == 10
+        assert len(data.records) == 10
         assert data.records == data.train_records + data.test_records
         assert [record.query_id for record in data.records] == [f"q{q:06d}" for q in range(10)]
 
