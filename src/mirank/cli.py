@@ -273,11 +273,12 @@ def evaluate(ctx, test_path, model_paths, attention_size):
         predictions, matrix = logged_predictions(params, extended, attention_size)
         try:
             metrics = metric_report(predictions, labels)
-        except NonFiniteError as exc:
+        except NonFiniteError:
             ends = np.cumsum([len(record) for record in dataset.records])
             first_nan = np.flatnonzero(np.isnan(predictions))[0]
             query_id = dataset.records[np.searchsorted(ends, first_nan, side="right")].query_id
-            raise NonFiniteError(f"model {model_path}: {exc}, the first in query {query_id}") from None
+            with naming(f"model {model_path}, query {query_id}"):
+                raise
         name = Path(model_path).stem
         report[name] = {"variant": params.variant, **asdict(metrics)}
         if matrix is not None:

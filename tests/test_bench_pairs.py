@@ -3,6 +3,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from bench_pairs import fresh_copy, parse_pairs, src_sha256, summarize  # noqa: E402
@@ -57,6 +59,27 @@ def test_within_bound_allows_a_loss_up_to_the_bound_in_the_better_direction():
     assert table(125.0, 75.0) == (True, True)
     assert table(125.5, 74.5) == (False, False)
     assert table(50.0, 200.0) == (True, True)
+
+
+@pytest.mark.parametrize("wins, failed, gain, met", (
+    (10, 0, 13.0, True),
+    (9, 0, 13.0, True),
+    (8, 0, 13.0, False),
+    (8, 2, 13.0, False),  # 8 of 8 complete pairs, but of 10 run
+    (10, 0, 0.5, False),  # a gain within the base's interquartile range (1.75)
+))
+def test_claim_needs_nine_tenths_of_the_pairs_run_and_a_gain_beyond_the_base_iqr(wins, failed, gain, met):
+    """Of 10 pairs, 9 wins meet the claim and 8 do not; a tie (the last pair)
+    or a failed pair is no win."""
+    runs = []
+    for pair in range(10):
+        base = 60.0 + pair % 4
+        change = base - gain if pair < wins else base + (pair < 9)
+        exit_code = int(pair >= 10 - failed)
+        runs += [_run("evaluate", pair, "base", base, 1), _run("evaluate", pair, "change", change, 1, exit_code)]
+    rss = summarize(runs, RSS)["evaluate"]["peak_rss_mb"]
+    assert rss["change_better_pairs"] == wins and rss["gain_exceeds_base_iqr"] == (gain > 1.75)
+    assert rss["claim_met"] is met
 
 
 def test_summary_needs_two_pairs():

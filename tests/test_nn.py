@@ -2,15 +2,20 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mirank
 from mirank import BehaviorConfig, CandidateSet, ModelConfig, QueryRecord, TrainConfig, generate_catalog, generate_logs
 from mirank.configs import VARIANTS
 from mirank.core import MirankError, ValidationError, make_rng
-from mirank.nn.common import PROB_EPS, cross_entropy, cross_entropy_batch, glorot_uniform, sigmoid
+from mirank.nn.common import PROB_EPS, _load_expit, cross_entropy, cross_entropy_batch, glorot_uniform, sigmoid
 from gradcheck import gradient_check, relative_error
 from mirank.nn.mlp import mlp_forward_batch
 from mirank.nn.recurrent import lstm_step_batch, sequence_forward
@@ -25,6 +30,22 @@ class TestActivationsAndLoss:
     def test_sigmoid_values(self):
         assert sigmoid(0.0) == 0.5
         assert abs(sigmoid(2.0) - _sig(2.0)) < 1e-15
+
+    @pytest.mark.parametrize("first, second", (("mirank.cli", "scipy.special"), ("scipy.special", "mirank.cli")))
+    def test_sigmoid_is_scipy_expit_in_either_import_order(self, first, second):
+        """sigmoid is loaded from scipy's extension file, not through
+        scipy.special, yet it is the very ufunc scipy.special exports."""
+        env = {**os.environ, "PYTHONPATH": str(Path(mirank.__file__).parents[1])}
+        code = f"import {first}, {second}, mirank.nn.common as common; print(common.sigmoid is scipy.special.expit)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "True"
+
+    def test_sigmoid_falls_back_to_scipy_special_without_the_extension(self, tmp_path, monkeypatch):
+        """A scipy whose special/ directory has no _special_ufuncs file."""
+        import scipy.special
+
+        monkeypatch.delitem(sys.modules, "scipy.special._special_ufuncs", raising=False)
+        assert _load_expit(tmp_path) is scipy.special.expit
 
     def test_cross_entropy_half_is_ln2(self):
         assert abs(cross_entropy(0.5, 1) - math.log(2.0)) < 1e-12

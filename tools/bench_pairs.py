@@ -21,7 +21,10 @@ process). Per workload it sums up each end-to-end metric of
 ``BENCHMARK.json``, and ``ru_minflt``: the median and quartiles of each
 side, the change/base ratio of the medians, the number of pairs in which the
 change was better, and whether the gap between the medians, in the better
-direction, exceeds the base's interquartile range; and the number of pairs
+direction, exceeds the base's interquartile range; whether that is a
+claimable gain (``claim_met``: the change was better in at least nine tenths
+of all the workload's pairs run, a tie or a failed run counting as no win,
+and the gap exceeds the base's interquartile range); and the number of pairs
 whose two runs wrote the same output digest. Each end-to-end metric also
 carries its ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether
 the change's median is worse than the base's by no more than that fraction
@@ -95,6 +98,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict] = {}
+        pairs_run = len({run["pair"] for run in runs if run["workload"] == workload})
         for run in runs:
             if run["workload"] == workload and run["exit_code"] == 0 and run["result"]:
                 pairs.setdefault(run["pair"], {})[run["side"]] = run
@@ -118,13 +122,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             }
             sign = 1 if better == "higher" else -1
             base, change = _stats(values["base"]), _stats(values["change"])
+            better_pairs = sum(sign * (c - b) > 0 for b, c in zip(values["base"], values["change"]))
+            exceeds_iqr = sign * (change["median"] - base["median"]) > base["q3"] - base["q1"]
             table[name] = {
                 "better": better,
                 "base": base,
                 "change": change,
                 "ratio": change["median"] / base["median"] if base["median"] else None,
-                "change_better_pairs": sum(sign * (c - b) > 0 for b, c in zip(values["base"], values["change"])),
-                "gain_exceeds_base_iqr": sign * (change["median"] - base["median"]) > base["q3"] - base["q1"],
+                "change_better_pairs": better_pairs,
+                "gain_exceeds_base_iqr": exceeds_iqr,
+                "claim_met": 10 * better_pairs >= 9 * pairs_run and exceeds_iqr,
             }
             if "bound" in entry:
                 table[name]["bound"] = entry["bound"]
