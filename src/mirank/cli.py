@@ -84,6 +84,17 @@ def _load_model_for(model_path, dataset, log_path):
     return params
 
 
+def _by_stem(model_paths) -> dict[str, str]:
+    """Each model path by its file stem, its name in the outputs; a repeated stem is a ValidationError."""
+    named: dict[str, str] = {}
+    for path in model_paths:
+        stem = Path(path).stem
+        if stem in named:
+            raise ValidationError(f"models {named[stem]} and {path} share the name {stem!r}; rename one")
+        named[stem] = path
+    return named
+
+
 def _write_csv(path: Path, rows, header=None) -> None:
     """Write ``rows`` as a CSV table under an optional header row; csv
     writes each float in its shortest round-trip form. The table is built in
@@ -264,12 +275,12 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
 def evaluate(ctx, test_path, model_paths, attention_size):
     """Compute AUC/RIG for each model on a test log (plus attention matrix)."""
     dataset = _read_records(test_path, "test")
-    models = [(model_path, _load_model_for(model_path, dataset, test_path)) for model_path in model_paths]
+    models = {name: (path, _load_model_for(path, dataset, test_path)) for name, path in _by_stem(model_paths).items()}
     extended = [extend_features(record.candidate_set) for record in dataset.records]
     labels = np.concatenate([record.labels for record in dataset.records])
     report: dict = {}
     matrices = {}
-    for model_path, params in models:
+    for name, (model_path, params) in models.items():
         predictions, matrix = logged_predictions(params, extended, attention_size)
         try:
             metrics = metric_report(predictions, labels)
@@ -279,7 +290,6 @@ def evaluate(ctx, test_path, model_paths, attention_size):
             query_id = dataset.records[np.searchsorted(ends, first_nan, side="right")].query_id
             with naming(f"model {model_path}, query {query_id}"):
                 raise
-        name = Path(model_path).stem
         report[name] = {"variant": params.variant, **asdict(metrics)}
         if matrix is not None:
             matrices[name] = matrix.values
@@ -303,7 +313,7 @@ def bench(ctx, model_paths, sizes, beams, reps):
     rerank_sizes = _parse_int_list("--sizes", sizes)
     if len(set(rerank_sizes)) < 2:
         raise ValidationError(f"--sizes needs at least two distinct rerank sizes to fit a slope, got {sizes!r}")
-    models = {Path(p).stem: load_model(p) for p in model_paths}
+    models = {name: load_model(path) for name, path in _by_stem(model_paths).items()}
     profile = latency_bench(models, rerank_sizes, _parse_int_list("--beams", beams), reps, ctx.obj["seed"])
     out = ctx.obj["out"]
     header = ["model", "rerank_size", "beam_size", "median_seconds", "min_seconds"]

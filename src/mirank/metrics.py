@@ -11,7 +11,7 @@ import numpy as np
 
 from . import nn
 from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, ModelParams
-from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, make_rng, naming
+from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, ValidationError, make_rng, naming
 from .features import extend_features
 from .models import item_probabilities
 from .nn.common import cross_entropy_batch
@@ -279,7 +279,8 @@ def latency_bench(
     log-log slope fits of time vs rerank size (at the smallest beam size) and
     time vs beam size (at the largest rerank size). Repeated sizes count
     once, and a slope is fitted only over at least two distinct sizes. The
-    candidates of rerank size n are drawn from seed ``(seed + n) % 2**64``.
+    candidates of rerank size n are drawn from seed ``(seed + n) % 2**64``,
+    at the one ``d`` of all the models (none, or two, is a ValidationError).
 
     Repetitions go round all (model, beam size, rerank size) cells in turn, so
     a slow stretch of the machine falls on every cell alike; each timed run
@@ -289,9 +290,12 @@ def latency_bench(
     the work itself.
     """
     make_rng(seed)  # rejects, naming it, a seed that is not a 64-bit unsigned integer, before any draw
+    dims = {name: params.config.d for name, params in models.items()}
+    if len(set(dims.values())) != 1:
+        raise ValidationError(f"latency_bench takes one or more models of one d, got d={dims}")
+    (d,) = set(dims.values())
     rerank_sizes, beam_sizes = list(dict.fromkeys(rerank_sizes)), list(dict.fromkeys(beam_sizes))
-    first_params = next(iter(models.values()))
-    catalogs = {n: generate_catalog(n, first_params.config.d, (seed + n) % 2**64) for n in rerank_sizes}
+    catalogs = {n: generate_catalog(n, d, (seed + n) % 2**64) for n in rerank_sizes}
     # The feed-forward models sort without a beam: their one cell has beam size 0.
     beams = {name: beam_sizes if params.traits.recurrent else [0] for name, params in models.items()}
     policies = {(name, k): model_policy(models[name], beam_size=k) for name in models for k in beams[name]}

@@ -7,7 +7,9 @@ probabilities depend on the candidate set but not on display order.
 position conditions on the items ranked before it. Beam search advances many
 partial rankings one position at a time through :func:`advance_entries`,
 each with only the items it has not placed; every other caller scores whole
-orders through :func:`nn.sequence_forward`.
+orders through :func:`nn.sequence_forward`. ``models`` checks its rows:
+every scoring call takes (n, F) rows at the variant's input width, else a
+ValidationError. ``nn`` trusts what it is given.
 """
 
 from __future__ import annotations
@@ -34,19 +36,24 @@ def init_model(variant: str, config: ModelConfig, seed: int) -> ModelParams:
     return ModelParams(variant=variant, config=config, blocks=init_blocks(variant, config, make_rng(seed)))
 
 
+def _rows(params: ModelParams, rows) -> np.ndarray:
+    """``rows`` as float64; anything but (n, F) at the variant's width is a ValidationError."""
+    rows = np.asarray(rows, dtype=np.float64)
+    width = params.config.input_dim(params.variant)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValidationError(f"{params.variant} scores rows of {width} features, got shape {rows.shape}")
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Feed-forward scoring
 
 
 def item_probabilities(params: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """Order-independent purchase probabilities of a feed-forward model from
-    (n, F) rows: local features for ``baseline``, extended for ``midnn``. A
-    recurrent model is a MirankError, rows of another width a ValidationError."""
+    """Order-independent purchase probabilities of a feed-forward model from (n, F) rows:
+    local features for ``baseline``, extended for ``midnn``; a recurrent model is a MirankError."""
     params.require("item_probabilities", "recurrent", False)
-    width = params.config.input_dim(params.variant)
-    if np.ndim(rows) != 2 or np.shape(rows)[1] != width:
-        raise ValidationError(f"{params.variant} scores rows of {width} features, got shape {np.shape(rows)}")
-    return nn.mlp_forward_batch(params.blocks, rows)[0]
+    return nn.mlp_forward_batch(params.blocks, _rows(params, rows))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +62,8 @@ def item_probabilities(params: ModelParams, rows: np.ndarray) -> np.ndarray:
 
 def input_projection(params: ModelParams, extended: np.ndarray) -> np.ndarray:
     """(N, 4H) LSTM input pre-activations of N candidates; fixed per query."""
-    return np.asarray(extended, dtype=np.float64) @ params.blocks["Wx"].T
-
-
-def _as_halves(array: np.ndarray, half: np.dtype) -> np.ndarray:
-    """(..., A) values as (...) single values of the A-double ``half`` dtype;
-    copied to float64 first only where a row is not one contiguous float64 run."""
-    array = np.asarray(array, dtype=np.float64)
-    if array.strides[-1] != array.itemsize:
-        array = array.copy()
-    return array.view(half)[..., 0]
+    params.require("input_projection", "recurrent")
+    return _rows(params, extended) @ params.blocks["Wx"].T
 
 
 def advance_entries(
@@ -83,7 +82,8 @@ def advance_entries(
     ``hiddens``/``cells`` are (E, H). For the attention variant
     ``histories`` is (E, T, H) and ``rep_caches`` is (E, T, A) with
     T >= position - 1, and only their first position - 1 columns are read
-    (beam search passes (E, N) buffers filled up to the current step);
+    (beam search passes (E, N) buffers filled up to the current step, whose
+    rows are contiguous float64 runs, as the pair fill below needs);
     ``mirnn`` reads neither, and may pass None for both.
     ``projected`` is the (N, 4H) :func:`input_projection` of the shared
     (N, F) feature matrix, computed once per query. ``items`` is an
@@ -135,7 +135,7 @@ def advance_entries(
             pairs = np.empty((n_items, t, 2 * attn_dim))
             half = np.dtype((np.void, 8 * attn_dim))
             halves = pairs.view(half)
-            item_halves, cache_halves = _as_halves(reps, half), _as_halves(rep_caches[:, :t], half)
+            item_halves, cache_halves = reps.view(half)[..., 0], rep_caches[:, :t].view(half)[..., 0]
             for e in range(n_entries):
                 halves[:, :, 0] = item_halves[e, :, None]
                 halves[:, :, 1] = cache_halves[e]
@@ -154,6 +154,6 @@ def sequence_probabilities(params: ModelParams, extended: np.ndarray, orders) ->
     """(Q, T) per-position probabilities of a (Q, T) batch of orders over one
     set's (N, F) extended features, each order recomputed from scratch."""
     params.require("sequence_probabilities", "recurrent")
-    x = np.asarray(extended, dtype=np.float64)[np.asarray(orders, dtype=int)]
+    x = _rows(params, extended)[np.asarray(orders, dtype=int)]
     probs, _ = nn.sequence_forward(params.blocks, x)
     return probs

@@ -52,15 +52,8 @@ def _load_expit(special_dir: Path):
 sigmoid = _load_expit(Path(scipy.__file__).parent / "special")
 
 
-def cross_entropy(prediction: float, label: int) -> float:
-    """Binary cross-entropy -[y ln p + (1-y) ln(1-p)] with internal clamping."""
-    p = min(max(float(prediction), PROB_EPS), 1.0 - PROB_EPS)
-    y = float(label)
-    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-
-
 def cross_entropy_batch(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Summed binary cross-entropy over a batch of predictions."""
+    """Summed binary cross-entropy -[y ln p + (1-y) ln(1-p)], p clamped into [PROB_EPS, 1 - PROB_EPS]."""
     p = np.clip(np.asarray(predictions, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
     y = np.asarray(labels, dtype=np.float64)
     return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))

@@ -18,19 +18,13 @@ def _num_hidden(params: dict[str, np.ndarray]) -> int:
 
 
 def mlp_forward_batch(params: dict[str, np.ndarray], x: np.ndarray):
-    """Forward pass over a (n, input_dim) batch.
+    """Forward pass over a float64 (n, input_dim) batch, taken as given.
 
     Returns (probs, activations): probs has shape (n,); activations are the
     input and each hidden layer's post-ReLU output, all that
     :func:`mlp_backward` reads. Each layer's bias and ReLU are applied in
     place, so no pre-activation array outlives its layer.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != params["W1"].shape[1]:
-        raise ValueError(
-            f"input dimension {x.shape[1]} does not match model "
-            f"input dimension {params['W1'].shape[1]}"
-        )
     activations = [x]
     h = x
     for k in range(1, _num_hidden(params) + 1):
@@ -54,7 +48,6 @@ def mlp_backward(
     which is exactly where its pre-activation was (NaN and -0.0 included).
     """
     n_hidden = _num_hidden(params)
-    dlogits = np.asarray(dlogits, dtype=np.float64)
     grads: dict[str, np.ndarray] = {}
     grads["W_out"] = dlogits[None, :] @ activations[-1]
     grads["b_out"] = np.array([dlogits.sum()])

@@ -132,7 +132,7 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray, keep_caches: 
 
     Args:
         params: LSTM blocks, plus attention blocks for the attention variant.
-        x: Extended features, shape (B, T, F); positions are 1..T.
+        x: Extended float64 features, shape (B, T, F); positions are 1..T.
         keep_caches: keep what :func:`sequence_backward` reads. Training
             asks for it; scoring does not, and then holds only the running
             state, plus the hidden states and representations that the
@@ -146,7 +146,6 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray, keep_caches: 
         the backward caches. The probabilities and weights are the same bits
         either way.
     """
-    x = np.asarray(x, dtype=np.float64)
     batch, length, _ = x.shape
     h_dim = params["Wh"].shape[1]
     attention = "w_ctx" in params

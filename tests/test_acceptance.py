@@ -32,7 +32,7 @@ from mirank.core import make_rng
 from mirank.features import DEGENERATE_FILL, extend_feature_matrix, extend_features
 from mirank.metrics import _fit_slope, logged_predictions, model_policy
 from mirank.models import sequence_probabilities
-from mirank.nn.common import cross_entropy
+from mirank.nn.common import cross_entropy_batch
 from gradcheck import gradient_check
 from mirank.persistence import ModelFileError
 from mirank.ranker import beam_search, exhaustive_oracle, greedy_reference, rank
@@ -443,7 +443,7 @@ def test_criterion_10_metric_unit_values(capsys):
     auc_value = auc([0.9, 0.8, 0.3, 0.2], [1, 0, 1, 0])
     labels = [1, 0, 0, 1, 0]
     rig_value = rig([np.mean(labels)] * 5, labels)
-    ce_value = cross_entropy(0.5, 1)
+    ce_value = cross_entropy_batch([0.5], [1])
     ok = auc_value == 0.75 and abs(rig_value) < 1e-12 and abs(ce_value - math.log(2.0)) < 1e-12
     _report(10, ok, f"auc={auc_value}, constant-rate rig={rig_value:.2e}, ce(0.5,1)-ln2={ce_value - math.log(2.0):.2e}", capsys)
 

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from bench_pairs import fresh_copy, parse_pairs, src_sha256, summarize  # noqa: E402
+from bench_pairs import fresh_copy, parse_pairs, src_tree, summarize  # noqa: E402
 
 
 RSS = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
@@ -89,18 +89,25 @@ def test_summary_needs_two_pairs():
 
 def test_fresh_copy_takes_sources_and_the_benchmark_spec_only(tmp_path):
     """A side runs from a copy of its src/ and perfbench/ and of the change's
-    BENCHMARK.json: no bytecode, benchmark work files or other files."""
+    BENCHMARK.json: no bytecode, benchmark work files or other files. Its
+    src/ lines are counted as wc -l counts them: a last line with no newline
+    does not count."""
     checkout = tmp_path / "checkout"
     for name in ("src/mirank/__init__.py", "src/mirank/__pycache__/core.pyc", "perfbench/run.py",
                  "perfbench/__pycache__/run.pyc", "perfbench/.bench_work/run-1/log.jsonl", "tools/x.py",
                  "BENCHMARK.json"):
         (checkout / name).parent.mkdir(parents=True, exist_ok=True)
         (checkout / name).write_text(name)
+    (checkout / "src/mirank/nn/core.py").parent.mkdir()
+    (checkout / "src/mirank/nn/core.py").write_text("a = 1\n\nb = 2\nc = 3")
     spec = tmp_path / "spec.json"
     spec.write_text("{}")
     copy = fresh_copy(checkout, tmp_path / "copies" / "base", spec)
     assert copy == tmp_path / "copies" / "base"
     files = sorted(str(path.relative_to(copy)) for path in copy.rglob("*") if path.is_file())
-    assert files == ["BENCHMARK.json", "perfbench/run.py", "src/mirank/__init__.py"]
+    assert files == ["BENCHMARK.json", "perfbench/run.py", "src/mirank/__init__.py", "src/mirank/nn/core.py"]
     assert (copy / "BENCHMARK.json").read_text() == "{}"
-    assert src_sha256(copy) == src_sha256(checkout)
+    assert src_tree(copy) == src_tree(checkout)
+    assert src_tree(copy)["src_lines"] == 3
+    (copy / "src/mirank/__init__.py").write_text("changed\n")
+    assert src_tree(copy)["src_lines"] == 4 and src_tree(copy)["src_sha256"] != src_tree(checkout)["src_sha256"]

@@ -645,6 +645,42 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == ["error: oracle-compare requires a recurrent model, got 'midnn'"]
         assert not bad.exists()
 
+    @staticmethod
+    def _assert_rejected(argv, bad, capsys):
+        """``argv`` exits 2 with one ``error:`` line and makes no ``bad`` directory; returns the line."""
+        capsys.readouterr()
+        assert main(["--output-dir", str(bad), *argv]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert captured.out == "" and not bad.exists()
+        return lines[0]
+
+    @pytest.mark.parametrize("command", ("evaluate", "bench"))
+    def test_repeated_model_stem_is_validation(self, command, tmp_path, capsys):
+        """Each model is named by its file stem, so run/midnn.model and
+        dup/midnn.model once gave one metrics.json entry or one latency.csv
+        model, the other silently dropped, with exit 0."""
+        out = tmp_path / "run"
+        assert _generate(out) == 0
+        paths = [out / "midnn.model", tmp_path / "dup" / "midnn.model"]
+        paths[1].parent.mkdir()
+        for seed, path in enumerate(paths):
+            save_model(init_model("midnn", ModelConfig(d=4, hidden_sizes=(4,)), seed=seed), path)
+        args = [str(out / "test.jsonl")] if command == "evaluate" else []
+        args += [*map(str, paths), *(["--sizes", "2,3", "--reps", "1"] if command == "bench" else [])]
+        line = self._assert_rejected([command, *args], tmp_path / "bad", capsys)
+        assert line == f"error: models {paths[0]} and {paths[1]} share the name 'midnn'; rename one"
+
+    def test_bench_on_models_of_two_d_is_validation(self, tmp_path, capsys):
+        """bench drew its candidates at the first model's d, so a d=3 midnn
+        and a d=4 mirnn once ended in a traceback with exit 1."""
+        paths = [tmp_path / "midnn.model", tmp_path / "mirnn.model"]
+        for d, path in zip((3, 4), paths):
+            save_model(init_model(path.stem, ModelConfig(d=d, hidden_sizes=(4,), lstm_hidden=3), seed=0), path)
+        line = self._assert_rejected(["bench", *map(str, paths), "--sizes", "2,3", "--reps", "1"], tmp_path / "bad", capsys)
+        assert line == "error: latency_bench takes one or more models of one d, got d={'midnn': 3, 'mirnn': 4}"
+
     @pytest.mark.parametrize("variant", ("mirnn", "mirnn_attention"))
     def test_batch_size_flag_on_a_recurrent_variant_is_validation(self, variant, tmp_path, capsys):
         """A recurrent variant trains in batches of sequence_batch_size, so

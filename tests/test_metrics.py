@@ -1,6 +1,7 @@
 """Evaluation metrics: exact small-case values, invariances, diagnostics."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ class TestLatencyBench:
         profile = latency_bench(models, rerank_sizes=[4, 8, 4], beam_sizes=[1, 2, 1], repetitions=1, seed=0)
         assert len(profile.rows) == 4
         assert set(profile.slope_vs_n) == set(profile.slope_vs_k) == {"mirnn"}
+
+    @pytest.mark.parametrize("models", [
+        {},
+        {"midnn": init_model("midnn", SMALL, seed=0), "mirnn": init_model("mirnn", dataclasses.replace(SMALL, d=4), seed=0)},
+    ], ids=["none", "two-d"])
+    def test_needs_models_of_one_d_before_any_draw(self, models, monkeypatch):
+        """No model once raised a raw StopIteration, and models of two d drew
+        the candidates at the first one's d, failing in another model's matmul."""
+        def no_draw(*args):
+            raise AssertionError("a catalog was drawn")
+
+        monkeypatch.setattr(metrics, "generate_catalog", no_draw)
+        dims = {name: params.config.d for name, params in models.items()}
+        with pytest.raises(ValidationError, match=re.escape(f"one or more models of one d, got d={dims}")):
+            latency_bench(models, rerank_sizes=[2, 3], beam_sizes=[1], repetitions=1, seed=0)
 
     @pytest.mark.parametrize("seed", [-5, 1.5, True, 2**64], ids=["negative", "fractional", "bool", "too-large"])
     def test_rejects_a_bad_seed_before_any_draw(self, seed, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mirank import BehaviorConfig, ModelConfig, QueryRecord, TrainConfig, init_model, nn, train
-from mirank.configs import VARIANT_TRAITS, ModelParams, expected_block_shapes
+from mirank.configs import VARIANT_TRAITS, VARIANTS, ModelParams, expected_block_shapes
 from mirank.core import MirankError, Ranking, ValidationError, make_rng
 from mirank.features import extend_features
 from mirank.models import (
@@ -14,7 +14,7 @@ from mirank.models import (
     sequence_probabilities,
 )
 from mirank.nn.recurrent import representations, softmax
-from mirank.ranker import rank, rerank_top_n
+from mirank.ranker import beam_search, exhaustive_oracle, expected_gmv, greedy_reference, rank, rerank_top_n
 from conftest import chain_entry, random_candidates
 
 SMALL = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=12)
@@ -142,6 +142,7 @@ class TestFeedForwardScoring:
                 midnn, np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 0, 4)), None, 1, cs.feature_matrix
             ),
             "sequence_probabilities": lambda: sequence_probabilities(midnn, feats, [[0, 1, 2]]),
+            "input_projection": lambda: input_projection(midnn, feats),
         }
         for operation, call in calls.items():
             with pytest.raises(MirankError, match=rf"^{operation} requires a recurrent model, got 'midnn'$"):
@@ -159,6 +160,32 @@ class TestFeedForwardScoring:
         rows = extend_features(cs) if extended else cs.feature_matrix
         with pytest.raises(MirankError, match="recurrent|features"):
             item_probabilities(init_model(variant, SMALL, seed=0), rows)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("d", [SMALL.d - 1, SMALL.d + 1])
+def test_every_scoring_path_rejects_rows_of_another_width(variant, d, rng):
+    """Every models entry and ranker path checks the width once per call;
+    mirnn and mirnn_attention once ended in numpy's raw matmul ValueError."""
+    params = init_model(variant, SMALL, seed=0)
+    cs = random_candidates(rng, 3, d)
+    feats = extend_features(cs)
+    calls = [
+        lambda: rank(params, cs),
+        lambda: expected_gmv(params, cs, Ranking((0, 1, 2))),
+        lambda: exhaustive_oracle(params, cs),
+    ]
+    if params.traits.recurrent:
+        calls += [
+            lambda: beam_search(params, cs, 2),
+            lambda: greedy_reference(params, cs),
+            lambda: input_projection(params, feats),
+            lambda: sequence_probabilities(params, feats, [[0, 1, 2]]),
+        ]
+    width = SMALL.input_dim(variant)
+    for call in calls:
+        with pytest.raises(ValidationError, match=rf"^{variant} scores rows of {width} features, got shape \(3, "):
+            call()
 
 
 def _entries(params, feats, prefixes):
@@ -303,8 +330,7 @@ def test_half_row_pair_fill_matches_the_broadcast_fill_bit_for_bit(attn_size, dr
     """The attention step's pair tensor, filled by whole half-row copies,
     gives the same probabilities, states and representations as the
     broadcast fill, for random entry counts, item counts and positions, an
-    ``items`` narrower than N, and rep caches wider than position - 1, also
-    in Fortran order, whose rows are not contiguous."""
+    ``items`` narrower than N, and rep caches wider than position - 1."""
     rng = make_rng(1000 * attn_size + draw)
     config = ModelConfig(d=3, hidden_sizes=(5,), lstm_hidden=6, attn_size=attn_size, pos_size=2, max_positions=12)
     params = init_model("mirnn_attention", config, seed=draw)
@@ -318,8 +344,8 @@ def test_half_row_pair_fill_matches_the_broadcast_fill_bit_for_bit(attn_size, dr
     rep_caches = np.maximum(rng.standard_normal((n_entries, width, attn_size)), 0.0)
     narrower = np.sort(np.argsort(rng.random((n_entries, n_items)))[:, : n_items - position + 1], axis=1)
     all_items = np.broadcast_to(np.arange(n_items), (n_entries, n_items))
-    for items, caches in ((all_items, rep_caches), (narrower, rep_caches), (narrower, np.asfortranarray(rep_caches))):
-        state = (hiddens, cells, histories, caches, position, input_projection(params, feats))
+    for items in (all_items, narrower):
+        state = (hiddens, cells, histories, rep_caches, position, input_projection(params, feats))
         got = advance_entries(params, *state, items=items)
         want = _advance_with_broadcast_fill(params, *state, items)
         for name, a, b in zip(("probs", "hidden", "cell", "reps"), got, want):

@@ -28,7 +28,8 @@ and the gap exceeds the base's interquartile range); and the number of pairs
 whose two runs wrote the same output digest. Each end-to-end metric also
 carries its ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether
 the change's median is worse than the base's by no more than that fraction
-of the base's median, the no-regression check.
+of the base's median, the no-regression check. Per side, ``trees`` holds the
+digest and the line count of its ``src/`` (:func:`src_tree`).
 """
 
 from __future__ import annotations
@@ -47,12 +48,16 @@ from pathlib import Path
 SIDES = ("base", "change")
 
 
-def src_sha256(root: Path) -> str:
-    """SHA-256 over the relative path and bytes of every ``src/**/*.py``."""
-    digest = hashlib.sha256()
+def src_tree(root: Path) -> dict:
+    """``src_sha256``, the SHA-256 over the relative path and bytes of every
+    ``src/**/*.py``, and ``src_lines``, their total line count as ``wc -l``
+    counts it: the number of newline bytes."""
+    digest, lines = hashlib.sha256(), 0
     for path in sorted((root / "src").rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
+        data = path.read_bytes()
+        digest.update(str(path.relative_to(root)).encode() + b"\0" + data)
+        lines += data.count(b"\n")
+    return {"src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
 def fresh_copy(checkout: Path, dest: Path, benchmark: Path) -> Path:
@@ -163,7 +168,7 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         roots = {side: fresh_copy(getattr(args, side).resolve(), Path(scratch) / side, benchmark) for side in SIDES}
-        trees = {side: {"src_sha256": src_sha256(root)} for side, root in roots.items()}
+        trees = {side: src_tree(root) for side, root in roots.items()}
         for workload, count in args.pairs.items():
             for pair in range(count):
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
