@@ -29,7 +29,7 @@ from .models import item_probabilities as score_midnn_batch, sequence_probabilit
 from .nn.train import TrainingDiverged, train
 from .persistence import LogFormatError, ModelFileError, _atomic_write, _sha256, load_model, read_logs, save_model, write_logs
 from .ranker import beam_search, exhaustive_oracle, expected_gmv, greedy_reference, rerank_top_n
-from .simgen import ITEMS_PER_QUERY, RANKING_POLICY, TRAIN_FRACTION, BehaviorConfig, generate_catalog, generate_logs
+from .simgen import ITEMS_PER_QUERY, TRAIN_FRACTION, BehaviorConfig, generate_catalog, generate_logs
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
@@ -44,7 +44,6 @@ DEFAULTS: dict = {
     "n_queries": 1000,
     "catalog_size": 500,
     "train_fraction": TRAIN_FRACTION,
-    "ranking_policy": RANKING_POLICY,
     # The seed comes from --seed, not from the config.
     **{key: value for key, value in asdict(BehaviorConfig()).items() if key != "seed"},
 }
@@ -163,7 +162,6 @@ def cli(ctx, seed, config_path, output_dir):
 @click.option("--n-queries", type=int, default=None)
 @click.option("--items-per-query", type=int, default=None)
 @click.option("--catalog-size", type=int, default=None)
-@click.option("--ranking-policy", type=str, default=None)
 @click.option("--train-fraction", type=float, default=None)
 @click.option("--price-sensitivity", type=float, default=None)
 @click.option("--position-bias-strength", type=float, default=None)
@@ -183,7 +181,6 @@ def generate(ctx, **flags):
         catalog,
         n_queries=cfg["n_queries"],
         items_per_query=cfg["items_per_query"],
-        ranking_policy=cfg["ranking_policy"],
         seed=seed,
         train_fraction=cfg["train_fraction"],
     )
@@ -227,7 +224,7 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
 @cli.command()
 @click.argument("model_path", type=click.Path(exists=True))
 @click.argument("log_path", type=click.Path(exists=True))
-@click.option("--rerank-size", type=int, default=None, help="Top-N prefix to re-order; default: full record.")
+@click.option("--rerank-size", type=click.IntRange(min=1), default=None, help="Top-N prefix to re-order; default: full record.")
 @click.option("--beam-size", type=int, default=None)
 @click.option("--gamma", type=float, default=None)
 @click.pass_context
@@ -237,8 +234,6 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
     dataset = _read_records(log_path, "rerank")
     params = _load_model_for(model_path, dataset, log_path)
     # The feed-forward models ignore the beam size.
-    if rerank_size is not None and rerank_size < 1:
-        raise ValidationError(f"--rerank-size must be >= 1, got {rerank_size}")
     if params.traits.recurrent and cfg["beam_size"] < 1:
         raise ValidationError(f"beam_size (--beam-size or config key) must be >= 1, got {cfg['beam_size']}")
     if not 0 <= cfg["gamma"] < np.inf:

@@ -216,7 +216,16 @@ def logged_predictions(
     LOG_CHUNK records; memory holds one batch's states. The models are
     causal, so the first ``attention_size`` positions of a full-record
     forward equal a forward over that prefix alone.
+
+    Every record's features must be (n, 2d) at the model's extended width,
+    else a ValidationError naming the record, before any scoring.
     """
+    width = 2 * params.config.d
+    for index, feats in enumerate(extended):
+        shape = np.shape(feats)
+        if len(shape) != 2 or shape[1] != width:
+            raise ValidationError(f"{params.variant} scores records of {width} extended features, "
+                                  f"record {index} has shape {shape}")
     traits = params.traits
     if not traits.recurrent:
         rows, inverse = np.vstack(extended), None

@@ -109,9 +109,12 @@ def advance_entries(
     pair matmul is the same call on the same operands.
 
     At position 1 there are no predecessors and the attention context is zero,
-    so the attention logit reduces to the plain recurrent one.
+    so the attention logit reduces to the plain recurrent one. A position
+    below 1 is a ValidationError.
     """
     params.require("advance_entries", "recurrent")
+    if position < 1:
+        raise ValidationError(f"advance_entries takes a 1-based position, got {position}")
     blocks = params.blocks
     n_entries, n_items = len(hiddens), len(projected)
     if items is None:

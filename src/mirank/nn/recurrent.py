@@ -36,8 +36,6 @@ from .common import sigmoid
 
 def position_row(params: dict[str, np.ndarray], position_index: int) -> int:
     """0-based embedding row for a 1-based position; indices beyond the table clamp."""
-    if position_index < 1:
-        raise ValueError(f"position_index must be >= 1, got {position_index}")
     return min(position_index, params["pos_emb"].shape[0]) - 1
 
 

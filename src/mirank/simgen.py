@@ -156,15 +156,8 @@ def _subset_sampler(catalog: CandidateSet, items_per_query: int) -> Callable:
     return sample
 
 
-#: Defaults of the items per query, the share of train records and the display order policy.
-ITEMS_PER_QUERY, TRAIN_FRACTION, RANKING_POLICY = 50, 0.8, "random"
-
-RANKING_POLICIES: dict[str, Callable] = {
-    "random": lambda candidates, rng: rng.permutation(len(candidates)),
-    "as_sampled": lambda candidates, rng: np.arange(len(candidates)),
-    "price_desc": lambda candidates, rng: np.argsort(-candidates.prices, kind="stable"),
-    "price_asc": lambda candidates, rng: np.argsort(candidates.prices, kind="stable"),
-}
+#: Defaults of the items per query and the share of train records.
+ITEMS_PER_QUERY, TRAIN_FRACTION = 50, 0.8
 
 # Give up if fewer than 1 in _MAX_REJECT_FACTOR candidate train records
 # survives the at-least-one-purchase filter.
@@ -176,12 +169,12 @@ def generate_logs(
     catalog: CandidateSet,
     n_queries: int,
     items_per_query: int = ITEMS_PER_QUERY,
-    ranking_policy: str = RANKING_POLICY,
     seed: int = 0,
     train_fraction: float = TRAIN_FRACTION,
 ) -> Dataset:
     """Sample query records: a price-band catalog subset (see
-    ``_subset_sampler``), ordered by policy, with labels.
+    ``_subset_sampler``), shown in a random order drawn from ``seed``, with
+    labels; display position is thus independent of price.
 
     ``round(n_queries * train_fraction)`` records are train records, the
     rest test; a negative ``n_queries``, an ``items_per_query`` below 1 or a
@@ -199,11 +192,6 @@ def generate_logs(
         raise MirankError(
             f"items_per_query {items_per_query} exceeds catalog size {len(catalog)}"
         )
-    if ranking_policy not in RANKING_POLICIES:
-        raise MirankError(
-            f"unknown ranking policy {ranking_policy!r}; choose from {sorted(RANKING_POLICIES)}"
-        )
-    policy = RANKING_POLICIES[ranking_policy]
     sampler = _subset_sampler(catalog, items_per_query)
     rng = make_rng(seed)
     n_train = round(n_queries * train_fraction)
@@ -217,18 +205,18 @@ def generate_logs(
                 f"(acceptance rate {len(train) / attempts:.4f}); "
                 "raise base_rate or items_per_query"
             )
-        record = _sample_record(config, catalog, sampler, policy, rng, f"q{len(train):06d}")
+        record = _sample_record(config, catalog, sampler, rng, f"q{len(train):06d}")
         if record.labels.any():
             train.append(record)
     test = [
-        _sample_record(config, catalog, sampler, policy, rng, f"q{q:06d}") for q in range(n_train, n_queries)
+        _sample_record(config, catalog, sampler, rng, f"q{q:06d}") for q in range(n_train, n_queries)
     ]
     return Dataset(tuple(train), tuple(test), len(train) / attempts if attempts else None)
 
 
-def _sample_record(config, catalog, sampler, policy, rng, query_id) -> QueryRecord:
-    subset = catalog.take(sampler(rng))
-    displayed = subset.take(policy(subset, rng))
+def _sample_record(config, catalog, sampler, rng, query_id) -> QueryRecord:
+    picks = sampler(rng)
+    displayed = catalog.take(picks[rng.permutation(len(picks))])
     probs = session_probabilities(config, displayed)
     labels = (rng.random(len(displayed)) < probs).astype(int)
     return QueryRecord(query_id, displayed, labels, probs)

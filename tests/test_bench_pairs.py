@@ -1,5 +1,6 @@
 """The A/B summary of tools/bench_pairs.py on hand-made runs."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+import bench_pairs  # noqa: E402
 from bench_pairs import fresh_copy, parse_pairs, src_tree, summarize  # noqa: E402
 
 
@@ -111,3 +113,25 @@ def test_fresh_copy_takes_sources_and_the_benchmark_spec_only(tmp_path):
     assert src_tree(copy)["src_lines"] == 3
     (copy / "src/mirank/__init__.py").write_text("changed\n")
     assert src_tree(copy)["src_lines"] == 4 and src_tree(copy)["src_sha256"] != src_tree(checkout)["src_sha256"]
+
+
+@pytest.mark.parametrize("change_digest, code", (("d0", 0), ("d1", 1)))
+def test_outputs_that_differ_within_a_pair_exit_1_after_the_file_is_written(change_digest, code, tmp_path, monkeypatch):
+    """As with a failed run: the change's runs write another digest than the base's."""
+    for side in ("base", "change"):
+        for name in ("src/mirank/__init__.py", "perfbench/run.py"):
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(name)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": RSS}))
+
+    def run_perfbench(root, workload, seed, seconds):
+        run = _run(workload, 0, root.name, 1.0, 1, digest=change_digest if root.name == "change" else "d0")
+        return {"env": None, **{key: run[key] for key in ("info", "result", "exit_code", "ru_minflt")}}
+
+    monkeypatch.setattr(bench_pairs, "run_perfbench", run_perfbench)
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+            "--seed", "1", "--seconds", "1", "--pairs", "evaluate=2", "--out", str(out)]
+    assert bench_pairs.main(argv) == code
+    table = json.loads(out.read_text())["summary"]["evaluate"]
+    assert table["pairs"] == 2 and table["outputs_sha256_equal_pairs"] == 2 * (1 - code)

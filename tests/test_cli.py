@@ -307,7 +307,6 @@ class TestConfigLayering:
         manifest = json.loads((out / "manifest_generate.json").read_text())
         assert manifest["resolved_config"]["n_queries"] == 6  # flag wins
         assert manifest["resolved_config"]["items_per_query"] == 4  # file wins
-        assert manifest["resolved_config"]["ranking_policy"] == "random"  # default
         assert manifest["resolved_config"]["price_sensitivity"] == 1e-3
         total = len(read_logs(out / "train.jsonl").records) + len(read_logs(out / "test.jsonl").records)
         assert total == 6
@@ -319,15 +318,20 @@ class TestConfigLayering:
             "d", "hidden_sizes", "lstm_hidden", "attn_size", "pos_size", "max_positions",
             "epochs", "batch_size", "sequence_batch_size", "learning_rate",
             "gamma", "beam_size", "items_per_query", "n_queries", "catalog_size",
-            "train_fraction", "ranking_policy", "price_sensitivity", "position_bias_strength",
+            "train_fraction", "price_sensitivity", "position_bias_strength",
             "order_effect_strength", "primacy_strength", "base_rate",
         }
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        config = tmp_path / "config.yaml"
-        config.write_text(yaml.safe_dump({"not_a_key": 1}))
-        out = tmp_path / "run"
-        assert main(["--config", str(config), "--output-dir", str(out), "generate"]) == EXIT_VALIDATION
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        """ranking_policy was a key until every log came to be shown in a random order."""
+        for key, value in (("not_a_key", 1), ("ranking_policy", "random")):
+            config = tmp_path / f"{key}.yaml"
+            config.write_text(yaml.safe_dump({key: value}))
+            out = tmp_path / "run"
+            assert main(["--config", str(config), "--output-dir", str(out), "generate"]) == EXIT_VALIDATION
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0], lines
+            assert not out.exists()
 
     @pytest.mark.parametrize("config, code", (
         ("beam_size: 2\n", 0),
@@ -544,6 +548,7 @@ class TestExitCodes:
         (("train", "mirnn", "{log}", "--hidden-sizes", "4,a"), "--hidden-sizes"),
         (("--seed", "-1", "generate"), "--seed"),
         (("generate", "--no-such-flag"), "--no-such-flag"),
+        (("generate", "--ranking-policy", "random"), "--ranking-policy"),
         (("train", "mirnn"), "TRAIN_PATH"),
         (("train", "lstm", "{log}"), "'lstm'"),
         (("no-such-command",), "no-such-command"),
@@ -552,11 +557,11 @@ class TestExitCodes:
         "attention-size-negative", "reps-0", "sizes-empty", "sizes-text", "sizes-one", "sizes-repeated",
         "sizes-0", "beams-empty", "max-n-0", "max-n-negative", "train-fraction-above-1", "n-queries-negative", "d-0",
         "items-per-query-0", "items-per-query-negative", "hidden-sizes-text", "seed-negative", "unknown-option",
-        "missing-argument", "unknown-variant", "unknown-command", "no-command",
+        "retired-ranking-policy", "missing-argument", "unknown-variant", "unknown-command", "no-command",
     ))
     def test_bad_list_or_count_is_validation(self, args, named, tmp_path, capsys):
         """Each of these once ended in a traceback, or in exit 0 with a NaN
-        or an out-of-range split; click's own rejections (the last six) once
+        or an out-of-range split; click's own rejections (the last seven) once
         printed a usage block above an `Error:` line. Now each prints one
         `error:` line, exits 2 and makes no output directory."""
         out = tmp_path / "run"

@@ -223,6 +223,33 @@ class TestLoggedPredictions:
         assert len(repeated) >= 20
         assert all(len(by_item[item_id]) == 1 for item_id in repeated)
 
+    @pytest.mark.parametrize("variant", ["baseline", "midnn", "mirnn", "mirnn_attention"])
+    def test_rejects_records_not_at_the_extended_width(self, variant, rng):
+        """Every record must be (n, 2d), whatever the variant reads of it.
+        mirnn and mirnn_attention once ended in numpy's raw matmul ValueError
+        on width-8 rows, a log of widths 6 and 8 in np.vstack's or np.stack's,
+        the baseline scored width-7 rows from their first 3 columns, and
+        named all-zero rows by their shape after np.unique."""
+        params = init_model(variant, SMALL, seed=0)
+        good = rng.standard_normal((4, 6))
+        logs = [
+            ([rng.standard_normal((4, 8))], 0),
+            ([good, rng.standard_normal((4, 8))], 1),
+            ([rng.standard_normal((4, 7))], 0),
+            ([np.zeros((4, 8))], 0),
+            ([good, good[0]], 1),
+        ]
+        for extended, index in logs:
+            shape = re.escape(str(extended[index].shape))
+            with pytest.raises(ValidationError, match=rf"^{variant} scores records of 6 extended features, "
+                                                      rf"record {index} has shape {shape}$"):
+                logged_predictions(params, extended, attention_size=2)
+        if params.traits.attention:
+            wide = mixed_length_log((4, 5), d=4)
+            for records in (wide, mixed_length_log((4, 5), d=3) + wide):
+                with pytest.raises(ValidationError, match=r"record \d+ has shape \(2, 8\)$"):
+                    attention_diagnostic(params, records, size=2)
+
 
 class TestBatchedAttentionDiagnostic:
     SIZE = 6

@@ -188,6 +188,19 @@ def test_every_scoring_path_rejects_rows_of_another_width(variant, d, rng):
             call()
 
 
+@pytest.mark.parametrize("variant", RECURRENT)
+@pytest.mark.parametrize("position", [0, -1])
+def test_advance_entries_rejects_a_position_below_1(variant, position, rng):
+    """mirnn once advanced entries at position 0 without error, and
+    mirnn_attention ended in a raw ValueError from nn."""
+    params = init_model(variant, SMALL, seed=0)
+    projected = input_projection(params, extend_features(random_candidates(rng, 3, SMALL.d)))
+    state = np.zeros((1, SMALL.lstm_hidden))
+    history, caches = np.zeros((1, 3, SMALL.lstm_hidden)), np.zeros((1, 3, SMALL.attn_size))
+    with pytest.raises(ValidationError, match=rf"^advance_entries takes a 1-based position, got {position}$"):
+        advance_entries(params, state, state, history, caches, position, projected)
+
+
 def _entries(params, feats, prefixes):
     """Stacked kernel state of beam entries that placed ``prefixes`` (equal lengths)."""
     states = [chain_entry(params, feats, prefix)[1] for prefix in prefixes]

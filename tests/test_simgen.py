@@ -5,7 +5,7 @@ import pytest
 
 from mirank import BehaviorConfig, generate_catalog, generate_logs
 from mirank.core import CandidateSet, MirankError, ValidationError, make_rng
-from mirank.simgen import RANKING_POLICIES, session_probabilities
+from mirank.simgen import session_probabilities
 
 
 def _flat_items(prices):
@@ -161,18 +161,6 @@ class TestGenerateLogs:
             assert np.array_equal(ra.labels, rb.labels)
             assert np.array_equal(ra.candidate_set.ids, rb.candidate_set.ids)
 
-    def test_price_policies_order_by_price(self):
-        catalog = generate_catalog(40, 3, seed=3)
-        config = BehaviorConfig(base_rate=0.4)
-        desc = generate_logs(config, catalog, n_queries=5, items_per_query=6, ranking_policy="price_desc", seed=8)
-        for record in desc.records:
-            prices = record.candidate_set.prices.tolist()
-            assert prices == sorted(prices, reverse=True)
-        asc = generate_logs(config, catalog, n_queries=5, items_per_query=6, ranking_policy="price_asc", seed=8)
-        for record in asc.records:
-            prices = record.candidate_set.prices.tolist()
-            assert prices == sorted(prices)
-
     def test_price_band_subsets_are_narrow(self):
         catalog = generate_catalog(200, 3, seed=3)
         data = generate_logs(
@@ -187,8 +175,6 @@ class TestGenerateLogs:
         config = BehaviorConfig(base_rate=0.4)
         with pytest.raises(MirankError, match="exceeds"):
             generate_logs(config, catalog, n_queries=2, items_per_query=6)
-        with pytest.raises(MirankError, match="policy"):
-            generate_logs(config, catalog, n_queries=2, items_per_query=3, ranking_policy="nope")
         with pytest.raises(MirankError, match="n_queries"):
             generate_logs(config, catalog, n_queries=-1, items_per_query=3)
         for size in (0, -1):
@@ -209,6 +195,3 @@ class TestGenerateLogs:
         data = generate_logs(BehaviorConfig(seed=2), catalog, n_queries=5, items_per_query=4, train_fraction=0.0)
         assert data.acceptance_rate is None
         assert len(data.train_records) == 0 and len(data.test_records) == 5
-
-    def test_policy_registry_is_complete(self):
-        assert set(RANKING_POLICIES) == {"random", "as_sampled", "price_desc", "price_asc"}

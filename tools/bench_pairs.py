@@ -30,6 +30,10 @@ carries its ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether
 the change's median is worse than the base's by no more than that fraction
 of the base's median, the no-regression check. Per side, ``trees`` holds the
 digest and the line count of its ``src/`` (:func:`src_tree`).
+
+The file is written in any case; the exit code is 1 when a run failed or
+when the two runs of a complete pair wrote different output digests, and
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -186,7 +190,9 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return 0 if all(run["exit_code"] == 0 for run in runs) else 1
+    failed = any(run["exit_code"] != 0 for run in runs)
+    diverged = any(table["outputs_sha256_equal_pairs"] < table["pairs"] for table in report["summary"].values())
+    return 1 if failed or diverged else 0
 
 
 if __name__ == "__main__":
