@@ -17,7 +17,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-import yaml
 
 from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, VARIANT_TRAITS, VARIANTS, ModelConfig, TrainConfig, coerce, config_from
 from .core import MirankError, NonFiniteError, Ranking, ValidationError, naming
@@ -51,7 +50,10 @@ DEFAULTS: dict = {
 
 def _read_config(config_path: str) -> dict:
     """The YAML config file at ``config_path``, each value converted to the type of its
-    default; a file that does not parse, or is not a mapping of known keys, is a ValidationError."""
+    default; a file that does not parse, or is not a mapping of known keys, is a ValidationError.
+    yaml is imported here, so a run without --config never loads it."""
+    import yaml
+
     try:
         loaded = yaml.safe_load(Path(config_path).read_text(encoding="utf-8")) or {}
     except (yaml.YAMLError, UnicodeDecodeError) as exc:

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, ModelParams
+from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, ModelParams, coerce
 from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, ValidationError, make_rng, naming
 from .features import extend_features
 from .models import item_probabilities
@@ -187,8 +187,10 @@ def attention_diagnostic(
 
     Uses records of length >= size; features are extended over each record's
     full candidate set, and the model walks the first ``size`` positions.
+    ``size`` and ``records`` are checked as :func:`logged_predictions` checks them.
     """
     params.require("attention_diagnostic", "attention")
+    size = _attention_size(size)
     prefixes = [extend_features(r.candidate_set)[:size] for r in records if len(r) >= size]
     return logged_predictions(params, prefixes, attention_size=size)[1]
 
@@ -197,6 +199,15 @@ def attention_diagnostic(
 # is scored: memory stays bounded while each matmul stays wide.
 ROW_CHUNK = 8192
 LOG_CHUNK = 64
+
+
+def _attention_size(size) -> int:
+    """``size`` converted by :func:`configs.coerce`; a size that is not a whole
+    number of at least 1 is a ValidationError."""
+    size = coerce("attention_size", size, ATTENTION_SIZE)
+    if size < 1:
+        raise ValidationError(f"attention_size must be >= 1, got {size}")
+    return size
 
 
 def logged_predictions(
@@ -217,16 +228,26 @@ def logged_predictions(
     causal, so the first ``attention_size`` positions of a full-record
     forward equal a forward over that prefix alone.
 
-    Every record's features must be (n, 2d) at the model's extended width,
-    else a ValidationError naming the record, before any scoring.
+    Before any scoring, a ValidationError rejects: an ``attention_size``,
+    for any variant, that is not a whole number of at least 1; a record
+    whose features are not (n, 2d) at the model's extended width, naming
+    it; an attention model given ``attention_size`` and no record that
+    long; and an empty log.
     """
+    traits = params.traits
+    if attention_size is not None:
+        attention_size = _attention_size(attention_size)
+    size = attention_size if traits.attention else None
     width = 2 * params.config.d
     for index, feats in enumerate(extended):
         shape = np.shape(feats)
         if len(shape) != 2 or shape[1] != width:
             raise ValidationError(f"{params.variant} scores records of {width} extended features, "
                                   f"record {index} has shape {shape}")
-    traits = params.traits
+    if size is not None and not any(len(feats) >= size for feats in extended):
+        raise ValidationError(f"no records of length >= {size} for the attention diagnostic")
+    if len(extended) == 0:
+        raise ValidationError(f"{params.variant} needs at least one record to score")
     if not traits.recurrent:
         rows, inverse = np.vstack(extended), None
         if not traits.extended:
@@ -236,7 +257,6 @@ def logged_predictions(
         chunks = range(0, len(rows), ROW_CHUNK)
         probs = np.concatenate([item_probabilities(params, rows[s : s + ROW_CHUNK]) for s in chunks])
         return (probs if inverse is None else probs[inverse.ravel()]), None
-    size = attention_size if traits.attention else None
     per_record: list = [None] * len(extended)
     total = np.zeros((size, size)) if size is not None else None
     count = 0
@@ -254,8 +274,6 @@ def logged_predictions(
                 for t in range(1, size):
                     total[t, :t] += caches["alphas"][t].sum(axis=0)
                 count += len(chunk)
-    if size is not None and count == 0:
-        raise MirankError(f"no records of length >= {size} for the attention diagnostic")
     attention = AttentionMatrix(values=total / count, n_records=count) if size is not None else None
     return np.concatenate(per_record), attention
 

@@ -3,26 +3,28 @@
 ``sigmoid`` is scipy's ``expit`` ufunc. Every purchase probability goes
 through it, and any other formula differs from it in the last bit, so the
 pinned numbers rest on its bits. It is loaded from ``_special_ufuncs``, the
-extension module that defines it, without importing the ``scipy.special``
-package: on scipy 1.17 that package adds about 19 MiB of peak memory and
-0.2 s to every process, the extension alone about 1 MiB. Loading the
-extension registers it in ``sys.modules`` under the name it is loaded as
-(CPython does so for a single-phase-init extension, as this one is), so a
-later ``import scipy.special`` reuses this module and ``scipy.special.expit
-is sigmoid`` in either import order; ``tests/test_nn.py`` checks both. A
-scipy build that ships no such extension, or one without ``expit``, falls
-back to ``from scipy.special import expit``.
+extension module that defines it, without executing the ``scipy`` package
+or ``scipy.special``: ``importlib.util.find_spec`` locates scipy's directory
+without running its ``__init__``. On scipy 1.17 ``scipy.special`` adds about
+19 MiB of peak memory and 0.2 s to every process, the ``scipy`` package
+alone about 0.9 MiB, the extension about 1 MiB. Loading the extension
+registers it in ``sys.modules`` under the name it is loaded as (CPython does
+so for a single-phase-init extension, as this one is), so a later ``import
+scipy.special`` reuses this module and ``scipy.special.expit is sigmoid`` in
+any import order; ``tests/test_nn.py`` checks three. A scipy build that
+ships no such extension, or one without ``expit``, falls back to ``from
+scipy.special import expit``, and a missing scipy ends in its
+``ModuleNotFoundError``.
 """
 
 from __future__ import annotations
 
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 # Probabilities are clamped into [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-7
@@ -30,12 +32,12 @@ PROB_EPS = 1e-7
 _SPECIAL_UFUNCS = "scipy.special._special_ufuncs"
 
 
-def _load_expit(special_dir: Path):
+def _load_expit(special_dir: Path | None):
     """scipy's ``expit``: from the ``_special_ufuncs`` module if it is already
-    imported, else from its extension file in ``special_dir``, else (no such
-    file, or no ``expit`` in it) from ``scipy.special``."""
+    imported, else from its extension file in ``special_dir``, else (no
+    directory, no such file, or no ``expit`` in it) from ``scipy.special``."""
     module = sys.modules.get(_SPECIAL_UFUNCS)
-    if module is None:
+    if module is None and special_dir is not None:
         paths = (special_dir / f"_special_ufuncs{suffix}" for suffix in EXTENSION_SUFFIXES)
         path = next((path for path in paths if path.is_file()), None)
         if path is not None:
@@ -49,7 +51,8 @@ def _load_expit(special_dir: Path):
     return module.expit
 
 
-sigmoid = _load_expit(Path(scipy.__file__).parent / "special")
+_scipy = find_spec("scipy")  # locates the package without executing it
+sigmoid = _load_expit(Path(_scipy.origin).parent / "special" if _scipy else None)
 
 
 def cross_entropy_batch(predictions: np.ndarray, labels: np.ndarray) -> float:

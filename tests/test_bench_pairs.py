@@ -1,6 +1,8 @@
 """The A/B summary of tools/bench_pairs.py on hand-made runs."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import bench_pairs  # noqa: E402
-from bench_pairs import fresh_copy, parse_pairs, src_tree, summarize  # noqa: E402
+from bench_pairs import fresh_copy, import_footprints, parse_pairs, src_tree, summarize  # noqa: E402
 
 
 RSS = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
@@ -129,9 +131,60 @@ def test_outputs_that_differ_within_a_pair_exit_1_after_the_file_is_written(chan
         return {"env": None, **{key: run[key] for key in ("info", "result", "exit_code", "ru_minflt")}}
 
     monkeypatch.setattr(bench_pairs, "run_perfbench", run_perfbench)
+    monkeypatch.setattr(bench_pairs, "import_footprint", lambda root: {"import_peak_rss_mb": 30.0, "import_s": 0.1})
     out = tmp_path / "BENCH.json"
     argv = ["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
             "--seed", "1", "--seconds", "1", "--pairs", "evaluate=2", "--out", str(out)]
     assert bench_pairs.main(argv) == code
-    table = json.loads(out.read_text())["summary"]["evaluate"]
+    report = json.loads(out.read_text())
+    table = report["summary"]["evaluate"]
     assert table["pairs"] == 2 and table["outputs_sha256_equal_pairs"] == 2 * (1 - code)
+    assert report["trees"]["change"] == {**src_tree(tmp_path / "change"), "import_peak_rss_mb": 30.0, "import_s": 0.1}
+
+
+def _package(root, init, cli=""):
+    for name, text in (("__init__.py", init), ("cli.py", cli)):
+        (root / "src" / "mirank" / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / "src" / "mirank" / name).write_text(text)
+    return root
+
+
+def test_import_footprint_imports_the_tree_s_own_src_in_a_fresh_process(tmp_path):
+    """The peak RSS counts what the tree's import allocates; BLAS is pinned
+    to one thread; a tree whose import fails measures None. Linux counts a
+    parent's peak at the fork in its child's ru_maxrss, so each footprint is
+    taken from a small parent process, as bench_pairs.py is."""
+    big = _package(tmp_path / "big", "BLOCK = bytearray(64 << 20)\n",
+                   "import os\nassert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n")
+    small = _package(tmp_path / "small", "")
+    broken = _package(tmp_path / "broken", "", "raise ImportError('no cli')\n")
+    code = ("import json, sys; from pathlib import Path; import bench_pairs; "
+            "print(json.dumps([bench_pairs.import_footprint(Path(root)) for root in sys.argv[1:]]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(bench_pairs.__file__).parent)}
+    result = subprocess.run([sys.executable, "-c", code, str(big), str(small), str(broken)],
+                            env=env, capture_output=True, text=True, check=True)
+    big_run, small_run, broken_run = json.loads(result.stdout)
+    assert big_run["import_peak_rss_mb"] - small_run["import_peak_rss_mb"] > 48
+    assert 0 < small_run["import_s"] < big_run["import_s"] + 1
+    assert broken_run is None
+
+
+def test_import_footprints_alternate_the_sides_and_keep_each_side_s_medians(monkeypatch):
+    calls = []
+
+    def footprint(root):
+        calls.append(root)
+        rss = {"base": 40.0, "change": 30.0}[root] + len(calls) % 3
+        return {"import_peak_rss_mb": rss, "import_s": len(calls) / 100}
+
+    monkeypatch.setattr(bench_pairs, "import_footprint", footprint)
+    footprints = import_footprints({"base": "base", "change": "change"})
+    assert calls == ["base", "change", "change", "base"] * 3 + ["base", "change"]
+    assert footprints == {"base": {"import_peak_rss_mb": 41.0, "import_s": 0.08},
+                          "change": {"import_peak_rss_mb": 31.0, "import_s": 0.07}}
+    runs = iter([None] + [{"import_peak_rss_mb": 1.0, "import_s": 1.0}] * 13)  # the first base import fails
+    monkeypatch.setattr(bench_pairs, "import_footprint", lambda root: next(runs))
+    assert import_footprints({"base": "base", "change": "change"}) == {
+        "base": {"import_peak_rss_mb": None, "import_s": None},
+        "change": {"import_peak_rss_mb": 1.0, "import_s": 1.0},
+    }

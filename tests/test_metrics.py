@@ -251,6 +251,28 @@ class TestLoggedPredictions:
                     attention_diagnostic(params, records, size=2)
 
 
+    @pytest.mark.parametrize("variant", ["baseline", "midnn", "mirnn", "mirnn_attention"])
+    def test_rejects_an_empty_log_and_an_attention_size_below_1_or_not_whole(self, variant, rng):
+        """Both are checked before any scoring. An empty log once ended in
+        numpy's raw "need at least one array to concatenate" ValueError;
+        attention_size 0 gave mirnn_attention an empty (0, 0) matrix, -1 a
+        raw ValueError, and 2.5 or True a raw TypeError."""
+        params = init_model(variant, SMALL, seed=0)
+        with pytest.raises(ValidationError, match=rf"^{variant} needs at least one record to score$"):
+            logged_predictions(params, [])
+        log = [rng.standard_normal((4, 6))]
+        for size in (0, -1, 2.5, True):
+            with pytest.raises(ValidationError, match="attention_size"):
+                logged_predictions(params, log, attention_size=size)
+        if params.traits.attention:
+            with pytest.raises(ValidationError, match=r"^no records of length >= 2 for the attention diagnostic$"):
+                logged_predictions(params, [], attention_size=2)
+            for size in (0, -1, 2.5, True):
+                with pytest.raises(ValidationError, match="attention_size"):
+                    attention_diagnostic(params, mixed_length_log((4, 5), d=3), size=size)
+            with pytest.raises(ValidationError, match=r"^no records of length >= 2 for the attention diagnostic$"):
+                attention_diagnostic(params, [], size=2)
+
 class TestBatchedAttentionDiagnostic:
     SIZE = 6
 

@@ -31,14 +31,32 @@ class TestActivationsAndLoss:
         assert sigmoid(0.0) == 0.5
         assert abs(sigmoid(2.0) - _sig(2.0)) < 1e-15
 
-    @pytest.mark.parametrize("first, second", (("mirank.cli", "scipy.special"), ("scipy.special", "mirank.cli")))
+    @pytest.mark.parametrize("first, second", (
+        ("mirank.cli", "scipy.special"),
+        ("scipy.special", "mirank.cli"),
+        ("mirank.cli", "scipy"),
+    ))
     def test_sigmoid_is_scipy_expit_in_either_import_order(self, first, second):
-        """sigmoid is loaded from scipy's extension file, not through
-        scipy.special, yet it is the very ufunc scipy.special exports."""
+        """sigmoid is loaded from scipy's extension file, without executing
+        scipy or scipy.special, yet it is the very ufunc scipy.special
+        exports, also when a plain scipy import loads scipy.special later."""
         env = {**os.environ, "PYTHONPATH": str(Path(mirank.__file__).parents[1])}
         code = f"import {first}, {second}, mirank.nn.common as common; print(common.sigmoid is scipy.special.expit)"
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "True"
+
+    def test_a_missing_scipy_is_a_module_not_found_error_for_scipy(self, tmp_path):
+        """With every installed package but scipy on the path, importing
+        mirank fails as an import of scipy does."""
+        site = Path(np.__file__).parents[1]
+        for entry in site.iterdir():
+            if not entry.name.startswith("scipy"):
+                (tmp_path / entry.name).symlink_to(entry)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(mirank.__file__).parents[1]), str(tmp_path)])}
+        code = "import mirank"
+        result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'scipy'"
 
     def test_sigmoid_falls_back_to_scipy_special_without_the_extension(self, tmp_path, monkeypatch):
         """A scipy whose special/ directory has no _special_ufuncs file."""

@@ -29,7 +29,10 @@ whose two runs wrote the same output digest. Each end-to-end metric also
 carries its ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether
 the change's median is worse than the base's by no more than that fraction
 of the base's median, the no-regression check. Per side, ``trees`` holds the
-digest and the line count of its ``src/`` (:func:`src_tree`).
+digest and the line count of its ``src/`` (:func:`src_tree`), and its import
+footprint: the median peak RSS and wall time of ``import mirank, mirank.cli``
+over 7 fresh processes, run before the pairs with the sides alternating
+(:func:`import_footprints`).
 
 The file is written in any case; the exit code is 1 when a run failed or
 when the two runs of a complete pair wrote different output digests, and
@@ -50,6 +53,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("base", "change")
+IMPORT_REPS = 7
+IMPORT_CODE = "import time; t = time.perf_counter(); import mirank, mirank.cli; print(time.perf_counter() - t)"
 
 
 def src_tree(root: Path) -> dict:
@@ -75,16 +80,51 @@ def fresh_copy(checkout: Path, dest: Path, benchmark: Path) -> Path:
     return dest
 
 
+def _run_child(command: list[str], root: Path, env: dict | None = None) -> tuple[str, int, os.struct_rusage]:
+    """The stdout, exit code and resource usage of ``command`` run in ``root``."""
+    with subprocess.Popen(command, cwd=root, env=env, stdout=subprocess.PIPE, text=True) as process:
+        stdout = process.stdout.read()
+        _, status, usage = os.wait4(process.pid, 0)
+        process.returncode = os.waitstatus_to_exitcode(status)
+    return stdout, process.returncode, usage
+
+
+def import_footprint(root: Path) -> dict | None:
+    """One fresh process's ``import mirank, mirank.cli`` from ``root/src``,
+    with ``OPENBLAS_NUM_THREADS=1``: ``import_peak_rss_mb``, the peak
+    ``ru_maxrss`` of the process in MiB, and ``import_s``, the wall time of
+    the import statement. None when the import fails. Linux counts the
+    parent's peak at the fork in the child's ``ru_maxrss``, so the figure is
+    the import's own peak only from a parent smaller than it, as this script is."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    stdout, exit_code, usage = _run_child([sys.executable, "-c", IMPORT_CODE], root, env)
+    if exit_code != 0:
+        return None
+    return {"import_peak_rss_mb": usage.ru_maxrss / 1024, "import_s": float(stdout)}
+
+
+def import_footprints(roots: dict[str, Path]) -> dict[str, dict]:
+    """Per side, the median of each :func:`import_footprint` figure over
+    IMPORT_REPS fresh processes, the side that goes first alternating; a
+    figure is None when any of its side's imports failed."""
+    samples: dict[str, list] = {side: [] for side in SIDES}
+    for rep in range(IMPORT_REPS):
+        for side in (SIDES if rep % 2 == 0 else SIDES[::-1]):
+            samples[side].append(import_footprint(roots[side]))
+    return {
+        side: {key: None if None in runs else statistics.median(run[key] for run in runs)
+               for key in ("import_peak_rss_mb", "import_s")}
+        for side, runs in samples.items()
+    }
+
+
 def run_perfbench(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced perfbench run in ``root``: its env line, its info values
     (``outputs_sha256`` among them), its result line, its exit code, and the
     minor page faults of its process."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    with subprocess.Popen(command, cwd=root, stdout=subprocess.PIPE, text=True) as process:
-        stdout = process.stdout.read()
-        _, status, usage = os.wait4(process.pid, 0)
-        process.returncode = os.waitstatus_to_exitcode(status)
+    stdout, exit_code, usage = _run_child(command, root)
     lines = stdout.splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     info = {name: value for _, name, value, _ in (line.split(" ", 3) for line in lines if line.startswith("info "))}
@@ -92,7 +132,7 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: int) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
-    return {"env": env, "info": info, "result": result, "exit_code": process.returncode, "ru_minflt": usage.ru_minflt}
+    return {"env": env, "info": info, "result": result, "exit_code": exit_code, "ru_minflt": usage.ru_minflt}
 
 
 def _stats(values: list[float]) -> dict:
@@ -172,7 +212,8 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         roots = {side: fresh_copy(getattr(args, side).resolve(), Path(scratch) / side, benchmark) for side in SIDES}
-        trees = {side: src_tree(root) for side, root in roots.items()}
+        footprints = import_footprints(roots)
+        trees = {side: {**src_tree(root), **footprints[side]} for side, root in roots.items()}
         for workload, count in args.pairs.items():
             for pair in range(count):
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
