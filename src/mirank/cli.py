@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, VARIANT_TRAITS, VARIANTS, ModelConfig, TrainConfig, coerce, config_from
+from .configs import ATTENTION_SIZE, BEAM_SIZE, VARIANT_TRAITS, VARIANTS, ModelConfig, TrainConfig, coerce, config_from
 from .core import MirankError, NonFiniteError, Ranking, ValidationError, naming
 from .features import extend_features
 # evaluate scores through logged_predictions alone; perfbench/tracer.py still
@@ -37,7 +37,6 @@ EXIT_DIVERGED = 4
 DEFAULTS: dict = {
     **asdict(ModelConfig()),
     **asdict(TrainConfig()),
-    "gamma": GAMMA,
     "beam_size": BEAM_SIZE,
     "items_per_query": ITEMS_PER_QUERY,
     "n_queries": 1000,
@@ -228,7 +227,6 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
 @click.argument("log_path", type=click.Path(exists=True))
 @click.option("--rerank-size", type=click.IntRange(min=1), default=None, help="Top-N prefix to re-order; default: full record.")
 @click.option("--beam-size", type=int, default=None)
-@click.option("--gamma", type=float, default=None)
 @click.pass_context
 def rerank(ctx, model_path, log_path, rerank_size, **flags):
     """Rerank the top-N prefix of each logged record with a trained model."""
@@ -238,8 +236,6 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
     # The feed-forward models ignore the beam size.
     if params.traits.recurrent and cfg["beam_size"] < 1:
         raise ValidationError(f"beam_size (--beam-size or config key) must be >= 1, got {cfg['beam_size']}")
-    if not 0 <= cfg["gamma"] < np.inf:
-        raise ValidationError(f"gamma (--gamma or config key) must be finite and nonnegative, got {cfg['gamma']}")
     out = ctx.obj["out"]
     rows = []
 
@@ -252,9 +248,7 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
             n = len(record) if rerank_size is None else min(rerank_size, len(record))
             base = Ranking(tuple(range(len(record))))
             with naming(f"model {model_path}, query {record.query_id}"):
-                ranking = rerank_top_n(
-                    params, base, candidates, n, k=cfg["beam_size"], gamma=cfg["gamma"]
-                )
+                ranking = rerank_top_n(params, base, candidates, n, k=cfg["beam_size"])
                 rows.append([record.query_id, expected_gmv(params, candidates, ranking)])
             yield record.take(ranking.order)
 

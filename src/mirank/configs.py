@@ -17,20 +17,19 @@ class VariantTraits:
     extended: bool  # scores the global feature extension (2d inputs), not the d local features
     recurrent: bool  # an LSTM conditions each position on the ranked prefix; else an order-free MLP
     attention: bool  # attends over the hidden states of the ranked prefix
-    price_exponent: bool  # sorts by price**gamma times the probability, not by price times it
 
 
 #: The four scoring policies and their traits: every decision that depends on
 #: the variant reads this table.
 VARIANT_TRAITS = {
-    "baseline": VariantTraits(extended=False, recurrent=False, attention=False, price_exponent=True),
-    "midnn": VariantTraits(extended=True, recurrent=False, attention=False, price_exponent=False),
-    "mirnn": VariantTraits(extended=True, recurrent=True, attention=False, price_exponent=False),
-    "mirnn_attention": VariantTraits(extended=True, recurrent=True, attention=True, price_exponent=False),
+    "baseline": VariantTraits(extended=False, recurrent=False, attention=False),
+    "midnn": VariantTraits(extended=True, recurrent=False, attention=False),
+    "mirnn": VariantTraits(extended=True, recurrent=True, attention=False),
+    "mirnn_attention": VariantTraits(extended=True, recurrent=True, attention=True),
 }
 VARIANTS = tuple(VARIANT_TRAITS)
-#: Defaults of the beam size, the baseline's price exponent and the attention diagnostic's positions.
-BEAM_SIZE, GAMMA, ATTENTION_SIZE = 5, 1.0, 20
+#: Defaults of the beam size and the attention diagnostic's positions.
+BEAM_SIZE, ATTENTION_SIZE = 5, 20
 
 
 def variant_traits(variant) -> VariantTraits:
@@ -47,11 +46,13 @@ def coerce_fields(config) -> None:
         object.__setattr__(config, f.name, coerce(f.name, getattr(config, f.name), f.default))
 
 
-def _require_positive(config, keys) -> None:
-    """Raise unless every named integer field of ``config`` is at least 1."""
-    for key in keys:
-        if getattr(config, key) < 1:
-            raise ValidationError(f"{key} must be >= 1, got {getattr(config, key)}")
+def whole_at_least(key: str, value, low: int = 1) -> int:
+    """``value`` converted to an int by :func:`coerce`; a value that does not
+    convert, or one below ``low``, is a ValidationError naming ``key``."""
+    value = coerce(key, value, 0)
+    if value < low:
+        raise ValidationError(f"{key} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class ModelConfig:
         coerce_fields(self)
         if not self.hidden_sizes or min(self.hidden_sizes) < 1:
             raise ValidationError(f"hidden_sizes must list one or more sizes >= 1, got {self.hidden_sizes}")
-        _require_positive(self, ("d", "lstm_hidden", "attn_size", "pos_size", "max_positions"))
+        for key in ("d", "lstm_hidden", "attn_size", "pos_size", "max_positions"):
+            whole_at_least(key, getattr(self, key))
 
     def input_dim(self, variant: str) -> int:
         return 2 * self.d if variant_traits(variant).extended else self.d
@@ -145,7 +147,8 @@ class TrainConfig:
 
     def __post_init__(self):
         coerce_fields(self)
-        _require_positive(self, ("epochs", "batch_size", "sequence_batch_size"))
+        for key in ("epochs", "batch_size", "sequence_batch_size"):
+            whole_at_least(key, getattr(self, key))
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 

@@ -10,12 +10,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .configs import ATTENTION_SIZE, BEAM_SIZE, GAMMA, ModelParams, coerce
+from .configs import ATTENTION_SIZE, BEAM_SIZE, ModelParams, whole_at_least
 from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, ValidationError, make_rng, naming
 from .features import extend_features
 from .models import item_probabilities
 from .nn.common import cross_entropy_batch
-from .ranker import rank
+from .ranker import _require_full_ranking, rank
 from .simgen import BehaviorConfig, _subset_sampler, generate_catalog, session_probabilities
 
 __all__ = [
@@ -38,21 +38,24 @@ class DegenerateLabelsError(MirankError):
     """Metrics need at least one positive and one negative label."""
 
 
-def _check_labels(labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels)
+def _checked(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``predictions`` as float64 and ``labels``. Two arrays that are not 1-D
+    of one length, or a label other than 0 or 1, are a ValidationError; labels
+    of one class a DegenerateLabelsError; a NaN prediction a NonFiniteError."""
+    predictions, labels = np.asarray(predictions, dtype=np.float64), np.asarray(labels)
+    if predictions.ndim != 1 or labels.shape != predictions.shape:
+        raise ValidationError(f"predictions and labels must be 1-D of one length, got {predictions.shape} and {labels.shape}")
+    other = labels[~np.isin(labels, (0, 1))]
+    if other.size:
+        raise ValidationError(f"labels must be 0 or 1, got {other[0]}")
     if labels.size == 0 or labels.min() == labels.max():
         raise DegenerateLabelsError(
             "need at least one positive and one negative label to compute metrics"
         )
-    return labels
-
-
-def _check_predictions(predictions) -> np.ndarray:
-    predictions = np.asarray(predictions, dtype=np.float64)
     nans = int(np.count_nonzero(np.isnan(predictions)))
     if nans:
         raise NonFiniteError(f"{nans} of {predictions.size} predictions are NaN")
-    return predictions
+    return predictions, labels
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -72,11 +75,11 @@ def auc(predictions, labels) -> float:
     """Probability that a random positive outranks a random negative; ties 0.5.
 
     Computed from rank statistics, so it is invariant under any strictly
-    increasing transform of the predictions. NaN predictions are a
-    NonFiniteError.
+    increasing transform of the predictions. The inputs are checked as
+    :func:`_checked` says.
     """
-    labels = _check_labels(labels)
-    ranks = _average_ranks(_check_predictions(predictions))
+    predictions, labels = _checked(predictions, labels)
+    ranks = _average_ranks(predictions)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
@@ -84,10 +87,14 @@ def auc(predictions, labels) -> float:
 
 def rig(predictions, labels) -> float:
     """Relative information gain: 1 - mean cross-entropy / entropy of the
-    empirical positive rate. 0 = uninformative constant, 1 = perfect. NaN
-    predictions are a NonFiniteError."""
-    labels = _check_labels(labels).astype(np.float64)
-    mean_ce = cross_entropy_batch(_check_predictions(predictions), labels) / labels.size
+    empirical positive rate. 0 = uninformative constant, 1 = perfect. The
+    inputs are checked as :func:`_checked` says, and a prediction outside
+    [0, 1] is a ValidationError."""
+    predictions, labels = _checked(predictions, labels)
+    if not np.all((predictions >= 0.0) & (predictions <= 1.0)):
+        raise ValidationError(f"rig takes predictions in [0, 1], got {predictions.min()} to {predictions.max()}")
+    labels = labels.astype(np.float64)
+    mean_ce = cross_entropy_batch(predictions, labels) / labels.size
     rate = labels.mean()
     entropy = float(-(rate * np.log(rate) + (1.0 - rate) * np.log(1.0 - rate)))
     return 1.0 - mean_ce / entropy
@@ -146,6 +153,7 @@ def compare_policies(
     The GMV is the sum of price times ground-truth probability under each
     policy's order, which removes Monte-Carlo label noise.
     """
+    n_queries = whole_at_least("n_queries", n_queries, 0)
     sampler = _subset_sampler(catalog, items_per_query)
     rng = make_rng(seed)
     names = tuple(policies)
@@ -153,14 +161,16 @@ def compare_policies(
     for q in range(n_queries):
         candidates = catalog.take(sampler(rng))
         for column, name in enumerate(names):
-            displayed = candidates.take(policies[name](candidates).order)
+            ranking = policies[name](candidates)
+            _require_full_ranking(ranking, candidates, f"policy {name!r}'s ranking")
+            displayed = candidates.take(ranking.order)
             gmv[q, column] = float(np.sum(displayed.prices * session_probabilities(config, displayed)))
     return PolicyComparison(policy_names=names, gmv=gmv)
 
 
-def model_policy(params: ModelParams, beam_size: int = BEAM_SIZE, gamma: float = GAMMA):
+def model_policy(params: ModelParams, beam_size: int = BEAM_SIZE):
     """Ranking callable for a trained model, usable with compare_policies."""
-    return lambda candidates: rank(params, candidates, beam_size, gamma).ranking
+    return lambda candidates: rank(params, candidates, beam_size).ranking
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +200,7 @@ def attention_diagnostic(
     ``size`` and ``records`` are checked as :func:`logged_predictions` checks them.
     """
     params.require("attention_diagnostic", "attention")
-    size = _attention_size(size)
+    size = whole_at_least("attention_size", size)
     prefixes = [extend_features(r.candidate_set)[:size] for r in records if len(r) >= size]
     return logged_predictions(params, prefixes, attention_size=size)[1]
 
@@ -199,15 +209,6 @@ def attention_diagnostic(
 # is scored: memory stays bounded while each matmul stays wide.
 ROW_CHUNK = 8192
 LOG_CHUNK = 64
-
-
-def _attention_size(size) -> int:
-    """``size`` converted by :func:`configs.coerce`; a size that is not a whole
-    number of at least 1 is a ValidationError."""
-    size = coerce("attention_size", size, ATTENTION_SIZE)
-    if size < 1:
-        raise ValidationError(f"attention_size must be >= 1, got {size}")
-    return size
 
 
 def logged_predictions(
@@ -236,7 +237,7 @@ def logged_predictions(
     """
     traits = params.traits
     if attention_size is not None:
-        attention_size = _attention_size(attention_size)
+        attention_size = whole_at_least("attention_size", attention_size)
     size = attention_size if traits.attention else None
     width = 2 * params.config.d
     for index, feats in enumerate(extended):

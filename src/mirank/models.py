@@ -1,6 +1,6 @@
 """The four scoring policies behind one purchase-probability interface.
 
-``baseline`` is an MLP over local features only, scored as price^gamma * p.
+``baseline`` is an MLP over local features only.
 ``midnn`` is the same architecture over the global feature extension; its
 probabilities depend on the candidate set but not on display order.
 ``mirnn`` and ``mirnn_attention`` are sequential: the probability at each

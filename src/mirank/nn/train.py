@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def _training_groups(variant: str, records: Sequence[QueryRecord], config: Model
 
 def train(
     variant: str,
-    records: Sequence[QueryRecord],
+    records: Iterable[QueryRecord],
     model_config: ModelConfig,
     train_config: TrainConfig,
     seed: int,
@@ -140,10 +140,12 @@ def train(
     """Train a variant on query records; deterministic for a fixed seed.
 
     Returns the trained parameters and the per-epoch mean per-item training
-    loss. Raises ValidationError, before the first step, naming the first
-    record whose feature dimension is not the model's ``d``, and
-    TrainingDiverged with epoch/step context if the loss goes non-finite.
+    loss. ``records`` may be any iterable; it is read once. Raises
+    ValidationError, before the first step, naming the first record whose
+    feature dimension is not the model's ``d``, and TrainingDiverged with
+    epoch/step context if the loss goes non-finite.
     """
+    records = tuple(records)
     if not records:
         raise MirankError("cannot train on an empty dataset")
     for record in records:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import BEAM_SIZE, GAMMA, ModelParams
+from .configs import BEAM_SIZE, ModelParams, whole_at_least
 from .core import CandidateSet, MirankError, NonFiniteError, Ranking, ValidationError
 from .features import extend_features
 from .models import advance_entries, input_projection, item_probabilities, sequence_probabilities
@@ -68,10 +68,10 @@ def _order_probabilities(params: ModelParams, candidates: CandidateSet, orders: 
     return _set_probabilities(params, candidates)[orders]
 
 
-def _require_full_ranking(ranking: Ranking, candidates: CandidateSet) -> None:
-    """Raise a ValidationError unless the ranking orders every candidate."""
+def _require_full_ranking(ranking: Ranking, candidates: CandidateSet, what: str = "ranking") -> None:
+    """Raise a ValidationError, naming ``what``, unless the ranking orders every candidate."""
     if len(ranking) != len(candidates):
-        raise ValidationError(f"ranking length {len(ranking)} differs from the candidate set size {len(candidates)}")
+        raise ValidationError(f"{what} length {len(ranking)} differs from the candidate set size {len(candidates)}")
 
 
 def expected_gmv(params: ModelParams, candidates: CandidateSet, ranking: Ranking) -> float:
@@ -89,24 +89,21 @@ def _descending(scores: np.ndarray, tie_keys: np.ndarray) -> np.ndarray:
     return np.lexsort((tie_keys, -scores))
 
 
-def rank(params: ModelParams, candidates: CandidateSet, k: int = BEAM_SIZE, gamma: float = GAMMA) -> RankResult:
+def rank(params: ModelParams, candidates: CandidateSet, k: int = BEAM_SIZE) -> RankResult:
     """The model's best order of the candidates: the one place where a variant
     picks its search.
 
     The recurrent models run :func:`beam_search` with beam size k. The
     feed-forward models' probabilities do not depend on the order, so they
-    sort by descending price times probability (price^gamma for the
-    baseline), ties by ascending item id; this is optimal among all
-    permutations under any strictly decreasing position bias. A NaN or
-    infinite expected GMV is a NonFiniteError.
+    sort by descending price times probability, ties by ascending item id,
+    and ignore k; this is optimal among all permutations under any strictly
+    decreasing position bias. A NaN or infinite expected GMV is a
+    NonFiniteError.
     """
-    if not 0 <= gamma < np.inf:
-        raise MirankError(f"gamma must be finite and nonnegative, got {gamma}")
     if params.traits.recurrent:
         return beam_search(params, candidates, k)
     probs = _set_probabilities(params, candidates)
-    weights = candidates.prices**gamma if params.traits.price_exponent else candidates.prices
-    order = _descending(weights * probs, candidates.ids)
+    order = _descending(candidates.prices * probs, candidates.ids)
     return RankResult(
         ranking=Ranking(tuple(order)),
         expected_gmv=float((candidates.prices[order] * probs[order]).sum()),
@@ -131,8 +128,7 @@ def beam_search(params: ModelParams, candidates: CandidateSet, k: int) -> RankRe
     their flat index.
     """
     params.require("beam_search", "recurrent")
-    if k < 1:
-        raise MirankError(f"beam size must be >= 1, got {k}")
+    k = whole_at_least("k", k)
     n = len(candidates)
     feats = extend_features(candidates)
     projected = input_projection(params, feats)
@@ -247,7 +243,6 @@ def rerank_top_n(
     candidates: CandidateSet,
     n: int,
     k: int = BEAM_SIZE,
-    gamma: float = GAMMA,
 ) -> Ranking:
     """Re-order the top-n prefix of a base ranking with the chosen model.
 
@@ -256,14 +251,13 @@ def rerank_top_n(
     ranking must order every candidate.
     """
     _require_full_ranking(base_ranking, candidates)
-    if n < 1:
-        raise MirankError(f"rerank size must be >= 1, got {n}")
+    n = whole_at_least("n", n)
     if n > len(candidates):
         raise MirankError(
             f"rerank size {n} exceeds the candidate set size {len(candidates)}"
         )
     prefix = base_ranking.order[:n]
     subset = candidates.take(prefix)
-    sub_order = rank(params, subset, k, gamma).ranking.order
+    sub_order = rank(params, subset, k).ranking.order
     reordered = tuple(prefix[j] for j in sub_order)
     return Ranking(reordered + base_ranking.order[n:])

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .configs import coerce_fields
+from .configs import coerce_fields, whole_at_least
 from .core import CandidateSet, MirankError, QueryRecord, ValidationError, make_rng
 from .nn.common import sigmoid
 
@@ -113,8 +113,7 @@ def generate_catalog(n_items: int, d: int, seed: int) -> CandidateSet:
     where price is the first local feature; this is what lets the global
     feature extension expose an item's relative price within a set.
     """
-    if n_items < 1 or d < 1:
-        raise MirankError(f"n_items and d must be >= 1, got {n_items} and {d}")
+    n_items, d = whole_at_least("n_items", n_items), whole_at_least("d", d)
     rng = make_rng(seed)
     prices = np.exp(rng.uniform(np.log(_MIN_PRICE), np.log(_MAX_PRICE), size=n_items))
     feats = rng.standard_normal((n_items, d))
@@ -143,9 +142,11 @@ def _subset_sampler(catalog: CandidateSet, items_per_query: int) -> Callable:
     Price-band sampling mimics real queries, whose results share a narrow
     price range; within a band, an item's absolute price says little about
     its relative price in the set, so only set-aware models can see it.
+    ``items_per_query`` must be a whole number from 1 to the catalog size.
     """
-    if items_per_query < 1:
-        raise MirankError(f"items_per_query must be >= 1, got {items_per_query}")
+    items_per_query = whole_at_least("items_per_query", items_per_query)
+    if items_per_query > len(catalog):
+        raise MirankError(f"items_per_query {items_per_query} exceeds catalog size {len(catalog)}")
     by_price = np.argsort(catalog.prices, kind="stable")
     window = min(len(catalog), 3 * items_per_query)
 
@@ -177,21 +178,17 @@ def generate_logs(
     labels; display position is thus independent of price.
 
     ``round(n_queries * train_fraction)`` records are train records, the
-    rest test; a negative ``n_queries``, an ``items_per_query`` below 1 or a
+    rest test. An ``n_queries`` that is not a whole number of at least 0, an
+    ``items_per_query`` that is not one from 1 to the catalog size, or a
     ``train_fraction`` outside [0, 1] raises MirankError. Train records must
     contain at least one purchase; candidates failing the filter are
     discarded and regenerated. Test records are kept as sampled. The
     dataset's acceptance rate is the share of train candidates that passed
     the filter, or None when no train record was drawn.
     """
-    if n_queries < 0:
-        raise MirankError(f"n_queries must be >= 0, got {n_queries}")
+    n_queries = whole_at_least("n_queries", n_queries, 0)
     if not 0.0 <= train_fraction <= 1.0:
         raise MirankError(f"train_fraction must be in [0, 1], got {train_fraction}")
-    if items_per_query > len(catalog):
-        raise MirankError(
-            f"items_per_query {items_per_query} exceeds catalog size {len(catalog)}"
-        )
     sampler = _subset_sampler(catalog, items_per_query)
     rng = make_rng(seed)
     n_train = round(n_queries * train_fraction)

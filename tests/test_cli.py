@@ -317,14 +317,16 @@ class TestConfigLayering:
         assert set(DEFAULTS) == {
             "d", "hidden_sizes", "lstm_hidden", "attn_size", "pos_size", "max_positions",
             "epochs", "batch_size", "sequence_batch_size", "learning_rate",
-            "gamma", "beam_size", "items_per_query", "n_queries", "catalog_size",
+            "beam_size", "items_per_query", "n_queries", "catalog_size",
             "train_fraction", "price_sensitivity", "position_bias_strength",
             "order_effect_strength", "primacy_strength", "base_rate",
         }
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        """ranking_policy was a key until every log came to be shown in a random order."""
-        for key, value in (("not_a_key", 1), ("ranking_policy", "random")):
+        """ranking_policy was a key until every log came to be shown in a
+        random order, and gamma until every feed-forward model came to sort by
+        price times probability."""
+        for key, value in (("not_a_key", 1), ("ranking_policy", "random"), ("gamma", 1)):
             config = tmp_path / f"{key}.yaml"
             config.write_text(yaml.safe_dump({key: value}))
             out = tmp_path / "run"
@@ -396,18 +398,23 @@ class TestExitCodes:
         [pytest.param(variant, (), id=variant) for variant in VARIANTS]
         + [pytest.param(variant, ("--rerank-size", "1"), id=f"{variant}-rerank-size-1") for variant in VARIANTS],
     )
-    def test_negative_gamma_is_validation(self, variant, extra, tmp_path, capsys):
+    def test_every_variant_reranks(self, variant, extra, tmp_path):
         out = tmp_path / "run"
         assert _generate(out) == 0
         config = ModelConfig(d=4, hidden_sizes=(4,), lstm_hidden=3, attn_size=2, pos_size=2)
         save_model(init_model(variant, config, seed=0), out / "model.model")
-        args = ["--output-dir", str(out), "rerank", str(out / "model.model"), str(out / "test.jsonl"), *extra]
-        for gamma in ("-1", "nan", "inf"):
-            capsys.readouterr()
-            assert main([*args, "--gamma", gamma]) == EXIT_VALIDATION
-            err = capsys.readouterr().err
-            assert "gamma" in err and "Traceback" not in err
-        assert main([*args, "--gamma", "0"]) == 0
+        assert main(["--output-dir", str(out), "rerank", str(out / "model.model"), str(out / "test.jsonl"), *extra]) == 0
+
+    def test_gamma_is_no_option(self, tmp_path, capsys):
+        """--gamma bent the baseline's sort until every feed-forward model came
+        to sort by price times probability."""
+        log, model, out = tmp_path / "test.jsonl", tmp_path / "model.model", tmp_path / "run"
+        write_logs(mixed_length_log((5, 4), d=3), log)
+        save_model(init_model("baseline", ModelConfig(d=3, hidden_sizes=(4,)), seed=0), model)
+        assert main(["--output-dir", str(out), "rerank", str(model), str(log), "--gamma", "1"]) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: No such option") and "--gamma" in lines[0], lines
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ("-1", str(2**64)))
     @pytest.mark.parametrize("command", ("generate", "train", "rerank", "evaluate", "bench", "oracle-compare"))
@@ -445,10 +452,7 @@ class TestExitCodes:
         ("mirnn", ("--beam-size", "0"), None, "beam_size"),
         ("mirnn_attention", ("--beam-size", "-1"), None, "beam_size"),
         ("mirnn", (), "beam_size: 0\n", "beam_size"),
-        ("mirnn", ("--gamma", "-1"), None, "gamma"),
-        ("baseline", (), "gamma: .nan\n", "gamma"),
-    ), ids=("rerank-size-0", "rerank-size-negative", "beam-size-0", "beam-size-negative", "config-beam-size-0",
-            "gamma-negative", "config-gamma-nan"))
+    ), ids=("rerank-size-0", "rerank-size-negative", "beam-size-0", "beam-size-negative", "config-beam-size-0"))
     def test_bad_rerank_setting_leaves_no_directory(self, variant, flags, config, named, tmp_path, capsys):
         """Each of these once exited 2 only after making an empty output directory."""
         log, model = tmp_path / "test.jsonl", tmp_path / "model.model"

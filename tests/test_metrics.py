@@ -104,6 +104,26 @@ class TestRig:
         assert report.n_samples == 4
         assert report.positive_rate == 0.5
 
+    def test_predictions_outside_0_1_rejected(self):
+        """rig once clipped them silently and returned -22.25; auc takes any scores."""
+        for metric in (rig, metric_report):
+            with pytest.raises(ValidationError, match=re.escape("rig takes predictions in [0, 1], got -0.2 to 1.5")):
+                metric([1.5, -0.2], [0, 1])
+        assert auc([1.5, -0.2], [0, 1]) == 0.0
+
+
+@pytest.mark.parametrize("predictions, labels, message", (
+    ([0.1, 0.2, 0.3], [0, 1], r"1-D of one length, got \(3,\) and \(2,\)"),
+    ([[0.1, 0.2]], [[0, 1]], r"1-D of one length, got \(1, 2\) and \(1, 2\)"),
+    ([0.1, 0.2], [0, 2], "labels must be 0 or 1, got 2"),
+), ids=("lengths-differ", "2-d", "label-2"))
+@pytest.mark.parametrize("metric", (auc, rig, metric_report))
+def test_metrics_check_their_input(metric, predictions, labels, message):
+    """These once ended in a raw IndexError or ValueError, or, for the label
+    2, in an AUC of -inf and a RIG of NaN."""
+    with pytest.raises(ValidationError, match=message):
+        metric(predictions, labels)
+
 
 class TestComparePolicies:
     def _setup(self):
@@ -119,6 +139,13 @@ class TestComparePolicies:
         )
         mean, stderr = comparison.paired_difference("a", "b")
         assert mean == 0.0 and stderr == 0.0
+
+    def test_a_ranking_that_leaves_out_candidates_is_rejected(self):
+        """It was once scored as the shorter list, with no error."""
+        catalog, config = self._setup()
+        policies = {"full": model_policy(init_model("midnn", SMALL, seed=0)), "short": lambda _: Ranking((1, 0))}
+        with pytest.raises(ValidationError, match="^policy 'short'.s ranking length 2 differs from the candidate set size 5$"):
+            compare_policies(policies, config, catalog, n_queries=2, items_per_query=5, seed=3)
 
     def test_deterministic_and_consistent_stats(self):
         catalog, config = self._setup()

@@ -7,6 +7,7 @@ from mirank import BehaviorConfig, ModelConfig, QueryRecord, TrainConfig, init_m
 from mirank.configs import VARIANT_TRAITS, VARIANTS, ModelParams, expected_block_shapes
 from mirank.core import MirankError, Ranking, ValidationError, make_rng
 from mirank.features import extend_features
+from mirank.metrics import compare_policies, model_policy
 from mirank.models import (
     advance_entries,
     input_projection,
@@ -15,6 +16,7 @@ from mirank.models import (
 )
 from mirank.nn.recurrent import representations, softmax
 from mirank.ranker import beam_search, exhaustive_oracle, expected_gmv, greedy_reference, rank, rerank_top_n
+from mirank.simgen import generate_catalog, generate_logs
 from conftest import chain_entry, random_candidates
 
 SMALL = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=12)
@@ -83,6 +85,33 @@ def test_library_configs_take_the_yaml_rule(cls, values, key):
         cls(**values)
 
 
+_MIRNN, _BASELINE = init_model("mirnn", SMALL, seed=0), init_model("baseline", SMALL, seed=0)
+_FIVE = random_candidates(make_rng(0), 5, 3)
+#: Each size argument of the library, as a call of its value, and the name it goes by.
+SIZE_CALLS = {
+    "rank-k": (lambda v: rank(_MIRNN, _FIVE, k=v), "k"),
+    "beam_search-k": (lambda v: beam_search(_MIRNN, _FIVE, v), "k"),
+    "rerank_top_n-baseline-n": (lambda v: rerank_top_n(_BASELINE, Ranking(tuple(range(5))), _FIVE, v), "n"),
+    "rerank_top_n-mirnn-n": (lambda v: rerank_top_n(_MIRNN, Ranking(tuple(range(5))), _FIVE, v), "n"),
+    "generate_catalog-n_items": (lambda v: generate_catalog(v, 3, 1), "n_items"),
+    "generate_catalog-d": (lambda v: generate_catalog(4, v, 1), "d"),
+    "generate_logs-n_queries": (lambda v: generate_logs(BehaviorConfig(), _FIVE, v, 3), "n_queries"),
+    "generate_logs-items_per_query": (lambda v: generate_logs(BehaviorConfig(), _FIVE, 2, v), "items_per_query"),
+    "compare_policies-n_queries": (
+        lambda v: compare_policies({"m": model_policy(_MIRNN)}, BehaviorConfig(), _FIVE, v, 3, 0), "n_queries"),
+}
+
+
+@pytest.mark.parametrize("value", (2.5, True), ids=("fraction", "bool"))
+@pytest.mark.parametrize("call", sorted(SIZE_CALLS))
+def test_library_sizes_take_the_yaml_rule(call, value):
+    """A size argument converts as an integer config key does. A fraction
+    once ended in a raw TypeError or ValueError, and a bool ran as 1."""
+    run, key = SIZE_CALLS[call]
+    with pytest.raises(ValidationError, match=f"config key '{key}'"):
+        run(value)
+
+
 @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("inf"), float("nan")])
 def test_learning_rate_must_be_positive_and_finite(learning_rate):
     with pytest.raises(ValidationError, match="learning_rate must be positive and finite"):
@@ -110,27 +139,17 @@ class TestFeedForwardScoring:
         for row, expected in zip(feats, batch):
             assert abs(item_probabilities(params, row[None, :])[0] - expected) < 1e-12
 
-    def test_baseline_batch_matches_single_and_scales_with_gamma(self, rng):
+    def test_baseline_batch_matches_single_and_sorts_by_price_times_p(self, rng):
         params = init_model("baseline", SMALL, seed=0)
         cs = random_candidates(rng, 5, 3)
         batch = item_probabilities(params, cs.feature_matrix)
         for row, expected in zip(cs.feature_matrix, batch):
             assert abs(item_probabilities(params, row[None, :])[0] - expected) < 1e-12
-        for gamma in (0.0, 1.0, 2.5):
-            result = rank(params, cs, gamma=gamma)
-            order = list(result.ranking.order)
-            assert np.allclose(result.per_position_probabilities, batch[order], rtol=0, atol=1e-12)
-            # the baseline weighs price^gamma * p; gamma = 0 removes the price factor
-            scores = cs.prices**gamma * batch
-            assert order == sorted(range(len(cs)), key=lambda i: (-scores[i], cs.ids[i]))
-
-    def test_negative_gamma_rejected(self, rng):
-        params = init_model("baseline", SMALL, seed=0)
-        cs = random_candidates(rng, 3, 3)
-        with pytest.raises(MirankError, match="gamma"):
-            rank(params, cs, gamma=-0.5)
-        with pytest.raises(MirankError, match="gamma"):
-            rerank_top_n(params, Ranking(tuple(range(len(cs)))), cs, n=3, gamma=-0.5)
+        result = rank(params, cs)
+        order = list(result.ranking.order)
+        assert np.allclose(result.per_position_probabilities, batch[order], rtol=0, atol=1e-12)
+        scores = cs.prices * batch
+        assert order == sorted(range(len(cs)), key=lambda i: (-scores[i], cs.ids[i]))
 
     def test_variant_guards(self, rng):
         """Each guard names the operation and the trait it needs."""

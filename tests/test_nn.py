@@ -288,6 +288,18 @@ class TestTrain:
             assert params.variant == variant
             assert curve[-1] < curve[0]
 
+    @pytest.mark.parametrize("variant", ("midnn", "mirnn"))
+    def test_a_generator_of_records_trains_as_its_list(self, variant):
+        """The d check once used up a generator: midnn then ended in a raw
+        ValueError, mirnn in a ZeroDivisionError."""
+        records = _tiny_records(6, 4, 3, seed=3)
+        config, train_config = ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=3), TrainConfig(epochs=2)
+        params, curve = train(variant, (record for record in records), config, train_config, seed=1)
+        listed, listed_curve = train(variant, records, config, train_config, seed=1)
+        assert curve == listed_curve
+        for name in params.blocks:
+            assert np.array_equal(params.blocks[name], listed.blocks[name])
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(MirankError):
             train("midnn", [], ModelConfig(d=3), TrainConfig(), seed=0)
