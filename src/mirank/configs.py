@@ -47,9 +47,10 @@ def coerce_fields(config) -> None:
 
 
 def whole_at_least(key: str, value, low: int = 1) -> int:
-    """``value`` converted to an int by :func:`coerce`; a value that does not
-    convert, or one below ``low``, is a ValidationError naming ``key``."""
-    value = coerce(key, value, 0)
+    """The size argument ``value`` converted to an int by :func:`coerce`; a
+    value that does not convert, or one below ``low``, is a ValidationError
+    naming the argument ``key``."""
+    value = coerce(key, value, 0, "argument")
     if value < low:
         raise ValidationError(f"{key} must be >= {low}, got {value}")
     return value
@@ -153,13 +154,13 @@ class TrainConfig:
             raise ValidationError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
-def coerce(key: str, value: Any, default: Any) -> Any:
+def coerce(key: str, value: Any, default: Any, kind: str = "config key") -> Any:
     """``value`` converted to the type of ``default``: a tuple default takes a
     list of ints, any other default's type is called on the value. A number
     default takes no bool, and an int default no fraction: neither is cast.
 
     Raises:
-        ValidationError: naming ``key`` when the value does not convert.
+        ValidationError: naming ``key`` as a ``kind`` when the value does not convert.
     """
     try:
         if isinstance(default, tuple):
@@ -172,7 +173,7 @@ def coerce(key: str, value: Any, default: Any) -> Any:
             raise ValueError("expected an integer")
         return type(default)(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"config key {key!r}: invalid value {value!r} ({exc})") from None
+        raise ValidationError(f"{kind} {key!r}: invalid value {value!r} ({exc})") from None
 
 
 def config_from(cls: type, values: Mapping[str, Any]):

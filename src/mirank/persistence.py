@@ -173,28 +173,70 @@ def load_model(path) -> ModelParams:
 # JSONL query logs
 
 
-def _record_to_json(record: QueryRecord) -> dict:
-    candidates = record.candidate_set
-    columns = (candidates.ids.tolist(), candidates.prices.tolist(), candidates.feature_matrix.tolist())
-    obj = {
-        "query_id": record.query_id,
-        "items": [{"id": i, "price": price, "features": features} for i, price, features in zip(*columns)],
-        "labels": record.labels.tolist(),
-    }
-    if record.ground_truth_probs is not None:
-        obj["ground_truth_probs"] = record.ground_truth_probs.tolist()
-    return obj
+#: Most item texts one ``write_logs`` call keeps; once full, it keeps no more.
+#: 448 texts catch 89% of the repeats of a log drawn from a 500-item catalog
+#: and take about 0.4 MB at 23 features; 512 would catch them all, but would
+#: lift the writer's peak on a long log of distinct items past 1.5x its peak
+#: on a short one.
+_ITEM_CACHE_SIZE = 448
+
+
+def _item_keys(candidates: CandidateSet) -> list[bytes]:
+    """One key per item: the exact bits of its id, price and features."""
+    ids, prices, features = candidates.ids, candidates.prices, candidates.feature_matrix
+    rows = np.empty((len(ids), 2 + features.shape[1]), dtype=np.uint64)
+    rows[:, 0], rows[:, 1], rows[:, 2:] = ids.view(np.uint64), prices.view(np.uint64), features.view(np.uint64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _items_text(candidates: CandidateSet, cache: dict[bytes, str]) -> str:
+    """The JSON text of the items, ``{"id": …, "price": …, "features": […]}``
+    each, joined by ``, ``. Items not in ``cache`` are encoded by one
+    ``json.dumps`` call; while the cache has room, that text is split at
+    ``}, {`` (no item text holds a brace) and each new item's text added."""
+    keys = _item_keys(candidates)
+    texts = [cache.get(key) for key in keys]
+    missing = [k for k, text in enumerate(texts) if text is None]
+    if not missing:
+        return ", ".join(texts)
+    all_missing = len(missing) == len(texts)
+    rows = slice(None) if all_missing else missing
+    columns = (candidates.ids[rows].tolist(), candidates.prices[rows].tolist(),
+               candidates.feature_matrix[rows].tolist())
+    encoded = json.dumps([{"id": i, "price": price, "features": features} for i, price, features in zip(*columns)])
+    if all_missing and len(cache) >= _ITEM_CACHE_SIZE:
+        return encoded[1:-1]  # no text to reuse and no room to keep one
+    for k, text in zip(missing, encoded[2:-2].split("}, {")):
+        texts[k] = text = "{" + text + "}"
+        if len(cache) < _ITEM_CACHE_SIZE:
+            cache[keys[k]] = text
+    return ", ".join(texts)
+
+
+def _log_lines(records: Iterable[QueryRecord]) -> Iterable[bytes]:
+    """Each record's line: the bytes of ``json.dumps`` of its object and a
+    newline, with each distinct item encoded once per call."""
+    cache: dict[bytes, str] = {}
+    for record in records:
+        rest = {"labels": record.labels.tolist()}
+        if record.ground_truth_probs is not None:
+            rest["ground_truth_probs"] = record.ground_truth_probs.tolist()
+        items = _items_text(record.candidate_set, cache)
+        line = f'{{"query_id": {json.dumps(record.query_id)}, "items": [{items}], {json.dumps(rest)[1:]}\n'
+        yield line.encode("utf-8")
 
 
 def write_logs(records: Iterable[QueryRecord], path) -> None:
     """Write records as one JSON object per line (the split is not stored),
     making any missing parent directories once the first line is encoded.
 
-    Lines are encoded and written one record at a time, so memory holds one
-    record's line, not the whole log. ``records`` may be any iterable, a
-    generator included; if it raises partway, ``path`` keeps its old bytes."""
-    lines = ((json.dumps(_record_to_json(record)) + "\n").encode("utf-8") for record in records)
-    _atomic_write(path, lines)
+    Each line is the bytes of ``json.dumps`` of the record's object. Lines
+    are encoded and written one record at a time, and each distinct item is
+    encoded once per call: memory holds one record's line plus at most
+    ``_ITEM_CACHE_SIZE`` item texts, not the whole log. ``records`` may be
+    any iterable, a generator included; if it raises partway, ``path`` keeps
+    its old bytes."""
+    _atomic_write(path, _log_lines(records))
 
 
 def _parse_record(obj: dict, line_no: int) -> QueryRecord:

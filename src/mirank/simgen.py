@@ -8,6 +8,7 @@ for any displayed order, enabling exact-oracle evaluation of learned models.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,16 +67,23 @@ class BehaviorConfig:
             raise ValidationError(f"behavior strengths must be finite, got {strengths}")
 
     def quality_weights(self, d: int) -> np.ndarray:
-        """Fixed linear projection of local features onto a quality score.
+        """Fixed linear projection of local features onto a quality score,
+        read-only and drawn once per seed and ``d``.
 
         The price dimension (feature 0) gets zero weight so quality and price
         stay independent effects; price enters only through the sensitivity
         and contrast terms.
         """
-        weights = make_rng(self.seed).standard_normal(d) / np.sqrt(max(d - 1, 1))
-        if d > 1:
-            weights[0] = 0.0
-        return weights
+        return _quality_weights(self.seed, d)
+
+
+@functools.lru_cache(maxsize=64)
+def _quality_weights(seed: int, d: int) -> np.ndarray:
+    weights = make_rng(seed).standard_normal(d) / np.sqrt(max(d - 1, 1))
+    if d > 1:
+        weights[0] = 0.0
+    weights.setflags(write=False)
+    return weights
 
 
 def _relative_prices(prices: np.ndarray) -> np.ndarray:

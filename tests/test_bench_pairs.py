@@ -1,5 +1,6 @@
 """The A/B summary of tools/bench_pairs.py on hand-made runs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,10 +12,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import bench_pairs  # noqa: E402
-from bench_pairs import fresh_copy, import_footprints, parse_pairs, src_tree, summarize  # noqa: E402
+from bench_pairs import (  # noqa: E402
+    fresh_copy,
+    generate_footprint,
+    generate_footprints,
+    import_footprints,
+    parse_pairs,
+    src_tree,
+    summarize,
+)
 
 
 RSS = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
+GENERATED = {"generate_s": 0.4, "generate_peak_rss_mb": 90.0, "generate_sha256": {"train.jsonl": "t", "test.jsonl": "s"}}
 
 
 def _run(workload, pair, side, rss, faults, exit_code=0, digest="d0"):
@@ -132,6 +142,7 @@ def test_outputs_that_differ_within_a_pair_exit_1_after_the_file_is_written(chan
 
     monkeypatch.setattr(bench_pairs, "run_perfbench", run_perfbench)
     monkeypatch.setattr(bench_pairs, "import_footprint", lambda root: {"import_peak_rss_mb": 30.0, "import_s": 0.1})
+    monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: GENERATED)
     out = tmp_path / "BENCH.json"
     argv = ["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
             "--seed", "1", "--seconds", "1", "--pairs", "evaluate=2", "--out", str(out)]
@@ -139,7 +150,27 @@ def test_outputs_that_differ_within_a_pair_exit_1_after_the_file_is_written(chan
     report = json.loads(out.read_text())
     table = report["summary"]["evaluate"]
     assert table["pairs"] == 2 and table["outputs_sha256_equal_pairs"] == 2 * (1 - code)
-    assert report["trees"]["change"] == {**src_tree(tmp_path / "change"), "import_peak_rss_mb": 30.0, "import_s": 0.1}
+    assert report["trees"]["change"] == {**src_tree(tmp_path / "change"), "import_peak_rss_mb": 30.0, "import_s": 0.1,
+                                        **GENERATED}
+    assert report["generate_outputs_equal"] is True
+
+
+def test_generate_runs_that_wrote_other_bytes_exit_1_after_the_file_is_written(tmp_path, monkeypatch):
+    for side in ("base", "change"):
+        for name in ("src/mirank/__init__.py", "perfbench/run.py"):
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(name)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": RSS}))
+    monkeypatch.setattr(bench_pairs, "import_footprint", lambda root: {"import_peak_rss_mb": 30.0, "import_s": 0.1})
+    other = {**GENERATED, "generate_sha256": {"train.jsonl": "t2", "test.jsonl": "s"}}
+    monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: other if root.name == "change" else GENERATED)
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
+            "--seed", "1", "--seconds", "1", "--pairs", "evaluate=0", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    report = json.loads(out.read_text())
+    assert report["generate_outputs_equal"] is False
+    assert report["trees"]["change"]["generate_sha256"] == other["generate_sha256"]
 
 
 def _package(root, init, cli=""):
@@ -188,3 +219,41 @@ def test_import_footprints_alternate_the_sides_and_keep_each_side_s_medians(monk
         "base": {"import_peak_rss_mb": None, "import_s": None},
         "change": {"import_peak_rss_mb": 1.0, "import_s": 1.0},
     }
+
+
+def test_generate_footprints_alternate_the_sides_and_compare_every_run_s_bytes(monkeypatch):
+    calls = []
+
+    def footprint(root):
+        calls.append(root)
+        seconds = {"base": 1.0, "change": 0.35}[root] + len(calls) % 3 / 100
+        return {**GENERATED, "generate_s": seconds, "generate_peak_rss_mb": 100.0 + len(calls)}
+
+    monkeypatch.setattr(bench_pairs, "generate_footprint", footprint)
+    figures, equal = generate_footprints({"base": "base", "change": "change"})
+    assert calls == ["base", "change", "change", "base"] * 2 + ["base", "change"]
+    assert equal is True
+    assert figures["base"] == {"generate_s": 1.01, "generate_peak_rss_mb": 105.0,
+                               "generate_sha256": GENERATED["generate_sha256"]}
+    assert figures["change"]["generate_s"] == 0.36 and figures["change"]["generate_peak_rss_mb"] == 106.0
+    runs = iter([GENERATED] * 6 + [None] + [GENERATED] * 3)  # the fourth change run fails
+    monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: next(runs))
+    figures, equal = generate_footprints({"base": "base", "change": "change"})
+    assert equal is False and figures["change"]["generate_s"] is None and figures["base"]["generate_s"] == 0.4
+    runs = iter([GENERATED] * 9 + [{**GENERATED, "generate_sha256": {"train.jsonl": "t", "test.jsonl": "x"}}])
+    monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: next(runs))
+    assert generate_footprints({"base": "base", "change": "change"})[1] is False
+
+
+def test_generate_footprint_runs_the_tree_s_cli_and_digests_what_it_wrote(tmp_path):
+    """The command is the tree's own ``mirank --seed 3 generate``; a tree
+    whose command fails measures None."""
+    cli = ("import sys\nfrom pathlib import Path\n"
+           "assert sys.argv[1:3] == ['--seed', '3'] and sys.argv[-1] == 'generate'\n"
+           "out = Path(sys.argv[4])\n"
+           "(out / 'train.jsonl').write_text('train')\n(out / 'test.jsonl').write_text('test')\n")
+    run = generate_footprint(_package(tmp_path / "ok", "", cli))
+    assert run["generate_sha256"] == {name: hashlib.sha256(text).hexdigest()
+                                      for name, text in (("train.jsonl", b"train"), ("test.jsonl", b"test"))}
+    assert run["generate_s"] > 0 and run["generate_peak_rss_mb"] > 0
+    assert generate_footprint(_package(tmp_path / "broken", "", "raise SystemExit(2)\n")) is None

@@ -105,10 +105,11 @@ SIZE_CALLS = {
 @pytest.mark.parametrize("value", (2.5, True), ids=("fraction", "bool"))
 @pytest.mark.parametrize("call", sorted(SIZE_CALLS))
 def test_library_sizes_take_the_yaml_rule(call, value):
-    """A size argument converts as an integer config key does. A fraction
-    once ended in a raw TypeError or ValueError, and a bool ran as 1."""
+    """A size argument converts as an integer config key does, and the error
+    names it as an argument. A fraction once ended in a raw TypeError or
+    ValueError, and a bool ran as 1."""
     run, key = SIZE_CALLS[call]
-    with pytest.raises(ValidationError, match=f"config key '{key}'"):
+    with pytest.raises(ValidationError, match=f"^argument '{key}': invalid value"):
         run(value)
 
 

@@ -1,15 +1,21 @@
 """File formats: bit-exact round trips and typed rejection of corrupt input."""
 
 import hashlib
+import json
 import os
 import stat
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from mirank import BehaviorConfig, ModelConfig, generate_catalog, generate_logs, init_model, load_model, save_model
+from mirank import persistence
 from mirank.core import CandidateSet, QueryRecord, make_rng
 from mirank.persistence import (
     LogFormatError,
@@ -292,6 +298,67 @@ class TestStreamedLogWrite:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+#: Floats whose text is easy to get wrong: signed zeros, exponents either way.
+_EDGE_FLOATS = (0.0, -0.0, 1e-05, 1e+16, -1e+16, 2.5e-308, 0.1, 1.0)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_PRICES = st.one_of(st.sampled_from((1e-05, 1e+16, 0.1, 2.0)), st.floats(0.0, 1e300, exclude_min=True))
+_QUERY_IDS = st.one_of(st.sampled_from(('q"0', "é✓ 中", "a\\b", "")), st.text(max_size=6))
+
+
+@st.composite
+def _log(draw):
+    """Records as (query id, items, labels, probabilities or None), an item
+    being (id, price, features). Records draw their items from one shared
+    pool, so items repeat, or each record draws its own; ids come from 0..5
+    either way, so one id can carry other prices or features, down to the
+    sign of a zero."""
+    d = draw(st.integers(0, 3))
+    item = st.tuples(st.integers(0, 5), _PRICES, st.lists(_FLOATS, min_size=d, max_size=d))
+    pool = draw(st.lists(item, min_size=1, max_size=8))
+    if draw(st.booleans()):  # twins that differ only in the sign of their zeros
+        pool += [(i, price, [-x if x == 0.0 else x for x in features]) for i, price, features in pool]
+    shared = draw(st.booleans())
+    records = []
+    for _ in range(draw(st.integers(0, 5))):
+        if shared:
+            items = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique_by=lambda it: it[0]))
+        else:
+            items = draw(st.lists(item, min_size=1, max_size=6, unique_by=lambda it: it[0]))
+        labels = draw(st.lists(st.integers(0, 1), min_size=len(items), max_size=len(items)))
+        probs = st.one_of(st.sampled_from((0.0, -0.0, 1e-05, 1.0)), st.floats(0.0, 1.0))
+        records.append((draw(_QUERY_IDS), items, labels,
+                        draw(st.none() | st.lists(probs, min_size=len(items), max_size=len(items)))))
+    return records
+
+
+@seed(27)
+@settings(max_examples=120, deadline=None)
+@given(_log(), st.sampled_from((2, persistence._ITEM_CACHE_SIZE)))
+def test_written_bytes_are_json_dumps_of_each_record(log, cache_size):
+    """Each line is json.dumps of the record's object plus a newline, whether
+    items repeat or not, and with more distinct items than the cache holds."""
+    expected = []
+    for query_id, items, labels, probs in log:
+        obj = {
+            "query_id": query_id,
+            "items": [{"id": i, "price": price, "features": features} for i, price, features in items],
+            "labels": labels,
+        }
+        if probs is not None:
+            obj["ground_truth_probs"] = probs
+        expected.append(json.dumps(obj) + "\n")
+    records = [
+        QueryRecord(query_id, CandidateSet([i for i, _, _ in items], [price for _, price, _ in items],
+                                           np.array([features for _, _, features in items]).reshape(len(items), -1)),
+                    labels, probs)
+        for query_id, items, labels, probs in log
+    ]
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(persistence, "_ITEM_CACHE_SIZE", cache_size)
+        write_logs(records, Path(tmp) / "logs.jsonl")
+        assert (Path(tmp) / "logs.jsonl").read_bytes() == "".join(expected).encode("utf-8")
 
 
 class TestLogErrors:

@@ -30,6 +30,16 @@ class TestBehaviorConfig:
         assert w[0] == 0.0
         assert np.any(w != 0.0)
 
+    def test_quality_weights_are_drawn_once_and_read_only(self):
+        """One projection per seed and d, shared by every record it scores,
+        so no caller can change it for the others."""
+        w = BehaviorConfig(seed=5).quality_weights(6)
+        assert BehaviorConfig(seed=5, base_rate=0.3).quality_weights(6) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[1] = 0.0
+        assert BehaviorConfig(seed=6).quality_weights(6) is not w
+
 
 class TestSessionProbabilities:
     def test_all_effects_off_gives_base_rate(self):

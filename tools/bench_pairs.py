@@ -32,11 +32,15 @@ of the base's median, the no-regression check. Per side, ``trees`` holds the
 digest and the line count of its ``src/`` (:func:`src_tree`), and its import
 footprint: the median peak RSS and wall time of ``import mirank, mirank.cli``
 over 7 fresh processes, run before the pairs with the sides alternating
-(:func:`import_footprints`).
+(:func:`import_footprints`), and its ``mirank --seed 3 generate`` run: the
+median wall time and peak RSS over 5 fresh processes, alternating likewise,
+and the SHA-256 of the ``train.jsonl`` and ``test.jsonl`` it wrote
+(:func:`generate_footprints`); ``generate_outputs_equal`` says whether every
+one of those runs wrote the same bytes.
 
-The file is written in any case; the exit code is 1 when a run failed or
-when the two runs of a complete pair wrote different output digests, and
-0 otherwise.
+The file is written in any case; the exit code is 1 when a run failed,
+when the two runs of a complete pair wrote different output digests, or when
+the ``generate`` runs did not all write the same bytes, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -50,11 +54,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("base", "change")
 IMPORT_REPS = 7
 IMPORT_CODE = "import time; t = time.perf_counter(); import mirank, mirank.cli; print(time.perf_counter() - t)"
+GENERATE_REPS = 5
+GENERATE_FILES = ("train.jsonl", "test.jsonl")
 
 
 def src_tree(root: Path) -> dict:
@@ -103,19 +110,61 @@ def import_footprint(root: Path) -> dict | None:
     return {"import_peak_rss_mb": usage.ru_maxrss / 1024, "import_s": float(stdout)}
 
 
+def _alternating(measure, roots: dict[str, Path], reps: int) -> dict[str, list]:
+    """Per side, ``reps`` results of ``measure(root)``, the side that goes
+    first alternating from rep to rep."""
+    samples: dict[str, list] = {side: [] for side in SIDES}
+    for rep in range(reps):
+        for side in (SIDES if rep % 2 == 0 else SIDES[::-1]):
+            samples[side].append(measure(roots[side]))
+    return samples
+
+
+def _medians(runs: list, keys: tuple[str, ...]) -> dict:
+    """The median of each figure ``keys`` over ``runs``; None where a run failed."""
+    return {key: None if None in runs else statistics.median(run[key] for run in runs) for key in keys}
+
+
 def import_footprints(roots: dict[str, Path]) -> dict[str, dict]:
     """Per side, the median of each :func:`import_footprint` figure over
     IMPORT_REPS fresh processes, the side that goes first alternating; a
     figure is None when any of its side's imports failed."""
-    samples: dict[str, list] = {side: [] for side in SIDES}
-    for rep in range(IMPORT_REPS):
-        for side in (SIDES if rep % 2 == 0 else SIDES[::-1]):
-            samples[side].append(import_footprint(roots[side]))
-    return {
-        side: {key: None if None in runs else statistics.median(run[key] for run in runs)
-               for key in ("import_peak_rss_mb", "import_s")}
-        for side, runs in samples.items()
+    samples = _alternating(import_footprint, roots, IMPORT_REPS)
+    return {side: _medians(runs, ("import_peak_rss_mb", "import_s")) for side, runs in samples.items()}
+
+
+def generate_footprint(root: Path) -> dict | None:
+    """One fresh process's ``mirank --seed 3 generate`` from ``root/src``,
+    with ``OPENBLAS_NUM_THREADS=1``, writing into a temporary directory:
+    ``generate_s``, the wall time of the process, ``generate_peak_rss_mb``,
+    its peak ``ru_maxrss`` in MiB, and ``generate_sha256``, the SHA-256 of
+    each of GENERATE_FILES it wrote. None when the command fails."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-generate-") as out:
+        command = [sys.executable, "-m", "mirank.cli", "--seed", "3", "--output-dir", out, "generate"]
+        start = time.perf_counter()
+        _, exit_code, usage = _run_child(command, root, env)
+        seconds = time.perf_counter() - start
+        if exit_code != 0:
+            return None
+        digests = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest() for name in GENERATE_FILES}
+    return {"generate_s": seconds, "generate_peak_rss_mb": usage.ru_maxrss / 1024, "generate_sha256": digests}
+
+
+def generate_footprints(roots: dict[str, Path]) -> tuple[dict[str, dict], bool]:
+    """Per side, the median of each :func:`generate_footprint` figure over
+    GENERATE_REPS fresh processes, the side that goes first alternating (None
+    when any of its side's runs failed), with the digests of its first run;
+    and whether every run of both sides succeeded and wrote the same bytes."""
+    samples = _alternating(generate_footprint, roots, GENERATE_REPS)
+    runs = [run for side_runs in samples.values() for run in side_runs]
+    equal = None not in runs and len({json.dumps(run["generate_sha256"], sort_keys=True) for run in runs}) == 1
+    figures = {
+        side: {**_medians(side_runs, ("generate_s", "generate_peak_rss_mb")),
+               "generate_sha256": side_runs[0] and side_runs[0]["generate_sha256"]}
+        for side, side_runs in samples.items()
     }
+    return figures, equal
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -213,7 +262,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         roots = {side: fresh_copy(getattr(args, side).resolve(), Path(scratch) / side, benchmark) for side in SIDES}
         footprints = import_footprints(roots)
-        trees = {side: {**src_tree(root), **footprints[side]} for side, root in roots.items()}
+        generated, generate_equal = generate_footprints(roots)
+        trees = {side: {**src_tree(root), **footprints[side], **generated[side]} for side, root in roots.items()}
         for workload, count in args.pairs.items():
             for pair in range(count):
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
@@ -227,13 +277,14 @@ def main(argv=None) -> int:
             f"--out {args.out.name}"
         ),
         "trees": trees,
+        "generate_outputs_equal": generate_equal,
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     failed = any(run["exit_code"] != 0 for run in runs)
     diverged = any(table["outputs_sha256_equal_pairs"] < table["pairs"] for table in report["summary"].values())
-    return 1 if failed or diverged else 0
+    return 1 if failed or diverged or not generate_equal else 0
 
 
 if __name__ == "__main__":
