@@ -195,14 +195,15 @@ def attention_diagnostic(
 ) -> AttentionMatrix:
     """Average attention weights along the logged order of qualifying records.
 
-    Uses records of length >= size; features are extended over each record's
-    full candidate set, and the model walks the first ``size`` positions.
+    Scores each record of length >= size whole, its features extended over
+    its full candidate set, by :func:`logged_predictions`: the matrix is the
+    one ``evaluate`` reads from its pass over the same records, bit for bit.
     ``size`` and ``records`` are checked as :func:`logged_predictions` checks them.
     """
     params.require("attention_diagnostic", "attention")
     size = whole_at_least("attention_size", size)
-    prefixes = [extend_features(r.candidate_set)[:size] for r in records if len(r) >= size]
-    return logged_predictions(params, prefixes, attention_size=size)[1]
+    qualifying = [extend_features(r.candidate_set) for r in records if len(r) >= size]
+    return logged_predictions(params, qualifying, attention_size=size)[1]
 
 
 # Rows per MLP call, and records per recurrent forward pass, when a whole log
@@ -225,9 +226,9 @@ def logged_predictions(
 
     A recurrent model scores records of one length together, shortest first
     and in log order within a length, in (B, T, F) batches of at most
-    LOG_CHUNK records; memory holds one batch's states. The models are
-    causal, so the first ``attention_size`` positions of a full-record
-    forward equal a forward over that prefix alone.
+    LOG_CHUNK records; memory holds one batch's states. A record's batch holds
+    only records of its length, so the attention matrix is the same bits
+    whether or not shorter records are in the log.
 
     Before any scoring, a ValidationError rejects: an ``attention_size``,
     for any variant, that is not a whole number of at least 1; a record
@@ -309,6 +310,8 @@ def latency_bench(
     once, and a slope is fitted only over at least two distinct sizes. The
     candidates of rerank size n are drawn from seed ``(seed + n) % 2**64``,
     at the one ``d`` of all the models (none, or two, is a ValidationError).
+    An empty size list, or ``repetitions`` not a whole number of at least 1,
+    is a ValidationError naming the argument.
 
     Repetitions go round all (model, beam size, rerank size) cells in turn, so
     a slow stretch of the machine falls on every cell alike; each timed run
@@ -318,11 +321,15 @@ def latency_bench(
     the work itself.
     """
     make_rng(seed)  # rejects, naming it, a seed that is not a 64-bit unsigned integer, before any draw
+    repetitions = whole_at_least("repetitions", repetitions)
+    rerank_sizes, beam_sizes = list(dict.fromkeys(rerank_sizes)), list(dict.fromkeys(beam_sizes))
+    for key, sizes in (("rerank_sizes", rerank_sizes), ("beam_sizes", beam_sizes)):
+        if not sizes:
+            raise ValidationError(f"latency_bench takes one or more {key}, got none")
     dims = {name: params.config.d for name, params in models.items()}
     if len(set(dims.values())) != 1:
         raise ValidationError(f"latency_bench takes one or more models of one d, got d={dims}")
     (d,) = set(dims.values())
-    rerank_sizes, beam_sizes = list(dict.fromkeys(rerank_sizes)), list(dict.fromkeys(beam_sizes))
     catalogs = {n: generate_catalog(n, d, (seed + n) % 2**64) for n in rerank_sizes}
     # The feed-forward models sort without a beam: their one cell has beam size 0.
     beams = {name: beam_sizes if params.traits.recurrent else [0] for name, params in models.items()}

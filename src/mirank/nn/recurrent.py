@@ -132,9 +132,9 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray, keep_caches: 
         params: LSTM blocks, plus attention blocks for the attention variant.
         x: Extended float64 features, shape (B, T, F); positions are 1..T.
         keep_caches: keep what :func:`sequence_backward` reads. Training
-            asks for it; scoring does not, and then holds only the running
-            state, plus the hidden states and representations that the
-            attention variant looks back on.
+            asks for it; scoring does not, and then holds the running state
+            and the (B, T, H) hidden states, plus the representations that
+            the attention variant looks back on.
 
     Returns:
         (probs, caches): probs has shape (B, T). ``caches["alphas"]`` holds,
@@ -147,7 +147,7 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray, keep_caches: 
     batch, length, _ = x.shape
     h_dim = params["Wh"].shape[1]
     attention = "w_ctx" in params
-    hiddens = np.zeros((batch, length, h_dim)) if attention or keep_caches else None
+    hiddens = np.zeros((batch, length, h_dim))
     h = np.zeros((batch, h_dim))
     cell = np.zeros((batch, h_dim))
     logits = np.zeros((batch, length))
@@ -164,8 +164,7 @@ def sequence_forward(params: dict[str, np.ndarray], x: np.ndarray, keep_caches: 
         h, cell, cache = lstm_step_batch(params, h, cell, x[:, t])
         if keep_caches:
             lstm_caches.append(cache)
-        if hiddens is not None:
-            hiddens[:, t] = h
+        hiddens[:, t] = h
         logits[:, t] = h @ params["w_out"]
         if attention:
             reps[:, t] = representations(params, h, t + 1)

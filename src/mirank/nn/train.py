@@ -52,7 +52,7 @@ def adam_step(
 
 
 class TrainingDiverged(MirankError):
-    """Training hit a non-finite loss; message carries epoch and step."""
+    """Training hit a non-finite loss or parameter; message carries the epoch."""
 
 
 def init_blocks(variant: str, config: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -143,7 +143,8 @@ def train(
     loss. ``records`` may be any iterable; it is read once. Raises
     ValidationError, before the first step, naming the first record whose
     feature dimension is not the model's ``d``, and TrainingDiverged with
-    epoch/step context if the loss goes non-finite.
+    epoch/step context if the loss goes non-finite or, after the last epoch,
+    naming the first epoch that ended with a non-finite block.
     """
     records = tuple(records)
     if not records:
@@ -159,6 +160,7 @@ def train(
     groups = _training_groups(variant, records, model_config)
     n_items = sum(len(record) for record in records)
     curve: list[float] = []
+    diverged_at = None
     for epoch in range(train_config.epochs):
         total_loss, step = 0.0, 0
         for size, batch in groups:
@@ -170,5 +172,9 @@ def train(
                 adam_step(blocks, grads, state, train_config.learning_rate)
                 total_loss += loss
                 step += 1
+        if diverged_at is None and not all(np.isfinite(block).all() for block in blocks.values()):
+            diverged_at = epoch
         curve.append(total_loss / n_items)
+    if diverged_at is not None:
+        raise TrainingDiverged(f"non-finite parameters at the end of epoch {diverged_at} ({variant})")
     return ModelParams(variant=variant, config=model_config, blocks=blocks), curve

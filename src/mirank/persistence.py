@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .configs import ModelConfig, ModelParams, expected_block_shapes
-from .core import CandidateSet, MirankError, QueryRecord, ValidationError
+from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, ValidationError
 from .simgen import Dataset
 
 __all__ = [
@@ -101,7 +101,11 @@ def _sha256(path: Path) -> str:
 
 def save_model(params: ModelParams, path) -> None:
     """Serialize parameters to the checksummed binary container, making any
-    missing parent directories."""
+    missing parent directories. A non-finite block, which :func:`load_model`
+    would reject, is a NonFiniteError naming it, and no file is written."""
+    for name, array in params.blocks.items():
+        if not np.isfinite(array).all():
+            raise NonFiniteError(f"{path}: parameter block {name!r} contains non-finite values")
     header = {
         "variant": params.variant,
         "config": asdict(params.config),
@@ -192,20 +196,14 @@ def _item_keys(candidates: CandidateSet) -> list[bytes]:
 def _items_text(candidates: CandidateSet, cache: dict[bytes, str]) -> str:
     """The JSON text of the items, ``{"id": …, "price": …, "features": […]}``
     each, joined by ``, ``. Items not in ``cache`` are encoded by one
-    ``json.dumps`` call; while the cache has room, that text is split at
-    ``}, {`` (no item text holds a brace) and each new item's text added."""
+    ``json.dumps`` call, whose text is split at ``}, {`` (no item text holds
+    a brace); each new item's text is added while the cache has room."""
     keys = _item_keys(candidates)
     texts = [cache.get(key) for key in keys]
     missing = [k for k, text in enumerate(texts) if text is None]
-    if not missing:
-        return ", ".join(texts)
-    all_missing = len(missing) == len(texts)
-    rows = slice(None) if all_missing else missing
-    columns = (candidates.ids[rows].tolist(), candidates.prices[rows].tolist(),
-               candidates.feature_matrix[rows].tolist())
+    columns = (candidates.ids[missing].tolist(), candidates.prices[missing].tolist(),
+               candidates.feature_matrix[missing].tolist())
     encoded = json.dumps([{"id": i, "price": price, "features": features} for i, price, features in zip(*columns)])
-    if all_missing and len(cache) >= _ITEM_CACHE_SIZE:
-        return encoded[1:-1]  # no text to reuse and no room to keep one
     for k, text in zip(missing, encoded[2:-2].split("}, {")):
         texts[k] = text = "{" + text + "}"
         if len(cache) < _ITEM_CACHE_SIZE:

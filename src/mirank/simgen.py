@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .configs import coerce_fields, whole_at_least
+from .configs import coerce, coerce_fields, whole_at_least
 from .core import CandidateSet, MirankError, QueryRecord, ValidationError, make_rng
 from .nn.common import sigmoid
 
@@ -188,13 +188,15 @@ def generate_logs(
     ``round(n_queries * train_fraction)`` records are train records, the
     rest test. An ``n_queries`` that is not a whole number of at least 0, an
     ``items_per_query`` that is not one from 1 to the catalog size, or a
-    ``train_fraction`` outside [0, 1] raises MirankError. Train records must
-    contain at least one purchase; candidates failing the filter are
-    discarded and regenerated. Test records are kept as sampled. The
-    dataset's acceptance rate is the share of train candidates that passed
-    the filter, or None when no train record was drawn.
+    ``train_fraction`` that :func:`coerce` rejects (a bool, say) or outside
+    [0, 1] raises MirankError. Train records must contain at least one
+    purchase; candidates failing the filter are discarded and regenerated.
+    Test records are kept as sampled. The dataset's acceptance rate is the
+    share of train candidates that passed the filter, or None when no train
+    record was drawn.
     """
     n_queries = whole_at_least("n_queries", n_queries, 0)
+    train_fraction = coerce("train_fraction", train_fraction, 0.0, "argument")
     if not 0.0 <= train_fraction <= 1.0:
         raise MirankError(f"train_fraction must be in [0, 1], got {train_fraction}")
     sampler = _subset_sampler(catalog, items_per_query)

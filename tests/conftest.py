@@ -38,7 +38,7 @@ def chain_entry(params, extended: np.ndarray, order):
     h_dim = params.config.lstm_hidden
     hidden, cell = np.zeros((1, h_dim)), np.zeros((1, h_dim))
     history = np.zeros((1, 0, h_dim))
-    rep_cache = np.zeros((1, 0, params.config.attn_size)) if params.variant == "mirnn_attention" else None
+    rep_cache = np.zeros((1, 0, params.config.attn_size)) if params.traits.attention else None
     probs = []
     for position, item in enumerate(order, start=1):
         prob, hidden, cell, rep = advance_entries(

@@ -739,6 +739,20 @@ class TestExitCodes:
         ]) == EXIT_DIVERGED
         assert "non-finite loss" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["mirnn", "mirnn_attention"])
+    def test_non_finite_parameters_exit_diverged_and_write_no_model(self, variant, tmp_path, capsys):
+        """One epoch at learning rate 1e308 leaves the loss finite but blocks
+        holding inf: train once exited 0 with a model that evaluate rejects."""
+        gen, out = tmp_path / "gen", tmp_path / "out"
+        assert main(["--seed", "7", "--output-dir", str(gen), "generate", "--n-queries", "40",
+                     "--items-per-query", "10"]) == 0
+        capsys.readouterr()
+        assert main(["--seed", "3", "--output-dir", str(out), "train", variant, str(gen / "train.jsonl"),
+                     "--epochs", "1", "--learning-rate", "1e308"]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: non-finite parameters at the end of epoch 0 ({variant})"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, config", (
         (("--epochs", "0"), ""),
         ((), "batch_size: 0\n"),

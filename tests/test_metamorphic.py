@@ -1,17 +1,26 @@
 """Metamorphic relations that every correct ranking keeps, for all four
-variants: the same candidates given in another order, at doubled prices or
-under relabelled ids, are ranked the same way, bit for bit."""
+variants, fresh and trained: the same candidates given in another order, at
+doubled prices or under relabelled ids, are ranked the same way, bit for
+bit. One known non-relation, a record's scores in a log, is bounded."""
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mirank import CandidateSet, ModelConfig, Ranking, init_model
+from mirank import CandidateSet, ModelConfig, Ranking, TrainConfig, extend_features, init_model
 from mirank.configs import VARIANTS
+from mirank.core import make_rng
+from mirank.metrics import logged_predictions
+from mirank.nn.train import train
 from mirank.ranker import rank, rerank_top_n
+from conftest import mixed_length_log
 
 SMALL = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=12)
+# 120 records of 2 to 12 items from one 40-item catalog.
+LOG = mixed_length_log(tuple(make_rng(5).integers(2, 13, size=120).tolist()), d=3)
 MODELS = {variant: init_model(variant, SMALL, seed=14) for variant in VARIANTS}
+TRAINED = {variant: train(variant, LOG[:24], SMALL, TrainConfig(epochs=2), seed=14)[0] for variant in VARIANTS}
 
 
 @st.composite
@@ -27,12 +36,12 @@ def _cases(draw):
     return CandidateSet(ids, prices, features), draw(st.permutations(range(n))), draw(st.integers(1, 4))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("params", [pytest.param(MODELS[variant], id=variant) for variant in VARIANTS]
+                         + [pytest.param(TRAINED[variant], id=f"{variant}-trained") for variant in VARIANTS])
 @seed(14)
 @settings(max_examples=60, deadline=None)
 @given(case=_cases())
-def test_rankings_keep_their_symmetries(variant, case):
-    params = MODELS[variant]
+def test_rankings_keep_their_symmetries(params, case):
     candidates, perm, k = case
     result = rank(params, candidates, k)
     order = list(result.ranking.order)
@@ -52,3 +61,18 @@ def test_rankings_keep_their_symmetries(variant, case):
 
     for base in (tuple(range(len(candidates))), tuple(perm)):
         assert rerank_top_n(params, Ranking(base), candidates, len(candidates), k) == result.ranking
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_record_scores_alike_alone_and_in_a_log_within_a_bound(variant):
+    """Not a relation: a recurrent record's probabilities can differ in the
+    last bit with the records batched beside it, so they agree only within
+    1e-15; a feed-forward model's agree exactly."""
+    params = TRAINED[variant]
+    extended = [extend_features(record.candidate_set) for record in LOG]
+    alone, _ = logged_predictions(params, extended[:7])
+    inside = logged_predictions(params, extended)[0][: len(alone)]
+    if params.traits.recurrent:
+        assert np.max(np.abs(alone - inside)) <= 1e-15
+    else:
+        assert np.array_equal(alone, inside)

@@ -274,7 +274,9 @@ class TestLoggedPredictions:
         if params.traits.attention:
             wide = mixed_length_log((4, 5), d=4)
             for records in (wide, mixed_length_log((4, 5), d=3) + wide):
-                with pytest.raises(ValidationError, match=r"record \d+ has shape \(2, 8\)$"):
+                index = len(records) - len(wide)
+                with pytest.raises(ValidationError, match=rf"^{variant} scores records of 6 extended features, "
+                                                          rf"record {index} has shape \(4, 8\)$"):
                     attention_diagnostic(params, records, size=2)
 
 
@@ -325,8 +327,8 @@ class TestBatchedAttentionDiagnostic:
         assert np.max(np.abs(matrix.values - expected)) <= 1e-12
 
     def test_read_from_the_scoring_forward_pass(self):
-        """Scoring whole records yields the same matrix as the prefix-only
-        diagnostic, because the model is causal."""
+        """The diagnostic is the matrix that scoring the whole log reads,
+        bit for bit."""
         records = mixed_length_log(MIXED_LENGTHS, d=3)
         params = init_model("mirnn_attention", SMALL, seed=6)
         extended = [extend_features(r.candidate_set) for r in records]
@@ -335,7 +337,7 @@ class TestBatchedAttentionDiagnostic:
         direct = attention_diagnostic(params, records, size=self.SIZE)
         assert np.array_equal(probs, alone)
         assert matrix.n_records == direct.n_records
-        assert np.max(np.abs(matrix.values - direct.values)) <= 1e-12
+        assert np.array_equal(matrix.values, direct.values)
 
     def test_other_variants_ignore_attention_size(self):
         records = mixed_length_log(MIXED_LENGTHS, d=3)
@@ -384,6 +386,26 @@ class TestLatencyBench:
         dims = {name: params.config.d for name, params in models.items()}
         with pytest.raises(ValidationError, match=re.escape(f"one or more models of one d, got d={dims}")):
             latency_bench(models, rerank_sizes=[2, 3], beam_sizes=[1], repetitions=1, seed=0)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"repetitions": 0}, "repetitions must be >= 1, got 0"),
+        ({"repetitions": -1}, "repetitions must be >= 1, got -1"),
+        ({"repetitions": 1.5}, "argument 'repetitions': invalid value 1.5 (expected an integer)"),
+        ({"rerank_sizes": []}, "latency_bench takes one or more rerank_sizes, got none"),
+        ({"beam_sizes": []}, "latency_bench takes one or more beam_sizes, got none"),
+    ], ids=["zero-reps", "negative-reps", "fractional-reps", "no-rerank-sizes", "no-beam-sizes"])
+    def test_rejects_bad_repetitions_and_empty_sizes_before_any_draw(self, changes, message, monkeypatch):
+        """Repetitions of 0 once ended in min()'s raw ValueError and 1.5 in a
+        raw TypeError; no beam size, in a raw ValueError; no rerank size gave
+        an empty profile."""
+        def no_draw(*args):
+            raise AssertionError("a catalog was drawn")
+
+        monkeypatch.setattr(metrics, "generate_catalog", no_draw)
+        models = {"midnn": init_model("midnn", SMALL, seed=0), "mirnn": init_model("mirnn", SMALL, seed=0)}
+        arguments = {"rerank_sizes": [2, 3], "beam_sizes": [1], "repetitions": 1, "seed": 0, **changes}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            latency_bench(models, **arguments)
 
     @pytest.mark.parametrize("seed", [-5, 1.5, True, 2**64], ids=["negative", "fractional", "bool", "too-large"])
     def test_rejects_a_bad_seed_before_any_draw(self, seed, monkeypatch):

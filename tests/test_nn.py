@@ -315,6 +315,15 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="non-finite loss"):
             train("midnn", [record], ModelConfig(d=2, hidden_sizes=(3,)), config, seed=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameters_raise_diverged_naming_the_epoch(self):
+        """One step at learning rate 1e308 leaves a block holding inf with
+        the loss finite; train once returned such blocks."""
+        records = _tiny_records(8, 5, 3, seed=3)
+        config = ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=3)
+        with pytest.raises(TrainingDiverged, match=r"^non-finite parameters at the end of epoch 0 \(midnn\)$"):
+            train("midnn", records, config, TrainConfig(epochs=1, learning_rate=1e308), seed=1)
+
     @pytest.mark.parametrize("variant", ("mirnn", "midnn"))
     def test_feature_dimension_must_match_the_model(self, variant):
         """A log of mixed d, or a model d that no record has, once ended in a

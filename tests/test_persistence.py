@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mirank import BehaviorConfig, ModelConfig, generate_catalog, generate_logs, init_model, load_model, save_model
 from mirank import persistence
-from mirank.core import CandidateSet, QueryRecord, make_rng
+from mirank.core import CandidateSet, NonFiniteError, QueryRecord, make_rng
 from mirank.persistence import (
     LogFormatError,
     ModelChecksumError,
@@ -64,6 +64,15 @@ class TestModelRoundTrip:
         params = init_model("midnn", SMALL, seed=0)
         save_model(params, tmp_path / "a" / "b" / "m.mirk")
         assert load_model(tmp_path / "a" / "b" / "m.mirk").config == params.config
+
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+    def test_non_finite_blocks_are_refused_and_nothing_is_written(self, bad, tmp_path):
+        """save_model once wrote blocks holding inf, a file load_model rejects."""
+        params = init_model("mirnn", SMALL, seed=0)
+        params.blocks["Wh"][1, 2] = bad
+        with pytest.raises(NonFiniteError, match=r"parameter block 'Wh' contains non-finite values$"):
+            save_model(params, tmp_path / "a" / "m.mirk")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _reseal(path, payload: bytes) -> None:

@@ -1,5 +1,7 @@
 """Synthetic behavior model: effect directions, invariances, log generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,20 @@ class TestGenerateLogs:
         for fraction in (-0.1, 1.5, float("nan")):
             with pytest.raises(MirankError, match="train_fraction"):
                 generate_logs(config, catalog, n_queries=2, items_per_query=3, train_fraction=fraction)
+
+    def test_train_fraction_meets_the_one_type_rule(self):
+        """train_fraction="0.5" once ended in a raw TypeError, and True was
+        taken as 1.0: each now converts as a config value does."""
+        catalog = generate_catalog(20, 3, seed=1)
+        config = BehaviorConfig(seed=2)
+        for fraction in (True, "half", None, [0.5]):
+            with pytest.raises(ValidationError, match=rf"^argument 'train_fraction': invalid value {re.escape(repr(fraction))}"):
+                generate_logs(config, catalog, n_queries=4, items_per_query=4, train_fraction=fraction)
+        text = generate_logs(config, catalog, n_queries=4, items_per_query=4, train_fraction="0.5")
+        number = generate_logs(config, catalog, n_queries=4, items_per_query=4, train_fraction=0.5)
+        assert len(text.train_records) == len(number.train_records) == 2
+        for a, b in zip(text.records, number.records):
+            assert np.array_equal(a.candidate_set.ids, b.candidate_set.ids) and np.array_equal(a.labels, b.labels)
 
     def test_hopeless_purchase_filter_raises(self):
         catalog = generate_catalog(10, 3, seed=1)
