@@ -310,8 +310,8 @@ def latency_bench(
     once, and a slope is fitted only over at least two distinct sizes. The
     candidates of rerank size n are drawn from seed ``(seed + n) % 2**64``,
     at the one ``d`` of all the models (none, or two, is a ValidationError).
-    An empty size list, or ``repetitions`` not a whole number of at least 1,
-    is a ValidationError naming the argument.
+    An empty size list, a size or ``repetitions`` not a whole number of at
+    least 1, is a ValidationError naming the argument.
 
     Repetitions go round all (model, beam size, rerank size) cells in turn, so
     a slow stretch of the machine falls on every cell alike; each timed run
@@ -322,7 +322,8 @@ def latency_bench(
     """
     make_rng(seed)  # rejects, naming it, a seed that is not a 64-bit unsigned integer, before any draw
     repetitions = whole_at_least("repetitions", repetitions)
-    rerank_sizes, beam_sizes = list(dict.fromkeys(rerank_sizes)), list(dict.fromkeys(beam_sizes))
+    rerank_sizes = list(dict.fromkeys(whole_at_least("rerank_sizes", n) for n in rerank_sizes))
+    beam_sizes = list(dict.fromkeys(whole_at_least("beam_sizes", k) for k in beam_sizes))
     for key, sizes in (("rerank_sizes", rerank_sizes), ("beam_sizes", beam_sizes)):
         if not sizes:
             raise ValidationError(f"latency_bench takes one or more {key}, got none")

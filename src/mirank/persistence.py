@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import secrets
 import struct
 from dataclasses import asdict, fields
@@ -177,11 +178,11 @@ def load_model(path) -> ModelParams:
 # JSONL query logs
 
 
-#: Most item texts one ``write_logs`` call keeps; once full, it keeps no more.
-#: 448 texts catch 89% of the repeats of a log drawn from a 500-item catalog
-#: and take about 0.4 MB at 23 features; 512 would catch them all, but would
-#: lift the writer's peak on a long log of distinct items past 1.5x its peak
-#: on a short one.
+#: Most items one ``write_logs`` or ``read_logs`` call keeps, as texts or as
+#: decoded objects; once full, it keeps no more. 448 catch 89% of the repeats
+#: of a log drawn from a 500-item catalog, and their texts take about 0.4 MB at
+#: 23 features; 512 would catch them all, but would lift the writer's peak on a
+#: long log of distinct items past 1.5x its peak on a short one.
 _ITEM_CACHE_SIZE = 448
 
 
@@ -254,16 +255,55 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+#: A line in ``write_logs``' layout, up to the brace of its first item.
+_HEAD = re.compile(r'\{"query_id": "(?:[^"\\]|\\.)*", "items": \[\{')
+
+
+def _decode_line(line: str, cache: dict[str, dict]) -> dict | None:
+    """``json.loads`` of a line in ``write_logs``' layout, decoding no item
+    text that ``cache`` holds; None if the line is not shown to be in that
+    layout. Items run to the first ``}]`` and split at ``}, {``, no piece
+    holding a brace; one decode of the uncached ones' ``[{…}, {…}]`` gives an
+    object per piece only if every brace is structural. The rest, decoded with
+    the items emptied, must name ``"items"`` once, and no backslash follow them."""
+    head = _HEAD.match(line)
+    end = line.find("}]", head.end()) if head else -1
+    if end < 0:
+        return None
+    content, tail = line[head.end() : end], line[end + 2 :]
+    pieces, rest = content.split("}, {"), line[: head.end() - 1] + "]" + tail
+    if not content.count("{") == content.count("}") == len(pieces) - 1 or rest.count('"items"') != 1 or "\\" in tail:
+        return None
+    items = [cache.get(piece) for piece in pieces]
+    missing = [k for k, item in enumerate(items) if item is None]
+    try:
+        decoded = _DECODER.decode("[" + ", ".join("{" + pieces[k] + "}" for k in missing) + "]")
+        obj = _DECODER.decode(rest)
+    except (ValueError, RecursionError):
+        return None
+    if len(decoded) != len(missing):
+        return None
+    for k, item in zip(missing, decoded):
+        items[k] = item
+        if len(cache) < _ITEM_CACHE_SIZE:
+            cache[pieces[k]] = item
+    obj["items"] = items
+    return obj
+
+
 def read_logs(path) -> Dataset:
     """Stream a JSONL log into a Dataset of train records only (a log does
-    not store the split); malformed lines name their line number."""
+    not store the split); malformed lines name their line number, with the
+    error of ``json.loads``, which reads each line :func:`_decode_line` does not."""
     records: list[QueryRecord] = []
+    cache: dict[str, dict] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line, parse_constant=_reject_constant)
+                obj = _decode_line(line, cache) or json.loads(line, parse_constant=_reject_constant)
             except ValueError as exc:
                 raise LogFormatError(f"line {line_no}: malformed JSON ({exc})") from exc
             if not isinstance(obj, dict):

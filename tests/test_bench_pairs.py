@@ -24,7 +24,8 @@ from bench_pairs import (  # noqa: E402
 
 
 RSS = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
-GENERATED = {"generate_s": 0.4, "generate_peak_rss_mb": 90.0, "generate_sha256": {"train.jsonl": "t", "test.jsonl": "s"}}
+GENERATED = {"generate_s": 0.4, "generate_peak_rss_mb": 90.0, "generate_sha256": {"train.jsonl": "t", "test.jsonl": "s"},
+             "read_logs_s": 0.2, "read_logs_sha256": "r"}
 
 
 def _run(workload, pair, side, rss, faults, exit_code=0, digest="d0"):
@@ -155,14 +156,17 @@ def test_outputs_that_differ_within_a_pair_exit_1_after_the_file_is_written(chan
     assert report["generate_outputs_equal"] is True
 
 
-def test_generate_runs_that_wrote_other_bytes_exit_1_after_the_file_is_written(tmp_path, monkeypatch):
+@pytest.mark.parametrize("key, value", (("generate_sha256", {"train.jsonl": "t2", "test.jsonl": "s"}),
+                                        ("read_logs_sha256", "r2")), ids=["written-bytes", "read-records"])
+def test_generate_runs_that_wrote_other_bytes_or_read_other_records_exit_1_after_the_file_is_written(
+        key, value, tmp_path, monkeypatch):
     for side in ("base", "change"):
         for name in ("src/mirank/__init__.py", "perfbench/run.py"):
             (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / side / name).write_text(name)
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": RSS}))
     monkeypatch.setattr(bench_pairs, "import_footprint", lambda root: {"import_peak_rss_mb": 30.0, "import_s": 0.1})
-    other = {**GENERATED, "generate_sha256": {"train.jsonl": "t2", "test.jsonl": "s"}}
+    other = {**GENERATED, key: value}
     monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: other if root.name == "change" else GENERATED)
     out = tmp_path / "BENCH.json"
     argv = ["--base", str(tmp_path / "base"), "--change", str(tmp_path / "change"),
@@ -170,7 +174,7 @@ def test_generate_runs_that_wrote_other_bytes_exit_1_after_the_file_is_written(t
     assert bench_pairs.main(argv) == 1
     report = json.loads(out.read_text())
     assert report["generate_outputs_equal"] is False
-    assert report["trees"]["change"]["generate_sha256"] == other["generate_sha256"]
+    assert report["trees"]["change"][key] == value
 
 
 def _package(root, init, cli=""):
@@ -227,33 +231,68 @@ def test_generate_footprints_alternate_the_sides_and_compare_every_run_s_bytes(m
     def footprint(root):
         calls.append(root)
         seconds = {"base": 1.0, "change": 0.35}[root] + len(calls) % 3 / 100
-        return {**GENERATED, "generate_s": seconds, "generate_peak_rss_mb": 100.0 + len(calls)}
+        return {**GENERATED, "generate_s": seconds, "generate_peak_rss_mb": 100.0 + len(calls),
+                "read_logs_s": seconds / 2}
 
     monkeypatch.setattr(bench_pairs, "generate_footprint", footprint)
     figures, equal = generate_footprints({"base": "base", "change": "change"})
     assert calls == ["base", "change", "change", "base"] * 2 + ["base", "change"]
     assert equal is True
-    assert figures["base"] == {"generate_s": 1.01, "generate_peak_rss_mb": 105.0,
-                               "generate_sha256": GENERATED["generate_sha256"]}
+    assert figures["base"] == {"generate_s": 1.01, "generate_peak_rss_mb": 105.0, "read_logs_s": 0.505,
+                               "generate_sha256": GENERATED["generate_sha256"], "read_logs_sha256": "r"}
     assert figures["change"]["generate_s"] == 0.36 and figures["change"]["generate_peak_rss_mb"] == 106.0
+    assert figures["change"]["read_logs_s"] == 0.18
     runs = iter([GENERATED] * 6 + [None] + [GENERATED] * 3)  # the fourth change run fails
     monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: next(runs))
     figures, equal = generate_footprints({"base": "base", "change": "change"})
     assert equal is False and figures["change"]["generate_s"] is None and figures["base"]["generate_s"] == 0.4
-    runs = iter([GENERATED] * 9 + [{**GENERATED, "generate_sha256": {"train.jsonl": "t", "test.jsonl": "x"}}])
-    monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: next(runs))
-    assert generate_footprints({"base": "base", "change": "change"})[1] is False
+    assert figures["change"]["read_logs_s"] is None and figures["base"]["read_logs_s"] == 0.2
+    for other in ({"generate_sha256": {"train.jsonl": "t", "test.jsonl": "x"}}, {"read_logs_sha256": "x"}):
+        runs = iter([GENERATED] * 9 + [{**GENERATED, **other}])
+        monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: next(runs))
+        assert generate_footprints({"base": "base", "change": "change"})[1] is False
 
 
-def test_generate_footprint_runs_the_tree_s_cli_and_digests_what_it_wrote(tmp_path):
-    """The command is the tree's own ``mirank --seed 3 generate``; a tree
-    whose command fails measures None."""
+def test_generate_footprint_runs_the_tree_s_cli_and_reader_and_digests_what_they_gave(tmp_path):
+    """The command is the tree's own ``mirank --seed 3 generate``, and the
+    reader the tree's own ``read_logs`` of the train.jsonl it wrote; a tree
+    whose command or reader fails measures None."""
     cli = ("import sys\nfrom pathlib import Path\n"
            "assert sys.argv[1:3] == ['--seed', '3'] and sys.argv[-1] == 'generate'\n"
            "out = Path(sys.argv[4])\n"
            "(out / 'train.jsonl').write_text('train')\n(out / 'test.jsonl').write_text('test')\n")
-    run = generate_footprint(_package(tmp_path / "ok", "", cli))
+    reader = ("from pathlib import Path\nfrom types import SimpleNamespace\n"
+              "def read_logs(path):\n"
+              "    assert Path(path).name == 'train.jsonl' and Path(path).read_text() == 'train'\n"
+              "    return SimpleNamespace(records=())\n")
+    root = _package(tmp_path / "ok", "", cli)
+    (root / "src" / "mirank" / "persistence.py").write_text(reader)
+    run = generate_footprint(root)
     assert run["generate_sha256"] == {name: hashlib.sha256(text).hexdigest()
                                       for name, text in (("train.jsonl", b"train"), ("test.jsonl", b"test"))}
     assert run["generate_s"] > 0 and run["generate_peak_rss_mb"] > 0
+    assert run["read_logs_sha256"] == hashlib.sha256().hexdigest() and run["read_logs_s"] >= 0
     assert generate_footprint(_package(tmp_path / "broken", "", "raise SystemExit(2)\n")) is None
+    assert generate_footprint(_package(tmp_path / "no-reader", "", cli)) is None
+
+
+def test_read_records_digests_every_bit_of_the_records_read(tmp_path):
+    """Equal records give equal digests whatever their bytes on disk; a
+    zero's sign, a missing probability or another query id changes it."""
+    from mirank.core import CandidateSet, QueryRecord
+    from mirank.persistence import write_logs
+
+    def digest(features, probs=(0.5, 0.25), query_id="q0"):
+        path = tmp_path / "logs.jsonl"
+        write_logs([QueryRecord(query_id, CandidateSet([3, 4], [1.5, 2.0], features), (0, 1), probs)], path)
+        seconds, sha = bench_pairs.read_records(str(path), 2)
+        assert seconds > 0
+        return sha
+
+    same = digest([[0.0, 1.0], [2.0, 3.0]])
+    (tmp_path / "logs.jsonl").write_text((tmp_path / "logs.jsonl").read_text().replace(": ", ":"))
+    assert bench_pairs.read_records(str(tmp_path / "logs.jsonl"), 1)[1] == same
+    assert digest([[0.0, 1.0], [2.0, 3.0]]) == same
+    others = {digest([[-0.0, 1.0], [2.0, 3.0]]), digest([[0.0, 1.0], [2.0, 3.0]], None),
+              digest([[0.0, 1.0], [2.0, 3.0]], query_id="q1")}
+    assert same not in others and len(others) == 3

@@ -393,11 +393,15 @@ class TestLatencyBench:
         ({"repetitions": 1.5}, "argument 'repetitions': invalid value 1.5 (expected an integer)"),
         ({"rerank_sizes": []}, "latency_bench takes one or more rerank_sizes, got none"),
         ({"beam_sizes": []}, "latency_bench takes one or more beam_sizes, got none"),
-    ], ids=["zero-reps", "negative-reps", "fractional-reps", "no-rerank-sizes", "no-beam-sizes"])
-    def test_rejects_bad_repetitions_and_empty_sizes_before_any_draw(self, changes, message, monkeypatch):
+        ({"rerank_sizes": [0, 3]}, "rerank_sizes must be >= 1, got 0"),
+        ({"beam_sizes": [1, 1.5]}, "argument 'beam_sizes': invalid value 1.5 (expected an integer)"),
+    ], ids=["zero-reps", "negative-reps", "fractional-reps", "no-rerank-sizes", "no-beam-sizes",
+            "zero-rerank-size", "fractional-beam-size"])
+    def test_rejects_bad_repetitions_and_sizes_before_any_draw(self, changes, message, monkeypatch):
         """Repetitions of 0 once ended in min()'s raw ValueError and 1.5 in a
         raw TypeError; no beam size, in a raw ValueError; no rerank size gave
-        an empty profile."""
+        an empty profile. A rerank size of 0 was named n_items and a beam size
+        of 1.5 named k, arguments the caller never passed."""
         def no_draw(*args):
             raise AssertionError("a catalog was drawn")
 

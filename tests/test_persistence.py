@@ -358,16 +358,79 @@ def test_written_bytes_are_json_dumps_of_each_record(log, cache_size):
         if probs is not None:
             obj["ground_truth_probs"] = probs
         expected.append(json.dumps(obj) + "\n")
-    records = [
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(persistence, "_ITEM_CACHE_SIZE", cache_size)
+        write_logs(_query_records(log), Path(tmp) / "logs.jsonl")
+        assert (Path(tmp) / "logs.jsonl").read_bytes() == "".join(expected).encode("utf-8")
+
+
+def _query_records(log):
+    """The QueryRecords of a :func:`_log` draw."""
+    return [
         QueryRecord(query_id, CandidateSet([i for i, _, _ in items], [price for _, price, _ in items],
                                            np.array([features for _, _, features in items]).reshape(len(items), -1)),
                     labels, probs)
         for query_id, items, labels, probs in log
     ]
+
+
+def _reference_read(path):
+    """The records of a log read line by line with ``json.loads`` and
+    ``_parse_record``, as ``read_logs`` read it before it kept decoded items."""
+    records = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line, parse_constant=persistence._reject_constant)
+            except ValueError as exc:
+                raise LogFormatError(f"line {line_no}: malformed JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise LogFormatError(f"line {line_no}: expected a JSON object")
+            records.append(persistence._parse_record(obj, line_no))
+    return records
+
+
+def _outcome(read, path):
+    """Each record ``read(path)`` returns, as its query id and the dtype,
+    shape and bytes of each array; or the type and text of what it raises."""
+    try:
+        records = read(path)
+    except Exception as exc:  # any error, so that both readers' can be compared
+        return type(exc).__name__, str(exc)
+    return [(r.query_id, *(a if a is None else (a.dtype.str, a.shape, a.tobytes())
+                           for a in (r.candidate_set.ids, r.candidate_set.prices, r.candidate_set.feature_matrix,
+                                     r.labels, r.ground_truth_probs)))
+            for r in records]
+
+
+def _read_records(path):
+    return read_logs(path).records
+
+
+#: Bytes that move a log line off ``write_logs``' layout or out of JSON.
+_EDIT_BYTES = st.one_of(st.sampled_from(b'{}[],:" \\0.-eNx\n'), st.integers(0, 255))
+
+
+@seed(29)
+@settings(max_examples=150, deadline=None)
+@given(_log(), st.sampled_from((2, persistence._ITEM_CACHE_SIZE)),
+       st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), _EDIT_BYTES), max_size=2))
+def test_read_records_are_json_loads_of_each_line(log, cache_size, edits):
+    """read_logs returns the records that json.loads and _parse_record give
+    line by line, bit for bit, or raises the same error with the same text:
+    whether items repeat or not, with more distinct items than the cache
+    holds, and with up to two bytes of the written log overwritten."""
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
         patch.setattr(persistence, "_ITEM_CACHE_SIZE", cache_size)
-        write_logs(records, Path(tmp) / "logs.jsonl")
-        assert (Path(tmp) / "logs.jsonl").read_bytes() == "".join(expected).encode("utf-8")
+        path = Path(tmp) / "logs.jsonl"
+        write_logs(_query_records(log), path)
+        data = bytearray(path.read_bytes())
+        for where, byte in edits if data else ():
+            data[int(where * len(data))] = byte
+        path.write_bytes(bytes(data))
+        assert _outcome(_read_records, path) == _outcome(_reference_read, path)
 
 
 class TestLogErrors:
@@ -428,3 +491,43 @@ class TestLogErrors:
     @staticmethod
     def _one_record_logs():
         return [QueryRecord("q0", CandidateSet([0], [2.0], [[0.5]]), (1,))]
+
+    def test_lines_off_the_writer_s_layout_read_as_json_loads_reads_them(self, tmp_path):
+        """Each line below follows a written log whose items it repeats; it
+        gives the records json.loads gives, or the same error text, json's
+        column numbers included. A duplicate "items" key takes the last
+        value, so the items are read in another order."""
+        data = generate_logs(BehaviorConfig(base_rate=0.5, seed=1), generate_catalog(6, 2, seed=2),
+                             n_queries=5, items_per_query=3, seed=3)
+        write_logs(data.records, tmp_path / "written.jsonl")
+        written = (tmp_path / "written.jsonl").read_text()
+        line = written.splitlines(keepends=True)[-1]
+        obj = json.loads(line)
+        items, first = obj["items"], json.dumps(obj["items"][0])
+        assert first in written.splitlines()[0] or first in written.splitlines()[1]  # a repeated item
+        reversed_items = json.dumps(items[::-1])
+        # A joint without its space and a nested list of objects: the first line
+        # splits at "}, {" inside the list and so pairs a piece with the wrong
+        # item, which the second line, not JSON, would then reuse.
+        nested = {**items[1], "w": [{"x": 0}, {"y": 0}, 1]}
+        glued = json.dumps({**obj, "items": [items[0], nested, *items[2:]]}).replace("}, {", "},{", 1) + "\n"
+        reused = line.replace(json.dumps(items), "[" + json.dumps(items[0]) + ', {"y": 0}, 1]}]')
+        cases = {
+            "compact": json.dumps(obj, separators=(",", ":")) + "\n",
+            "reordered keys": json.dumps({"labels": obj["labels"], **obj,
+                                          "items": [dict(reversed(item.items())) for item in items]}) + "\n",
+            "query id": json.dumps({**obj, "query_id": 'q, "items": [{"id": 0}, {"id": 1'}) + "\n",
+            "extra key holding }, {": json.dumps({**obj, "items": [{**items[0], "note": "a}, {b"}, *items[1:]]}) + "\n",
+            "extra key holding }]": json.dumps({**obj, "items": [{**items[0], "note": "a}]"}, *items[1:]]}) + "\n",
+            "duplicate items": line[:-2] + f', "items": {reversed_items}}}\n',
+            "escaped duplicate items": line[:-2] + f', "\\u0069tems": {reversed_items}}}\n',
+            "NaN in a repeated item": line.replace(first, first.replace(f'"price": {items[0]["price"]!r}', '"price": NaN')),
+            "truncated last item": line[: line.index("}]") - 4] + "\n",
+            "nested list of objects": glued + reused,
+            "nested record": json.dumps({"labels": obj["labels"], "record": obj}) + "\n",
+        }
+        assert "NaN" in cases["NaN in a repeated item"]
+        for name, case in cases.items():
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(written + case)
+            assert _outcome(_read_records, path) == _outcome(_reference_read, path), name

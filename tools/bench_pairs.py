@@ -35,12 +35,16 @@ over 7 fresh processes, run before the pairs with the sides alternating
 (:func:`import_footprints`), and its ``mirank --seed 3 generate`` run: the
 median wall time and peak RSS over 5 fresh processes, alternating likewise,
 and the SHA-256 of the ``train.jsonl`` and ``test.jsonl`` it wrote
-(:func:`generate_footprints`); ``generate_outputs_equal`` says whether every
-one of those runs wrote the same bytes.
+(:func:`generate_footprints`); and its ``read_logs`` of that ``train.jsonl``:
+the median wall time of the reads and the SHA-256 of the records read
+(:func:`read_records`), each run reading its own file in a fresh process.
+``generate_outputs_equal`` says whether every one of those runs wrote the
+same bytes and read the same records.
 
 The file is written in any case; the exit code is 1 when a run failed,
 when the two runs of a complete pair wrote different output digests, or when
-the ``generate`` runs did not all write the same bytes, and 0 otherwise.
+the ``generate`` runs did not all write the same bytes and read the same
+records, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ IMPORT_REPS = 7
 IMPORT_CODE = "import time; t = time.perf_counter(); import mirank, mirank.cli; print(time.perf_counter() - t)"
 GENERATE_REPS = 5
 GENERATE_FILES = ("train.jsonl", "test.jsonl")
+READ_REPS = 3
 
 
 def src_tree(root: Path) -> dict:
@@ -133,12 +138,38 @@ def import_footprints(roots: dict[str, Path]) -> dict[str, dict]:
     return {side: _medians(runs, ("import_peak_rss_mb", "import_s")) for side, runs in samples.items()}
 
 
+def read_records(path: str, reps: int) -> tuple[float, str]:
+    """The median wall time of ``reps`` reads of the log at ``path`` by the
+    ``mirank.persistence.read_logs`` that ``sys.path`` finds, and the SHA-256
+    over the records of the last read: each one's query id, and the dtype,
+    shape and bytes of its ids, prices, features, labels and ground-truth
+    probabilities."""
+    from mirank.persistence import read_logs
+
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        records = read_logs(path).records
+        times.append(time.perf_counter() - start)
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(json.dumps(record.query_id).encode())
+        candidates = record.candidate_set
+        for array in (candidates.ids, candidates.prices, candidates.feature_matrix, record.labels,
+                      record.ground_truth_probs):
+            digest.update(b"None" if array is None else f"{array.dtype.str}{array.shape}".encode() + array.tobytes())
+    return statistics.median(times), digest.hexdigest()
+
+
 def generate_footprint(root: Path) -> dict | None:
     """One fresh process's ``mirank --seed 3 generate`` from ``root/src``,
     with ``OPENBLAS_NUM_THREADS=1``, writing into a temporary directory:
     ``generate_s``, the wall time of the process, ``generate_peak_rss_mb``,
     its peak ``ru_maxrss`` in MiB, and ``generate_sha256``, the SHA-256 of
-    each of GENERATE_FILES it wrote. None when the command fails."""
+    each of GENERATE_FILES it wrote; then, in another fresh process,
+    ``read_logs_s`` and ``read_logs_sha256``, the :func:`read_records` of the
+    ``train.jsonl`` it wrote over READ_REPS reads by the tree's own
+    ``read_logs``. None when either process fails."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-generate-") as out:
         command = [sys.executable, "-m", "mirank.cli", "--seed", "3", "--output-dir", out, "generate"]
@@ -148,20 +179,29 @@ def generate_footprint(root: Path) -> dict | None:
         if exit_code != 0:
             return None
         digests = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest() for name in GENERATE_FILES}
-    return {"generate_s": seconds, "generate_peak_rss_mb": usage.ru_maxrss / 1024, "generate_sha256": digests}
+        read = f"import bench_pairs; print(*bench_pairs.read_records({str(Path(out) / 'train.jsonl')!r}, {READ_REPS}))"
+        read_env = {**env, "PYTHONPATH": os.pathsep.join((env["PYTHONPATH"], str(Path(__file__).resolve().parent)))}
+        stdout, exit_code, _ = _run_child([sys.executable, "-c", read], root, read_env)
+        if exit_code != 0:
+            return None
+        read_seconds, read_digest = stdout.split()
+    return {"generate_s": seconds, "generate_peak_rss_mb": usage.ru_maxrss / 1024, "generate_sha256": digests,
+            "read_logs_s": float(read_seconds), "read_logs_sha256": read_digest}
 
 
 def generate_footprints(roots: dict[str, Path]) -> tuple[dict[str, dict], bool]:
     """Per side, the median of each :func:`generate_footprint` figure over
     GENERATE_REPS fresh processes, the side that goes first alternating (None
     when any of its side's runs failed), with the digests of its first run;
-    and whether every run of both sides succeeded and wrote the same bytes."""
+    and whether every run of both sides succeeded, wrote the same bytes and
+    read the same records."""
     samples = _alternating(generate_footprint, roots, GENERATE_REPS)
     runs = [run for side_runs in samples.values() for run in side_runs]
-    equal = None not in runs and len({json.dumps(run["generate_sha256"], sort_keys=True) for run in runs}) == 1
+    digests = ("generate_sha256", "read_logs_sha256")
+    equal = None not in runs and len({json.dumps([run[key] for key in digests], sort_keys=True) for run in runs}) == 1
     figures = {
-        side: {**_medians(side_runs, ("generate_s", "generate_peak_rss_mb")),
-               "generate_sha256": side_runs[0] and side_runs[0]["generate_sha256"]}
+        side: {**_medians(side_runs, ("generate_s", "generate_peak_rss_mb", "read_logs_s")),
+               **{key: side_runs[0] and side_runs[0][key] for key in digests}}
         for side, side_runs in samples.items()
     }
     return figures, equal
