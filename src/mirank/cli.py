@@ -20,9 +20,9 @@ import numpy as np
 
 from .configs import ATTENTION_SIZE, BEAM_SIZE, VARIANT_TRAITS, VARIANTS, ModelConfig, TrainConfig, coerce, config_from
 from .core import MirankError, NonFiniteError, Ranking, ValidationError, naming
-from .features import extend_features
-# evaluate scores through logged_predictions alone; perfbench/tracer.py still
-# wraps attention_diagnostic and the two scorers below here, by these names.
+# evaluate scores through logged_predictions alone; perfbench/tracer.py still wraps
+# extend_features, attention_diagnostic and the two scorers below here, by these names.
+from .features import extend_features  # noqa: F401
 from .metrics import attention_diagnostic, latency_bench, logged_predictions, metric_report  # noqa: F401
 from .models import item_probabilities as score_midnn_batch, sequence_probabilities  # noqa: F401
 from .nn.train import TrainingDiverged, train
@@ -69,19 +69,6 @@ def _read_config(config_path: str) -> dict:
 def _resolve_config(ctx, flags: dict) -> dict:
     """The defaults, overridden by the config file, overridden by the flags given."""
     return {**DEFAULTS, **ctx.obj["config"], **{key: value for key, value in flags.items() if value is not None}}
-
-
-def _load_model_for(model_path, dataset, log_path):
-    """The model at ``model_path``; a log whose feature dimension differs
-    from the model's ``d`` is a ValidationError."""
-    params = load_model(model_path)
-    dims = {record.candidate_set.feature_matrix.shape[1] for record in dataset.records}
-    if dims - {params.config.d}:
-        raise ValidationError(
-            f"model {model_path} takes d={params.config.d} features, "
-            f"log {log_path} has d={sorted(dims)}"
-        )
-    return params
 
 
 def _by_stem(model_paths) -> dict[str, str]:
@@ -132,7 +119,7 @@ def _parse_int_list(flag: str, text: str) -> list[int]:
     an empty list, or a part that is not an integer of at least 1, is a
     ValidationError that names ``flag``."""
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",")]
     except ValueError:
         values = []
     if not values or min(values) < 1:
@@ -232,7 +219,8 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
     """Rerank the top-N prefix of each logged record with a trained model."""
     cfg = _resolve_config(ctx, flags)
     dataset = _read_records(log_path, "rerank")
-    params = _load_model_for(model_path, dataset, log_path)
+    params = load_model(model_path)
+    params.config.require_d(dataset.records)
     # The feed-forward models ignore the beam size.
     if params.traits.recurrent and cfg["beam_size"] < 1:
         raise ValidationError(f"beam_size (--beam-size or config key) must be >= 1, got {cfg['beam_size']}")
@@ -266,13 +254,12 @@ def rerank(ctx, model_path, log_path, rerank_size, **flags):
 def evaluate(ctx, test_path, model_paths, attention_size):
     """Compute AUC/RIG for each model on a test log (plus attention matrix)."""
     dataset = _read_records(test_path, "test")
-    models = {name: (path, _load_model_for(path, dataset, test_path)) for name, path in _by_stem(model_paths).items()}
-    extended = [extend_features(record.candidate_set) for record in dataset.records]
+    models = {name: (path, load_model(path)) for name, path in _by_stem(model_paths).items()}
     labels = np.concatenate([record.labels for record in dataset.records])
     report: dict = {}
     matrices = {}
     for name, (model_path, params) in models.items():
-        predictions, matrix = logged_predictions(params, extended, attention_size)
+        predictions, matrix = logged_predictions(params, dataset.records, attention_size)
         try:
             metrics = metric_report(predictions, labels)
         except NonFiniteError:
@@ -325,7 +312,8 @@ def bench(ctx, model_paths, sizes, beams, reps):
 def oracle_compare(ctx, model_path, log_path, max_n, beams):
     """Compare beam-search GMV against the exhaustive oracle on small prefixes."""
     dataset = _read_records(log_path, "oracle-compare")
-    params = _load_model_for(model_path, dataset, log_path)
+    params = load_model(model_path)
+    params.config.require_d(dataset.records)
     params.require("oracle-compare", "recurrent")
     beam_sizes = _parse_int_list("--beams", beams)
     rows = []

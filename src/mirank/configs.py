@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .core import MirankError, ValidationError, _whole
+from .core import MirankError, QueryRecord, ValidationError, _whole
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,13 @@ class ModelConfig:
 
     def input_dim(self, variant: str) -> int:
         return 2 * self.d if variant_traits(variant).extended else self.d
+
+    def require_d(self, records: Sequence[QueryRecord]) -> None:
+        """A ValidationError naming the first of ``records`` whose feature dimension is not ``d``."""
+        for record in records:
+            d = record.candidate_set.feature_matrix.shape[1]
+            if d != self.d:
+                raise ValidationError(f"record {record.query_id} has d={d} features, the model takes d={self.d}")
 
 
 def expected_block_shapes(variant: str, config: ModelConfig) -> dict[str, tuple[int, ...]]:

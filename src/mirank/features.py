@@ -8,11 +8,13 @@ position per dimension. Local and global vectors are concatenated into a
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .core import CandidateSet
+from .core import CandidateSet, QueryRecord
 
-__all__ = ["extend_features", "extend_feature_matrix"]
+__all__ = ["extend_features", "extend_feature_matrix", "record_rows"]
 
 # A dimension where every item shares the same value carries no relative
 # information; the formula divides by zero there. 0.5 is the neutral midpoint.
@@ -43,3 +45,17 @@ def extend_features(candidates: CandidateSet) -> np.ndarray:
     time proportional to N * d and depends only on the set, not on any order.
     """
     return extend_feature_matrix(candidates.feature_matrix)
+
+
+def record_rows(records: Sequence[QueryRecord], extended: bool) -> np.ndarray:
+    """The (n, F) rows of every item of the non-empty ``records`` of one d, in
+    log order: local features, or each record's own extension if ``extended``,
+    filled record by record into one preallocated array."""
+    d = records[0].candidate_set.feature_matrix.shape[1]
+    rows = np.empty((sum(len(record) for record in records), 2 * d if extended else d))
+    start = 0
+    for record in records:
+        local = record.candidate_set.feature_matrix
+        rows[start : start + len(local)] = extend_feature_matrix(local) if extended else local
+        start += len(local)
+    return rows

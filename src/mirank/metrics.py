@@ -12,7 +12,8 @@ import numpy as np
 from . import nn
 from .configs import ATTENTION_SIZE, BEAM_SIZE, ModelParams, whole_at_least
 from .core import CandidateSet, MirankError, NonFiniteError, QueryRecord, Ranking, ValidationError, make_rng, naming
-from .features import extend_features
+# perfbench/tracer.py wraps extend_features here, by this name.
+from .features import extend_feature_matrix, extend_features, record_rows  # noqa: F401
 from .models import item_probabilities
 from .nn.common import cross_entropy_batch
 from .ranker import _require_full_ranking, rank
@@ -202,7 +203,7 @@ def attention_diagnostic(
     """
     params.require("attention_diagnostic", "attention")
     size = whole_at_least("attention_size", size)
-    qualifying = [extend_features(r.candidate_set) for r in records if len(r) >= size]
+    qualifying = [record for record in records if len(record) >= size]
     return logged_predictions(params, qualifying, attention_size=size)[1]
 
 
@@ -213,63 +214,57 @@ LOG_CHUNK = 64
 
 
 def logged_predictions(
-    params: ModelParams, extended: Sequence[np.ndarray], attention_size: int | None = None
+    params: ModelParams, records: Sequence[QueryRecord], attention_size: int | None = None
 ) -> tuple[np.ndarray, AttentionMatrix | None]:
-    """Purchase probabilities at every logged position of a log, batched.
+    """Purchase probabilities at every logged position of ``records``, batched.
 
-    ``extended`` holds each record's extended features with rows in logged
-    order (one list can serve every model; the baseline reads its local
-    half). Returns (probs, attention): probs concatenates the records in log
-    order; attention is, for a mirnn_attention model given ``attention_size``,
-    the :func:`attention_diagnostic` matrix over the records at least that
-    long, read from the same forward pass, and None otherwise.
+    Returns (probs, attention): probs concatenates the records in log order;
+    attention is, for a mirnn_attention model given ``attention_size``, the
+    :func:`attention_diagnostic` matrix over the records at least that long,
+    read from the same forward pass, and None otherwise.
 
     A recurrent model scores records of one length together, shortest first
     and in log order within a length, in (B, T, F) batches of at most
-    LOG_CHUNK records; memory holds one batch's states. A record's batch holds
-    only records of its length, so the attention matrix is the same bits
-    whether or not shorter records are in the log.
+    LOG_CHUNK records, each extended as one stack: memory holds one batch,
+    never an extended copy of the log. A record's batch holds only records of
+    its length, so the attention matrix is the same bits whether or not
+    shorter records are in the log.
 
     Before any scoring, a ValidationError rejects: an ``attention_size``,
-    for any variant, that is not a whole number of at least 1; a record
-    whose features are not (n, 2d) at the model's extended width, naming
-    it; an attention model given ``attention_size`` and no record that
-    long; and an empty log.
+    for any variant, that is not a whole number of at least 1; a record not
+    at the model's d, naming it; an attention model given ``attention_size``
+    and no record that long; and an empty log.
     """
     traits = params.traits
     if attention_size is not None:
         attention_size = whole_at_least("attention_size", attention_size)
     size = attention_size if traits.attention else None
-    width = 2 * params.config.d
-    for index, feats in enumerate(extended):
-        shape = np.shape(feats)
-        if len(shape) != 2 or shape[1] != width:
-            raise ValidationError(f"{params.variant} scores records of {width} extended features, "
-                                  f"record {index} has shape {shape}")
-    if size is not None and not any(len(feats) >= size for feats in extended):
+    params.config.require_d(records)
+    if size is not None and not any(len(record) >= size for record in records):
         raise ValidationError(f"no records of length >= {size} for the attention diagnostic")
-    if len(extended) == 0:
+    if len(records) == 0:
         raise ValidationError(f"{params.variant} needs at least one record to score")
     if not traits.recurrent:
-        rows, inverse = np.vstack(extended), None
+        rows, inverse = record_rows(records, traits.extended), None
         if not traits.extended:
             # Score each distinct item once: BLAS rounding can depend on a row's
             # place in the batch, which would split exact ties between repeats.
-            rows, inverse = np.unique(rows[:, : rows.shape[1] // 2], axis=0, return_inverse=True)
+            rows, inverse = np.unique(rows, axis=0, return_inverse=True)
         chunks = range(0, len(rows), ROW_CHUNK)
         probs = np.concatenate([item_probabilities(params, rows[s : s + ROW_CHUNK]) for s in chunks])
         return (probs if inverse is None else probs[inverse.ravel()]), None
-    per_record: list = [None] * len(extended)
+    per_record: list = [None] * len(records)
     total = np.zeros((size, size)) if size is not None else None
     count = 0
     by_length: dict[int, list[int]] = {}
-    for index, feats in enumerate(extended):
-        by_length.setdefault(len(feats), []).append(index)
+    for index, record in enumerate(records):
+        by_length.setdefault(len(record), []).append(index)
     for length, indices in sorted(by_length.items()):
         for start in range(0, len(indices), LOG_CHUNK):
             chunk = indices[start : start + LOG_CHUNK]
+            local = np.stack([records[i].candidate_set.feature_matrix for i in chunk])
             # An attribute lookup, so that a wrapper set on mirank.nn sees every pass.
-            probs, caches = nn.sequence_forward(params.blocks, np.stack([extended[i] for i in chunk]))
+            probs, caches = nn.sequence_forward(params.blocks, extend_feature_matrix(local))
             for row, index in enumerate(chunk):
                 per_record[index] = probs[row]
             if size is not None and length >= size:

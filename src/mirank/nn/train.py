@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..configs import ModelConfig, ModelParams, TrainConfig, expected_block_shapes, variant_traits
-from ..core import MirankError, QueryRecord, ValidationError, make_rng
-from ..features import extend_feature_matrix
+from ..core import MirankError, QueryRecord, make_rng
+from ..features import extend_feature_matrix, record_rows
 from .common import cross_entropy_batch, glorot_uniform
 from .mlp import mlp_backward, mlp_forward_batch
 from .recurrent import sequence_backward, sequence_forward
@@ -94,13 +94,13 @@ def batch_loss_and_grads(variant: str, blocks: dict[str, np.ndarray], x: np.ndar
     return loss, grads
 
 
-def _training_groups(variant: str, records: Sequence[QueryRecord], config: ModelConfig):
+def _training_groups(variant: str, records: Sequence[QueryRecord]):
     """The groups that mini-batches are drawn from, as (size, batch) pairs:
     ``batch(chosen)`` returns the features and labels at positions ``chosen``
     of the group.
 
     Feed-forward variants train on items: one group of all items in record
-    order, whose (n, F) rows are filled once, record by record. Recurrent
+    order, whose (n, F) rows are :func:`record_rows`. Recurrent
     variants train on whole records: one group per record length, shortest
     first, and each batch stacks and extends only its chosen records, giving
     (B, T, F) features and (B, T) labels. Each record's extension reads only
@@ -109,12 +109,7 @@ def _training_groups(variant: str, records: Sequence[QueryRecord], config: Model
     """
     traits = variant_traits(variant)
     if not traits.recurrent:
-        feats = np.empty((sum(len(record) for record in records), config.input_dim(variant)))
-        start = 0
-        for record in records:
-            local = record.candidate_set.feature_matrix
-            feats[start : start + len(local)] = extend_feature_matrix(local) if traits.extended else local
-            start += len(local)
+        feats = record_rows(records, traits.extended)
         labels = np.concatenate([record.labels for record in records]).astype(np.float64)
         return [(len(labels), lambda chosen: (feats[chosen], labels[chosen]))]
 
@@ -149,15 +144,12 @@ def train(
     records = tuple(records)
     if not records:
         raise MirankError("cannot train on an empty dataset")
-    for record in records:
-        d = record.candidate_set.feature_matrix.shape[1]
-        if d != model_config.d:
-            raise ValidationError(f"record {record.query_id} has d={d} features, the model takes d={model_config.d}")
+    model_config.require_d(records)
     rng = make_rng(seed)
     blocks = init_blocks(variant, model_config, rng)
     state = AdamState()
     batch_size = train_config.sequence_batch_size if variant_traits(variant).recurrent else train_config.batch_size
-    groups = _training_groups(variant, records, model_config)
+    groups = _training_groups(variant, records)
     n_items = sum(len(record) for record in records)
     curve: list[float] = []
     diverged_at = None

@@ -47,7 +47,7 @@ def _report(num: int, ok: bool, detail: str, capsys) -> None:
 
 
 def _test_predictions(params, records):
-    predictions, _ = logged_predictions(params, [extend_features(r.candidate_set) for r in records])
+    predictions, _ = logged_predictions(params, records)
     return predictions, np.concatenate([np.array(record.labels) for record in records])
 
 

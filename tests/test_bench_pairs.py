@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -25,7 +26,8 @@ from bench_pairs import (  # noqa: E402
 
 RSS = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
 GENERATED = {"generate_s": 0.4, "generate_peak_rss_mb": 90.0, "generate_sha256": {"train.jsonl": "t", "test.jsonl": "s"},
-             "read_logs_s": 0.2, "read_logs_sha256": "r"}
+             "read_logs_s": 0.2, "read_logs_sha256": "r", "evaluate_s": 1.0, "evaluate_peak_rss_mb": 70.0,
+             "evaluate_sha256": {"metrics.json": "m", "attention_matrix_mirnn_attention.csv": "a"}}
 
 
 def _run(workload, pair, side, rss, faults, exit_code=0, digest="d0"):
@@ -156,8 +158,11 @@ def test_outputs_that_differ_within_a_pair_exit_1_after_the_file_is_written(chan
     assert report["generate_outputs_equal"] is True
 
 
-@pytest.mark.parametrize("key, value", (("generate_sha256", {"train.jsonl": "t2", "test.jsonl": "s"}),
-                                        ("read_logs_sha256", "r2")), ids=["written-bytes", "read-records"])
+@pytest.mark.parametrize("key, value", (
+    ("generate_sha256", {"train.jsonl": "t2", "test.jsonl": "s"}),
+    ("read_logs_sha256", "r2"),
+    ("evaluate_sha256", {"metrics.json": "m", "attention_matrix_mirnn_attention.csv": "a2"}),
+), ids=["written-bytes", "read-records", "evaluated-bytes"])
 def test_generate_runs_that_wrote_other_bytes_or_read_other_records_exit_1_after_the_file_is_written(
         key, value, tmp_path, monkeypatch):
     for side in ("base", "change"):
@@ -232,48 +237,89 @@ def test_generate_footprints_alternate_the_sides_and_compare_every_run_s_bytes(m
         calls.append(root)
         seconds = {"base": 1.0, "change": 0.35}[root] + len(calls) % 3 / 100
         return {**GENERATED, "generate_s": seconds, "generate_peak_rss_mb": 100.0 + len(calls),
-                "read_logs_s": seconds / 2}
+                "read_logs_s": seconds / 2, "evaluate_s": 2 * seconds, "evaluate_peak_rss_mb": 60.0 + len(calls)}
 
     monkeypatch.setattr(bench_pairs, "generate_footprint", footprint)
     figures, equal = generate_footprints({"base": "base", "change": "change"})
     assert calls == ["base", "change", "change", "base"] * 2 + ["base", "change"]
     assert equal is True
     assert figures["base"] == {"generate_s": 1.01, "generate_peak_rss_mb": 105.0, "read_logs_s": 0.505,
-                               "generate_sha256": GENERATED["generate_sha256"], "read_logs_sha256": "r"}
+                               "evaluate_s": 2.02, "evaluate_peak_rss_mb": 65.0,
+                               "generate_sha256": GENERATED["generate_sha256"], "read_logs_sha256": "r",
+                               "evaluate_sha256": GENERATED["evaluate_sha256"]}
     assert figures["change"]["generate_s"] == 0.36 and figures["change"]["generate_peak_rss_mb"] == 106.0
     assert figures["change"]["read_logs_s"] == 0.18
+    assert figures["change"]["evaluate_s"] == 0.72 and figures["change"]["evaluate_peak_rss_mb"] == 66.0
     runs = iter([GENERATED] * 6 + [None] + [GENERATED] * 3)  # the fourth change run fails
     monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: next(runs))
     figures, equal = generate_footprints({"base": "base", "change": "change"})
     assert equal is False and figures["change"]["generate_s"] is None and figures["base"]["generate_s"] == 0.4
     assert figures["change"]["read_logs_s"] is None and figures["base"]["read_logs_s"] == 0.2
-    for other in ({"generate_sha256": {"train.jsonl": "t", "test.jsonl": "x"}}, {"read_logs_sha256": "x"}):
+    assert figures["change"]["evaluate_peak_rss_mb"] is None and figures["base"]["evaluate_peak_rss_mb"] == 70.0
+    for other in ({"generate_sha256": {"train.jsonl": "t", "test.jsonl": "x"}}, {"read_logs_sha256": "x"},
+                  {"evaluate_sha256": {"metrics.json": "x", "attention_matrix_mirnn_attention.csv": "a"}}):
         runs = iter([GENERATED] * 9 + [{**GENERATED, **other}])
         monkeypatch.setattr(bench_pairs, "generate_footprint", lambda root: next(runs))
         assert generate_footprints({"base": "base", "change": "change"})[1] is False
 
 
-def test_generate_footprint_runs_the_tree_s_cli_and_reader_and_digests_what_they_gave(tmp_path):
-    """The command is the tree's own ``mirank --seed 3 generate``, and the
-    reader the tree's own ``read_logs`` of the train.jsonl it wrote; a tree
-    whose command or reader fails measures None."""
+def test_generate_footprint_runs_the_tree_s_cli_reader_and_models_and_digests_what_they_gave(tmp_path):
+    """The commands are the tree's own ``mirank --seed 3 generate`` and its
+    ``evaluate`` of the train.jsonl written, by the models the tree's own
+    ``init_model`` and ``save_model`` made, one per variant of its own; the
+    reader is the tree's own ``read_logs`` of that file. A tree whose
+    command, reader or model saving fails measures None."""
     cli = ("import sys\nfrom pathlib import Path\n"
-           "assert sys.argv[1:3] == ['--seed', '3'] and sys.argv[-1] == 'generate'\n"
+           "assert sys.argv[1:3] == ['--seed', '3'] and sys.argv[3] == '--output-dir'\n"
            "out = Path(sys.argv[4])\n"
-           "(out / 'train.jsonl').write_text('train')\n(out / 'test.jsonl').write_text('test')\n")
+           "if sys.argv[5:] == ['generate']:\n"
+           "    (out / 'train.jsonl').write_text('train')\n    (out / 'test.jsonl').write_text('test')\n"
+           "else:\n"
+           "    log, *models = sys.argv[6:]\n"
+           "    assert sys.argv[5] == 'evaluate' and Path(log).read_text() == 'train'\n"
+           "    assert [Path(m).name for m in models] == ['a.model', 'b.model']\n"
+           "    out.mkdir()\n"
+           "    (out / 'metrics.json').write_text(' '.join(Path(m).read_text() for m in models))\n"
+           "    (out / 'attention_matrix_mirnn_attention.csv').write_text('csv')\n")
+    init = ("from pathlib import Path\nModelConfig = dict\n"
+            "def init_model(variant, config, seed):\n    return f'{variant} {sorted(config)} {seed}'\n"
+            "def save_model(params, path):\n"
+            "    Path(path).parent.mkdir(exist_ok=True)\n    Path(path).write_text(params)\n")
     reader = ("from pathlib import Path\nfrom types import SimpleNamespace\n"
               "def read_logs(path):\n"
               "    assert Path(path).name == 'train.jsonl' and Path(path).read_text() == 'train'\n"
               "    return SimpleNamespace(records=())\n")
-    root = _package(tmp_path / "ok", "", cli)
-    (root / "src" / "mirank" / "persistence.py").write_text(reader)
-    run = generate_footprint(root)
+
+    def tree(name, init=init, cli=cli, reader=reader):
+        root = _package(tmp_path / name, init, cli)
+        (root / "src" / "mirank" / "persistence.py").write_text(reader)
+        (root / "src" / "mirank" / "configs.py").write_text("VARIANTS = ('b', 'a')\n")
+        return root
+
+    run = generate_footprint(tree("ok"))
     assert run["generate_sha256"] == {name: hashlib.sha256(text).hexdigest()
                                       for name, text in (("train.jsonl", b"train"), ("test.jsonl", b"test"))}
     assert run["generate_s"] > 0 and run["generate_peak_rss_mb"] > 0
     assert run["read_logs_sha256"] == hashlib.sha256().hexdigest() and run["read_logs_s"] >= 0
+    assert run["evaluate_sha256"] == {name: hashlib.sha256(text).hexdigest() for name, text in (
+        ("metrics.json", b"a [] 0 b [] 0"), ("attention_matrix_mirnn_attention.csv", b"csv"))}
+    assert run["evaluate_s"] > 0 and run["evaluate_peak_rss_mb"] > 0
     assert generate_footprint(_package(tmp_path / "broken", "", "raise SystemExit(2)\n")) is None
-    assert generate_footprint(_package(tmp_path / "no-reader", "", cli)) is None
+    assert generate_footprint(tree("no-reader", reader="")) is None
+    assert generate_footprint(tree("no-models", init="")) is None
+    assert generate_footprint(tree("no-evaluate", cli=cli.replace("else:", "else:\n    raise SystemExit(2)"))) is None
+
+
+def test_save_models_saves_one_fresh_default_model_per_variant(tmp_path):
+    from mirank import ModelConfig, init_model, load_model
+    from mirank.configs import VARIANTS
+
+    bench_pairs.save_models(str(tmp_path / "models"))
+    assert sorted(path.name for path in (tmp_path / "models").iterdir()) == sorted(f"{v}.model" for v in VARIANTS)
+    for variant in VARIANTS:
+        saved, fresh = load_model(tmp_path / "models" / f"{variant}.model"), init_model(variant, ModelConfig(), seed=0)
+        assert saved.variant == variant and saved.config == fresh.config
+        assert all(np.array_equal(saved.blocks[name], block) for name, block in fresh.blocks.items())
 
 
 def test_read_records_digests_every_bit_of_the_records_read(tmp_path):

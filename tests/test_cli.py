@@ -541,7 +541,9 @@ class TestExitCodes:
         (("bench", "{model}", "--sizes", "5"), "--sizes"),
         (("bench", "{model}", "--sizes", "5,5"), "--sizes"),
         (("bench", "{model}", "--sizes", "0,5"), "--sizes"),
+        (("bench", "{model}", "--sizes", "5,,8"), "--sizes"),
         (("oracle-compare", "{model}", "{log}", "--beams", ""), "--beams"),
+        (("oracle-compare", "{model}", "{log}", "--beams", "4,"), "--beams"),
         (("oracle-compare", "{model}", "{log}", "--max-n", "0"), "--max-n"),
         (("oracle-compare", "{model}", "{log}", "--max-n", "-3"), "--max-n"),
         (("generate", "--n-queries", "10", "--train-fraction", "1.5"), "train_fraction"),
@@ -550,6 +552,7 @@ class TestExitCodes:
         (("generate", "--items-per-query", "0"), "items_per_query"),
         (("generate", "--items-per-query", "-1"), "items_per_query"),
         (("train", "mirnn", "{log}", "--hidden-sizes", "4,a"), "--hidden-sizes"),
+        (("train", "mirnn", "{log}", "--hidden-sizes", "3,,4"), "--hidden-sizes"),
         (("--seed", "-1", "generate"), "--seed"),
         (("generate", "--no-such-flag"), "--no-such-flag"),
         (("generate", "--ranking-policy", "random"), "--ranking-policy"),
@@ -559,13 +562,14 @@ class TestExitCodes:
         ((), "Missing command"),
     ), ids=(
         "attention-size-negative", "reps-0", "sizes-empty", "sizes-text", "sizes-one", "sizes-repeated",
-        "sizes-0", "beams-empty", "max-n-0", "max-n-negative", "train-fraction-above-1", "n-queries-negative", "d-0",
-        "items-per-query-0", "items-per-query-negative", "hidden-sizes-text", "seed-negative", "unknown-option",
+        "sizes-0", "sizes-empty-part", "beams-empty", "beams-trailing-comma", "max-n-0", "max-n-negative",
+        "train-fraction-above-1", "n-queries-negative", "d-0", "items-per-query-0", "items-per-query-negative",
+        "hidden-sizes-text", "hidden-sizes-empty-part", "seed-negative", "unknown-option",
         "retired-ranking-policy", "missing-argument", "unknown-variant", "unknown-command", "no-command",
     ))
     def test_bad_list_or_count_is_validation(self, args, named, tmp_path, capsys):
-        """Each of these once ended in a traceback, or in exit 0 with a NaN
-        or an out-of-range split; click's own rejections (the last seven) once
+        """Each of these once ended in a traceback, or in exit 0 with a NaN,
+        an out-of-range split or an empty list part dropped; click's own rejections (the last seven) once
         printed a usage block above an `Error:` line. Now each prints one
         `error:` line, exits 2 and makes no output directory."""
         out = tmp_path / "run"
@@ -760,10 +764,12 @@ class TestExitCodes:
         ((), "lstm_hidden: abc\n"),
         (("--hidden-sizes", ","), ""),
         (("--hidden-sizes", "0,4"), ""),
+        (("--hidden-sizes", "3,,4"), ""),
+        (("--hidden-sizes", "4,"), ""),
         (("--lstm-hidden", "0"), ""),
     ), ids=(
         "epochs-0", "batch-size-0", "scalar-hidden-sizes", "text-lstm-hidden",
-        "empty-hidden-sizes", "zero-hidden-size", "lstm-hidden-0",
+        "empty-hidden-sizes", "zero-hidden-size", "empty-hidden-size", "trailing-comma-hidden-sizes", "lstm-hidden-0",
     ))
     def test_bad_train_config_is_validation(self, flags, config, tmp_path):
         out = tmp_path / "run"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mirank import CandidateSet, ModelConfig, Ranking, TrainConfig, extend_features, init_model
+from mirank import CandidateSet, ModelConfig, Ranking, TrainConfig, init_model
 from mirank.configs import VARIANTS
 from mirank.core import make_rng
 from mirank.metrics import logged_predictions
@@ -69,9 +69,8 @@ def test_a_record_scores_alike_alone_and_in_a_log_within_a_bound(variant):
     last bit with the records batched beside it, so they agree only within
     1e-15; a feed-forward model's agree exactly."""
     params = TRAINED[variant]
-    extended = [extend_features(record.candidate_set) for record in LOG]
-    alone, _ = logged_predictions(params, extended[:7])
-    inside = logged_predictions(params, extended)[0][: len(alone)]
+    alone, _ = logged_predictions(params, LOG[:7])
+    inside = logged_predictions(params, LOG)[0][: len(alone)]
     if params.traits.recurrent:
         assert np.max(np.abs(alone - inside)) <= 1e-15
     else:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,8 +229,7 @@ class TestLoggedPredictions:
         monkeypatch.setattr(metrics, "LOG_CHUNK", 2)
         records = mixed_length_log(MIXED_LENGTHS, d=3)
         params = init_model(variant, SMALL, seed=2)
-        extended = [extend_features(r.candidate_set) for r in records]
-        batched, attention = logged_predictions(params, extended)
+        batched, attention = logged_predictions(params, records)
         expected = np.concatenate([_per_record_predictions(params, r) for r in records])
         assert attention is None
         assert batched.shape == expected.shape
@@ -241,7 +241,7 @@ class TestLoggedPredictions:
         or the item's row in it."""
         records = mixed_length_log((20, 13, 7, 31, 20, 5, 26, 11), d=23)
         params = init_model("baseline", ModelConfig(d=23), seed=3)
-        probs, _ = logged_predictions(params, [extend_features(r.candidate_set) for r in records])
+        probs, _ = logged_predictions(params, records)
         by_item: dict[int, set] = {}
         ids = [item_id for r in records for item_id in r.candidate_set.ids.tolist()]
         for item_id, p in zip(ids, probs):
@@ -251,37 +251,25 @@ class TestLoggedPredictions:
         assert all(len(by_item[item_id]) == 1 for item_id in repeated)
 
     @pytest.mark.parametrize("variant", ["baseline", "midnn", "mirnn", "mirnn_attention"])
-    def test_rejects_records_not_at_the_extended_width(self, variant, rng):
-        """Every record must be (n, 2d), whatever the variant reads of it.
-        mirnn and mirnn_attention once ended in numpy's raw matmul ValueError
-        on width-8 rows, a log of widths 6 and 8 in np.vstack's or np.stack's,
-        the baseline scored width-7 rows from their first 3 columns, and
-        named all-zero rows by their shape after np.unique."""
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_rejects_a_record_not_at_the_model_d(self, variant, d):
+        """Every record must have the model's d, whatever the variant reads of
+        it, and the error names the first that does not, in train's words. A
+        ragged, 1-D or misshapen feature matrix cannot reach here: a
+        CandidateSet rejects it at construction."""
         params = init_model(variant, SMALL, seed=0)
-        good = rng.standard_normal((4, 6))
-        logs = [
-            ([rng.standard_normal((4, 8))], 0),
-            ([good, rng.standard_normal((4, 8))], 1),
-            ([rng.standard_normal((4, 7))], 0),
-            ([np.zeros((4, 8))], 0),
-            ([good, good[0]], 1),
-        ]
-        for extended, index in logs:
-            shape = re.escape(str(extended[index].shape))
-            with pytest.raises(ValidationError, match=rf"^{variant} scores records of 6 extended features, "
-                                                      rf"record {index} has shape {shape}$"):
-                logged_predictions(params, extended, attention_size=2)
-        if params.traits.attention:
-            wide = mixed_length_log((4, 5), d=4)
-            for records in (wide, mixed_length_log((4, 5), d=3) + wide):
-                index = len(records) - len(wide)
-                with pytest.raises(ValidationError, match=rf"^{variant} scores records of 6 extended features, "
-                                                          rf"record {index} has shape \(4, 8\)$"):
+        good = mixed_length_log((4, 5), d=3)
+        other = [dataclasses.replace(r, query_id=f"w{i}") for i, r in enumerate(mixed_length_log((4, 5), d=d))]
+        message = rf"^record w0 has d={d} features, the model takes d=3$"
+        for records in (other, good + other, other + good):
+            with pytest.raises(ValidationError, match=message):
+                logged_predictions(params, records, attention_size=2)
+            if params.traits.attention:
+                with pytest.raises(ValidationError, match=message):
                     attention_diagnostic(params, records, size=2)
 
-
     @pytest.mark.parametrize("variant", ["baseline", "midnn", "mirnn", "mirnn_attention"])
-    def test_rejects_an_empty_log_and_an_attention_size_below_1_or_not_whole(self, variant, rng):
+    def test_rejects_an_empty_log_and_an_attention_size_below_1_or_not_whole(self, variant):
         """Both are checked before any scoring. An empty log once ended in
         numpy's raw "need at least one array to concatenate" ValueError;
         attention_size 0 gave mirnn_attention an empty (0, 0) matrix, -1 a
@@ -289,7 +277,7 @@ class TestLoggedPredictions:
         params = init_model(variant, SMALL, seed=0)
         with pytest.raises(ValidationError, match=rf"^{variant} needs at least one record to score$"):
             logged_predictions(params, [])
-        log = [rng.standard_normal((4, 6))]
+        log = mixed_length_log((4,), d=3)
         for size in (0, -1, 2.5, True):
             with pytest.raises(ValidationError, match="attention_size"):
                 logged_predictions(params, log, attention_size=size)
@@ -331,9 +319,8 @@ class TestBatchedAttentionDiagnostic:
         bit for bit."""
         records = mixed_length_log(MIXED_LENGTHS, d=3)
         params = init_model("mirnn_attention", SMALL, seed=6)
-        extended = [extend_features(r.candidate_set) for r in records]
-        probs, matrix = logged_predictions(params, extended, attention_size=self.SIZE)
-        alone, _ = logged_predictions(params, extended)
+        probs, matrix = logged_predictions(params, records, attention_size=self.SIZE)
+        alone, _ = logged_predictions(params, records)
         direct = attention_diagnostic(params, records, size=self.SIZE)
         assert np.array_equal(probs, alone)
         assert matrix.n_records == direct.n_records
@@ -341,10 +328,33 @@ class TestBatchedAttentionDiagnostic:
 
     def test_other_variants_ignore_attention_size(self):
         records = mixed_length_log(MIXED_LENGTHS, d=3)
-        extended = [extend_features(r.candidate_set) for r in records]
         for variant in ("baseline", "midnn", "mirnn"):
-            _, matrix = logged_predictions(init_model(variant, SMALL, seed=0), extended, attention_size=4)
+            _, matrix = logged_predictions(init_model(variant, SMALL, seed=0), records, attention_size=4)
             assert matrix is None
+
+
+class TestScoringMemory:
+    """Scoring a log holds the records plus one batch: each recurrent batch
+    extends only its own records. Peaks are tracemalloc's, at the default
+    model size (d=23, so 46 extended features), with the records built
+    before the measured span."""
+
+    @staticmethod
+    def _peak(params, records):
+        tracemalloc.start()
+        try:
+            logged_predictions(params, records, attention_size=10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_recurrent_peak_does_not_follow_the_log(self):
+        """An extended copy of every record, made before scoring, made the
+        peak over 640 records 3.05x that over 64."""
+        params = init_model("mirnn_attention", ModelConfig(), seed=4)
+        records = mixed_length_log((20,) * (10 * metrics.LOG_CHUNK), d=23, seed=8)
+        ratio = self._peak(params, records) / self._peak(params, records[: metrics.LOG_CHUNK])
+        assert ratio < 1.3, ratio
 
 
 class TestLatencyBench:

@@ -69,7 +69,7 @@ def test_traced_log_scoring_counts_every_forward_pass(tracer, monkeypatch):
     wraps: a name bound at import would read 0 passes here."""
     import mirank.metrics
     from collections import Counter
-    from mirank import ModelConfig, extend_features, init_model
+    from mirank import ModelConfig, init_model
     from conftest import mixed_length_log
 
     monkeypatch.setattr(mirank.metrics, "LOG_CHUNK", 2)
@@ -77,9 +77,8 @@ def test_traced_log_scoring_counts_every_forward_pass(tracer, monkeypatch):
     records = mixed_length_log(lengths, d=3)
     config = ModelConfig(d=3, hidden_sizes=(4,), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=16)
     params = init_model("mirnn_attention", config, seed=0)
-    extended = [extend_features(record.candidate_set) for record in records]
     with tracer.Tracer(tracer.timed_phase_patches()) as traced:
-        mirank.metrics.logged_predictions(params, extended, attention_size=5)
+        mirank.metrics.logged_predictions(params, records, attention_size=5)
     groups = sum(-(-count // 2) for count in Counter(lengths).values())
     assert groups == 7
     assert traced.counts["nn.recurrent.sequence_forward.calls"] == groups

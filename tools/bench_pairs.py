@@ -35,16 +35,20 @@ over 7 fresh processes, run before the pairs with the sides alternating
 (:func:`import_footprints`), and its ``mirank --seed 3 generate`` run: the
 median wall time and peak RSS over 5 fresh processes, alternating likewise,
 and the SHA-256 of the ``train.jsonl`` and ``test.jsonl`` it wrote
-(:func:`generate_footprints`); and its ``read_logs`` of that ``train.jsonl``:
+(:func:`generate_footprints`); its ``read_logs`` of that ``train.jsonl``:
 the median wall time of the reads and the SHA-256 of the records read
-(:func:`read_records`), each run reading its own file in a fresh process.
+(:func:`read_records`), each run reading its own file in a fresh process;
+and its ``mirank evaluate`` of that ``train.jsonl`` by one fresh
+default-config model per variant that the tree saved: the median wall time
+and peak RSS of the process and the SHA-256 of the ``metrics.json`` and
+attention CSV it wrote (:func:`evaluate_footprint`).
 ``generate_outputs_equal`` says whether every one of those runs wrote the
-same bytes and read the same records.
+same bytes, read the same records and evaluated to the same bytes.
 
 The file is written in any case; the exit code is 1 when a run failed,
 when the two runs of a complete pair wrote different output digests, or when
-the ``generate`` runs did not all write the same bytes and read the same
-records, and 0 otherwise.
+the ``generate`` runs did not all write the same bytes, read the same
+records and evaluate to the same bytes, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ IMPORT_CODE = "import time; t = time.perf_counter(); import mirank, mirank.cli; 
 GENERATE_REPS = 5
 GENERATE_FILES = ("train.jsonl", "test.jsonl")
 READ_REPS = 3
+EVALUATE_FILES = ("metrics.json", "attention_matrix_mirnn_attention.csv")
 
 
 def src_tree(root: Path) -> dict:
@@ -161,6 +166,44 @@ def read_records(path: str, reps: int) -> tuple[float, str]:
     return statistics.median(times), digest.hexdigest()
 
 
+def save_models(directory: str) -> None:
+    """One fresh ``ModelConfig()`` model per variant, seed 0, saved as
+    ``<variant>.model`` in ``directory`` by the ``mirank`` that ``sys.path``
+    finds."""
+    from mirank import ModelConfig, init_model, save_model
+    from mirank.configs import VARIANTS
+
+    for variant in VARIANTS:
+        save_model(init_model(variant, ModelConfig(), seed=0), Path(directory) / f"{variant}.model")
+
+
+def _tools_env(env: dict) -> dict:
+    """``env`` with this script's directory on ``PYTHONPATH`` as well."""
+    return {**env, "PYTHONPATH": os.pathsep.join((env["PYTHONPATH"], str(Path(__file__).resolve().parent)))}
+
+
+def evaluate_footprint(root: Path, env: dict, log: Path) -> dict | None:
+    """One fresh process's ``mirank evaluate`` of ``log`` from ``root/src``,
+    in environment ``env``, by the models that another fresh process of the
+    tree saved with :func:`save_models` beside ``log``: ``evaluate_s``, the
+    wall time of the process, ``evaluate_peak_rss_mb``, its peak
+    ``ru_maxrss`` in MiB, and ``evaluate_sha256``, the SHA-256 of each of
+    EVALUATE_FILES it wrote. None when either process fails."""
+    models, out = log.parent / "models", log.parent / "evaluate"
+    save = f"import bench_pairs; bench_pairs.save_models({str(models)!r})"
+    if _run_child([sys.executable, "-c", save], root, _tools_env(env))[1] != 0:
+        return None
+    command = [sys.executable, "-m", "mirank.cli", "--seed", "3", "--output-dir", str(out), "evaluate", str(log),
+               *sorted(str(path) for path in models.glob("*.model"))]
+    start = time.perf_counter()
+    _, exit_code, usage = _run_child(command, root, env)
+    seconds = time.perf_counter() - start
+    if exit_code != 0:
+        return None
+    return {"evaluate_s": seconds, "evaluate_peak_rss_mb": usage.ru_maxrss / 1024,
+            "evaluate_sha256": {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EVALUATE_FILES}}
+
+
 def generate_footprint(root: Path) -> dict | None:
     """One fresh process's ``mirank --seed 3 generate`` from ``root/src``,
     with ``OPENBLAS_NUM_THREADS=1``, writing into a temporary directory:
@@ -169,7 +212,8 @@ def generate_footprint(root: Path) -> dict | None:
     each of GENERATE_FILES it wrote; then, in another fresh process,
     ``read_logs_s`` and ``read_logs_sha256``, the :func:`read_records` of the
     ``train.jsonl`` it wrote over READ_REPS reads by the tree's own
-    ``read_logs``. None when either process fails."""
+    ``read_logs``; then the :func:`evaluate_footprint` of that
+    ``train.jsonl``. None when any of these processes fails."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-generate-") as out:
         command = [sys.executable, "-m", "mirank.cli", "--seed", "3", "--output-dir", out, "generate"]
@@ -180,27 +224,30 @@ def generate_footprint(root: Path) -> dict | None:
             return None
         digests = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest() for name in GENERATE_FILES}
         read = f"import bench_pairs; print(*bench_pairs.read_records({str(Path(out) / 'train.jsonl')!r}, {READ_REPS}))"
-        read_env = {**env, "PYTHONPATH": os.pathsep.join((env["PYTHONPATH"], str(Path(__file__).resolve().parent)))}
-        stdout, exit_code, _ = _run_child([sys.executable, "-c", read], root, read_env)
+        stdout, exit_code, _ = _run_child([sys.executable, "-c", read], root, _tools_env(env))
         if exit_code != 0:
             return None
         read_seconds, read_digest = stdout.split()
+        evaluated = evaluate_footprint(root, env, Path(out) / "train.jsonl")
+        if evaluated is None:
+            return None
     return {"generate_s": seconds, "generate_peak_rss_mb": usage.ru_maxrss / 1024, "generate_sha256": digests,
-            "read_logs_s": float(read_seconds), "read_logs_sha256": read_digest}
+            "read_logs_s": float(read_seconds), "read_logs_sha256": read_digest, **evaluated}
 
 
 def generate_footprints(roots: dict[str, Path]) -> tuple[dict[str, dict], bool]:
     """Per side, the median of each :func:`generate_footprint` figure over
     GENERATE_REPS fresh processes, the side that goes first alternating (None
     when any of its side's runs failed), with the digests of its first run;
-    and whether every run of both sides succeeded, wrote the same bytes and
-    read the same records."""
+    and whether every run of both sides succeeded, wrote the same bytes,
+    read the same records and evaluated to the same bytes."""
     samples = _alternating(generate_footprint, roots, GENERATE_REPS)
     runs = [run for side_runs in samples.values() for run in side_runs]
-    digests = ("generate_sha256", "read_logs_sha256")
+    digests = ("generate_sha256", "read_logs_sha256", "evaluate_sha256")
     equal = None not in runs and len({json.dumps([run[key] for key in digests], sort_keys=True) for run in runs}) == 1
     figures = {
-        side: {**_medians(side_runs, ("generate_s", "generate_peak_rss_mb", "read_logs_s")),
+        side: {**_medians(side_runs, ("generate_s", "generate_peak_rss_mb", "read_logs_s", "evaluate_s",
+                                      "evaluate_peak_rss_mb")),
                **{key: side_runs[0] and side_runs[0][key] for key in digests}}
         for side, side_runs in samples.items()
     }
