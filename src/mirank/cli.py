@@ -18,7 +18,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .configs import ATTENTION_SIZE, BEAM_SIZE, VARIANT_TRAITS, VARIANTS, ModelConfig, TrainConfig, coerce, config_from
+from .configs import (ATTENTION_SIZE, BEAM_SIZE, VARIANT_TRAITS, VARIANTS, ModelConfig, TrainConfig, coerce, config_from,
+                      whole_at_least)
 from .core import MirankError, NonFiniteError, Ranking, ValidationError, naming
 # evaluate scores through logged_predictions alone; perfbench/tracer.py still wraps
 # extend_features, attention_diagnostic and the two scorers below here, by these names.
@@ -67,8 +68,14 @@ def _read_config(config_path: str) -> dict:
 
 
 def _resolve_config(ctx, flags: dict) -> dict:
-    """The defaults, overridden by the config file, overridden by the flags given."""
-    return {**DEFAULTS, **ctx.obj["config"], **{key: value for key, value in flags.items() if value is not None}}
+    """The defaults, overridden by the config file, overridden by the flags given: each
+    flag's text (a list flag's split at commas) converted by :func:`coerce` like a file value."""
+    given = {}
+    for key, text in flags.items():
+        if text is not None:
+            value = text.split(",") if isinstance(DEFAULTS[key], tuple) else text
+            given[key] = coerce("--" + key.replace("_", "-"), value, DEFAULTS[key], "option")
+    return {**DEFAULTS, **ctx.obj["config"], **given}
 
 
 def _by_stem(model_paths) -> dict[str, str]:
@@ -114,19 +121,6 @@ def _echo(message: str, err: bool = False) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout)
 
 
-def _parse_int_list(flag: str, text: str) -> list[int]:
-    """The integers of the comma-separated ``text`` given to option ``flag``;
-    an empty list, or a part that is not an integer of at least 1, is a
-    ValidationError that names ``flag``."""
-    try:
-        values = [int(part) for part in text.split(",")]
-    except ValueError:
-        values = []
-    if not values or min(values) < 1:
-        raise ValidationError(f"{flag} takes a comma-separated list of positive integers, got {text!r}")
-    return values
-
-
 def _read_records(path, role: str):
     """The Dataset of the JSONL log at ``path``; a log with no records is a
     ValidationError, whichever command reads it."""
@@ -147,16 +141,16 @@ def cli(ctx, seed, config_path, output_dir):
 
 
 @cli.command()
-@click.option("--n-queries", type=int, default=None)
-@click.option("--items-per-query", type=int, default=None)
-@click.option("--catalog-size", type=int, default=None)
-@click.option("--train-fraction", type=float, default=None)
-@click.option("--price-sensitivity", type=float, default=None)
-@click.option("--position-bias-strength", type=float, default=None)
-@click.option("--order-effect-strength", type=float, default=None)
-@click.option("--primacy-strength", type=float, default=None)
-@click.option("--base-rate", type=float, default=None)
-@click.option("--d", type=int, default=None)
+@click.option("--n-queries")
+@click.option("--items-per-query")
+@click.option("--catalog-size")
+@click.option("--train-fraction")
+@click.option("--price-sensitivity")
+@click.option("--position-bias-strength")
+@click.option("--order-effect-strength")
+@click.option("--primacy-strength")
+@click.option("--base-rate")
+@click.option("--d")
 @click.pass_context
 def generate(ctx, **flags):
     """Generate synthetic train/test query logs."""
@@ -184,18 +178,16 @@ def generate(ctx, **flags):
 @cli.command("train")
 @click.argument("variant", type=click.Choice(VARIANTS))
 @click.argument("train_path", type=click.Path(exists=True))
-@click.option("--epochs", type=int, default=None)
-@click.option("--batch-size", type=int, default=None, help="Feed-forward variants only.")
-@click.option("--learning-rate", type=float, default=None)
+@click.option("--epochs")
+@click.option("--batch-size", help="Feed-forward variants only.")
+@click.option("--learning-rate")
 @click.option("--hidden-sizes", help=f"Comma-separated, default {','.join(map(str, ModelConfig.hidden_sizes))}.")
-@click.option("--lstm-hidden", type=int, default=None)
+@click.option("--lstm-hidden")
 @click.pass_context
-def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
+def train_cmd(ctx, variant, train_path, **flags):
     """Train a model variant on a JSONL training log."""
     if flags["batch_size"] is not None and VARIANT_TRAITS[variant].recurrent:
         raise ValidationError(f"--batch-size sets the feed-forward batch; {variant} reads the sequence_batch_size config key")
-    if hidden_sizes is not None:
-        flags["hidden_sizes"] = _parse_int_list("--hidden-sizes", hidden_sizes)
     cfg = _resolve_config(ctx, flags)
     seed = ctx.obj["seed"]
     dataset = _read_records(train_path, "training")
@@ -213,7 +205,7 @@ def train_cmd(ctx, variant, train_path, hidden_sizes, **flags):
 @click.argument("model_path", type=click.Path(exists=True))
 @click.argument("log_path", type=click.Path(exists=True))
 @click.option("--rerank-size", type=click.IntRange(min=1), default=None, help="Top-N prefix to re-order; default: full record.")
-@click.option("--beam-size", type=int, default=None)
+@click.option("--beam-size")
 @click.pass_context
 def rerank(ctx, model_path, log_path, rerank_size, **flags):
     """Rerank the top-N prefix of each logged record with a trained model."""
@@ -288,11 +280,12 @@ def evaluate(ctx, test_path, model_paths, attention_size):
 @click.pass_context
 def bench(ctx, model_paths, sizes, beams, reps):
     """Measure ranking latency across rerank sizes and beam sizes."""
-    rerank_sizes = _parse_int_list("--sizes", sizes)
+    rerank_sizes = [whole_at_least("--sizes", part) for part in sizes.split(",")]
     if len(set(rerank_sizes)) < 2:
         raise ValidationError(f"--sizes needs at least two distinct rerank sizes to fit a slope, got {sizes!r}")
     models = {name: load_model(path) for name, path in _by_stem(model_paths).items()}
-    profile = latency_bench(models, rerank_sizes, _parse_int_list("--beams", beams), reps, ctx.obj["seed"])
+    beam_sizes = [whole_at_least("--beams", part) for part in beams.split(",")]
+    profile = latency_bench(models, rerank_sizes, beam_sizes, reps, ctx.obj["seed"])
     out = ctx.obj["out"]
     header = ["model", "rerank_size", "beam_size", "median_seconds", "min_seconds"]
     _write_csv(out / "latency.csv", ([row[key] for key in header] for row in profile.rows), header)
@@ -315,7 +308,7 @@ def oracle_compare(ctx, model_path, log_path, max_n, beams):
     params = load_model(model_path)
     params.config.require_d(dataset.records)
     params.require("oracle-compare", "recurrent")
-    beam_sizes = _parse_int_list("--beams", beams)
+    beam_sizes = [whole_at_least("--beams", part) for part in beams.split(",")]
     rows = []
     for record in dataset.records:
         subset = record.candidate_set.take(np.arange(min(max_n, len(record))))

@@ -163,8 +163,10 @@ class TrainConfig:
 
 def coerce(key: str, value: Any, default: Any, kind: str = "config key") -> Any:
     """``value`` converted to the type of ``default``: a tuple default takes a
-    list of ints, any other default's type is called on the value. A number
-    default takes no bool, and an int default no fraction: neither is cast.
+    list of ints, and any other default is a number whose type is called on
+    the value. No default takes a bool, and an int default no fraction: neither is cast.
+    A number given as text must be a plain ASCII literal such as ``'3'``,
+    ``'+5'`` or ``'1e-3'``: no ``_``, no surrounding blanks, no other digits.
 
     Raises:
         ValidationError: naming ``key`` as a ``kind`` when the value does not convert.
@@ -173,10 +175,13 @@ def coerce(key: str, value: Any, default: Any, kind: str = "config key") -> Any:
         if isinstance(default, tuple):
             if not isinstance(value, (list, tuple)):
                 raise TypeError("expected a list")
-            return tuple(coerce(key, v, 0) for v in value)
-        if isinstance(value, bool) and not isinstance(default, str):
+            return tuple(coerce(key, v, 0, kind) for v in value)
+        if isinstance(value, bool):
             raise TypeError("expected a number, not a bool")
-        if isinstance(default, int) and not isinstance(value, str) and not _whole(value):
+        if isinstance(value, str):
+            if not value.isascii() or "_" in value or value != value.strip():
+                raise ValueError("expected a plain ASCII number")
+        elif isinstance(default, int) and not _whole(value):
             raise ValueError("expected an integer")
         return type(default)(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -61,15 +61,25 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def _frozen(values, what: str) -> np.ndarray:
     """A read-only float64 copy of ``values``, so no caller keeps a writable
-    view of a set's data. The values must all be numbers: a string, a null or
-    any other non-number raises instead of being cast."""
+    view of a set's data. The values must all be numbers within the float64
+    range: a string, a null, any other non-number or an int too large for a
+    float raises instead of being cast."""
     array = np.array(values)
     if array.dtype.kind not in "biuf":
         # Only a failing check walks the values, to name the first offender;
-        # Python ints beyond int64 are numbers, cast below.
+        # Python ints beyond int64 are numbers, cast below if a float holds them.
         for value in np.array(values, dtype=object).ravel():
             if not isinstance(value, (int, float, np.number)):
                 raise ValidationError(f"{what} must be numbers, got {value!r}")
+            if isinstance(value, int):
+                try:
+                    float(value)
+                except OverflowError:
+                    from decimal import Decimal  # formats an int of any size, as repr does not
+
+                    raise ValidationError(
+                        f"{what} must be numbers within the float64 range, got {Decimal(value):.3e}"
+                    ) from None
         array = np.array(values, dtype=np.float64)
     array = array.astype(np.float64, copy=False)
     array.setflags(write=False)

@@ -292,16 +292,25 @@ def _decode_line(line: str, cache: dict[str, dict]) -> dict | None:
     return obj
 
 
+#: A byte that is not UTF-8, as ``errors="surrogateescape"`` decodes it; valid UTF-8 never decodes to one.
+_RAW_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def read_logs(path) -> Dataset:
     """Stream a JSONL log into a Dataset of train records only (a log does
     not store the split); malformed lines name their line number, with the
-    error of ``json.loads``, which reads each line :func:`_decode_line` does not."""
+    error of ``json.loads``, which reads each line :func:`_decode_line` does
+    not. A line that is not UTF-8 is malformed too: each line is decoded
+    with its bad bytes escaped, so the error names the line that holds one."""
     records: list[QueryRecord] = []
     cache: dict[str, dict] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            if not line.isascii() and (raw := _RAW_BYTE.search(line)):
+                byte = ord(raw.group()) - 0xDC00
+                raise LogFormatError(f"line {line_no}: not UTF-8 (byte 0x{byte:02x} at column {raw.start() + 1})")
             try:
                 obj = _decode_line(line, cache) or json.loads(line, parse_constant=_reject_constant)
             except ValueError as exc:

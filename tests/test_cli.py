@@ -10,19 +10,27 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
+import click
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import mirank
 
 from mirank import ModelConfig, init_model
 from mirank import persistence
-from mirank.cli import DEFAULTS, EXIT_DIVERGED, EXIT_IO, EXIT_VALIDATION, _write_csv, main
+from mirank import cli
+from mirank.cli import (DEFAULTS, EXIT_DIVERGED, EXIT_IO, EXIT_VALIDATION, _read_config, _resolve_config, _write_csv,
+                        main)
 from mirank.configs import VARIANTS, ModelParams
+from mirank.core import ValidationError
 from mirank.persistence import load_model, read_logs, save_model, write_logs
 from conftest import mixed_length_log
 
@@ -342,7 +350,8 @@ class TestConfigLayering:
         ("epochs: 1.5\n", EXIT_VALIDATION),
         ("epochs: [1\n", EXIT_VALIDATION),
         ("\xff: 1\n", EXIT_VALIDATION),
-    ), ids=("valid", "unknown-key", "list", "fractional", "malformed", "not-utf8"))
+        ('n_queries: "2_0"\n', EXIT_VALIDATION),
+    ), ids=("valid", "unknown-key", "list", "fractional", "malformed", "not-utf8", "underscore-text"))
     @pytest.mark.parametrize("command", ("evaluate", "bench", "oracle-compare"))
     def test_every_command_checks_the_config_file(self, command, config, code, tmp_path, capsys):
         """evaluate, bench and oracle-compare once ignored --config and exited
@@ -392,6 +401,18 @@ class TestExitCodes:
         bad_log = tmp_path / "bad.jsonl"
         bad_log.write_text("{broken\n")
         assert main(["rerank", str(out / "midnn.model"), str(bad_log)]) == EXIT_IO
+
+    @pytest.mark.parametrize("command", ("evaluate", "train"))
+    def test_log_that_is_not_utf8_is_io(self, command, tmp_path, capsys):
+        """Such a log once ended in a raw UnicodeDecodeError traceback, exit 1."""
+        model, log = tmp_path / "midnn.model", tmp_path / "bad.jsonl"
+        save_model(init_model("midnn", ModelConfig(d=2, hidden_sizes=(3,)), seed=0), model)
+        log.write_bytes(b"\xff\xfe\x00garbage\n")
+        args = [str(log), str(model)] if command == "evaluate" else ["midnn", str(log)]
+        out = tmp_path / "run"
+        assert main(["--output-dir", str(out), command, *args]) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == ["error: line 1: not UTF-8 (byte 0xff at column 1)"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "variant, extra",
@@ -553,6 +574,18 @@ class TestExitCodes:
         (("generate", "--items-per-query", "-1"), "items_per_query"),
         (("train", "mirnn", "{log}", "--hidden-sizes", "4,a"), "--hidden-sizes"),
         (("train", "mirnn", "{log}", "--hidden-sizes", "3,,4"), "--hidden-sizes"),
+        (("generate", "--n-queries", "2_0", "--catalog-size", "3_0"), "--n-queries"),
+        (("generate", "--catalog-size", "3_0"), "--catalog-size"),
+        (("generate", "--base-rate", " 0.3"), "--base-rate"),
+        (("train", "mirnn", "{log}", "--hidden-sizes", "1_0"), "option '--hidden-sizes'"),
+        (("train", "mirnn", "{log}", "--hidden-sizes", "4, 3"), "--hidden-sizes"),
+        (("train", "midnn", "{log}", "--epochs", "\u0663"), "--epochs"),
+        (("train", "mirnn", "{log}", "--lstm-hidden", "4 "), "--lstm-hidden"),
+        (("train", "mirnn", "{log}", "--learning-rate", "1e-3_0"), "--learning-rate"),
+        (("rerank", "{model}", "{log}", "--beam-size", "\uff13"), "--beam-size"),
+        (("bench", "{model}", "--sizes", "5, 1_0"), "--sizes"),
+        (("bench", "{model}", "--sizes", "5, 10"), "--sizes"),
+        (("oracle-compare", "{model}", "{log}", "--beams", "1_0"), "--beams"),
         (("--seed", "-1", "generate"), "--seed"),
         (("generate", "--no-such-flag"), "--no-such-flag"),
         (("generate", "--ranking-policy", "random"), "--ranking-policy"),
@@ -564,12 +597,16 @@ class TestExitCodes:
         "attention-size-negative", "reps-0", "sizes-empty", "sizes-text", "sizes-one", "sizes-repeated",
         "sizes-0", "sizes-empty-part", "beams-empty", "beams-trailing-comma", "max-n-0", "max-n-negative",
         "train-fraction-above-1", "n-queries-negative", "d-0", "items-per-query-0", "items-per-query-negative",
-        "hidden-sizes-text", "hidden-sizes-empty-part", "seed-negative", "unknown-option",
+        "hidden-sizes-text", "hidden-sizes-empty-part", "n-queries-underscore", "catalog-size-underscore",
+        "base-rate-blank", "hidden-sizes-underscore", "hidden-sizes-blank", "epochs-arabic-indic-digit",
+        "lstm-hidden-blank", "learning-rate-underscore", "beam-size-fullwidth-digit", "sizes-underscore",
+        "sizes-blank", "beams-underscore", "seed-negative", "unknown-option",
         "retired-ranking-policy", "missing-argument", "unknown-variant", "unknown-command", "no-command",
     ))
     def test_bad_list_or_count_is_validation(self, args, named, tmp_path, capsys):
         """Each of these once ended in a traceback, or in exit 0 with a NaN,
-        an out-of-range split or an empty list part dropped; click's own rejections (the last seven) once
+        an out-of-range split, an empty list part dropped or number text read
+        loosely (`2_0` as 20, `' 0.3'` as 0.3, the Arabic-Indic digit three as 3); click's own rejections (the last seven) once
         printed a usage block above an `Error:` line. Now each prints one
         `error:` line, exits 2 and makes no output directory."""
         out = tmp_path / "run"
@@ -583,6 +620,15 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], captured.err
         assert captured.out == "" and not (tmp_path / "bad").exists()
+
+    def test_signed_and_exponent_flag_text_converts(self, tmp_path):
+        """A sign and an exponent are part of a plain ASCII literal, so such flags still convert."""
+        out = tmp_path / "run"
+        assert _generate(out) == 0
+        assert main(["--output-dir", str(out), "train", "midnn", str(out / "train.jsonl"),
+                     "--epochs", "+1", "--learning-rate", "1e-3", "--hidden-sizes", "3,+2"]) == 0
+        resolved = json.loads((out / "manifest_train_midnn.json").read_text())["resolved_config"]
+        assert [resolved[key] for key in ("epochs", "learning_rate", "hidden_sizes")] == [1, 1e-3, [3, 2]]
 
     @staticmethod
     def _nan_model_run(tmp_path, command):
@@ -799,10 +845,17 @@ class TestExitCodes:
         ("hidden_sizes: [4.7, 3]\n", "hidden_sizes"),
         ("hidden_sizes: [4, false]\n", "hidden_sizes"),
         ("learning_rate: true\n", "learning_rate"),
-    ), ids=("fractional-epochs", "bool-epochs", "fractional-hidden-size", "bool-hidden-size", "bool-learning-rate"))
+        ('lstm_hidden: "1_0"\n', "lstm_hidden"),
+        ('epochs: " 1"\n', "epochs"),
+        ('hidden_sizes: ["\\u0663"]\n', "hidden_sizes"),
+    ), ids=(
+        "fractional-epochs", "bool-epochs", "fractional-hidden-size", "bool-hidden-size", "bool-learning-rate",
+        "underscore-lstm-hidden", "blank-epochs", "arabic-indic-digit-hidden-size",
+    ))
     def test_fractional_or_bool_config_number_is_validation(self, config, key, tmp_path, capsys):
         """An integer key takes no fraction and no bool, and a float key no
-        bool: each once trained with the value truncated and exited 0."""
+        bool: each once trained with the value truncated and exited 0. Number
+        text off the plain ASCII form once trained too, `"1_0"` as 10."""
         assert self._train_with_config(tmp_path, config) == EXIT_VALIDATION
         assert f"config key '{key}'" in capsys.readouterr().err
 
@@ -812,6 +865,49 @@ class TestExitCodes:
         resolved = json.loads((tmp_path / "manifest_train_midnn.json").read_text())["resolved_config"]
         keys = ("epochs", "batch_size", "hidden_sizes", "learning_rate")
         assert [resolved[key] for key in keys] == [2, 4, [3, 2], 0.01]
+
+
+def test_options_named_after_config_keys_take_text():
+    """Every option named after a config key is given to _resolve_config as
+    text, so the key's default alone decides its type; a click type on one
+    would convert it by a second rule."""
+    named = []
+    for command in cli.cli.commands.values():
+        for param in command.params:
+            if isinstance(param, click.Option) and param.name in DEFAULTS:
+                assert param.type is click.STRING, (command.name, param.name, param.type)
+                assert param.opts == ["--" + param.name.replace("_", "-")], (command.name, param.opts)
+                named.append(param.name)
+    assert sorted(named) == sorted((
+        "n_queries", "items_per_query", "catalog_size", "train_fraction", "price_sensitivity",
+        "position_bias_strength", "order_effect_strength", "primacy_strength", "base_rate", "d",
+        "epochs", "batch_size", "learning_rate", "hidden_sizes", "lstm_hidden", "beam_size",
+    ))
+
+
+def _converted(convert):
+    """What ``convert()`` returns, or ValidationError if it raises one."""
+    try:
+        return convert()
+    except ValidationError:
+        return ValidationError
+
+
+@seed(33)
+@settings(max_examples=100, deadline=None)
+@given(st.text(st.sampled_from("0123456789+-_ .e,\u0663\uff13\u0969"), max_size=6))
+def test_a_flag_and_a_quoted_config_value_are_one_rule(text):
+    """The same text given as a flag or as a quoted YAML value converts to
+    the same value, or is a ValidationError both ways; a list flag is split
+    at commas, so its YAML twin is the list of the quoted parts."""
+    ctx = SimpleNamespace(obj={"config": {}})
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.yaml"
+        for key in ("lstm_hidden", "learning_rate", "hidden_sizes"):
+            config.write_text(yaml.safe_dump({key: text.split(",") if key == "hidden_sizes" else text}))
+            from_flag = _converted(lambda: _resolve_config(ctx, {key: text})[key])
+            from_file = _converted(lambda: _read_config(str(config))[key])
+            assert from_flag == from_file, (key, text, from_flag, from_file)
 
 
 @pytest.mark.parametrize("module", ("scipy", "scipy.special", "scipy.stats", "yaml"))

@@ -42,7 +42,9 @@ class TestItem:
         with pytest.raises(ValidationError, match="must be integers"):
             CandidateSet([bad_id], [1.0], np.zeros((1, 2)))
 
-    @pytest.mark.parametrize("price, features", [("2.5", [1.0]), (None, [1.0]), (2.5, ["1.5"]), (2.5, [None])])
+    @pytest.mark.parametrize("price, features", [
+        ("2.5", [1.0]), (None, [1.0]), (2.5, ["1.5"]), (2.5, [None]),
+    ])
     def test_rejects_non_numeric_floats(self, price, features):
         with pytest.raises(ValidationError, match="must be numbers"):
             CandidateSet([0], [price], [features])
@@ -191,9 +193,10 @@ class TestQueryRecord:
         with pytest.raises(ValidationError, match="ground-truth probability"):
             QueryRecord("q1", self._items(2), (0, 1), ground_truth_probs=(0.5, prob))
 
-    @pytest.mark.parametrize("prob", ["0.5", None, b"0.5"])
+    @pytest.mark.parametrize("prob", ["0.5", None, b"0.5", pytest.param(10**400, id="huge-int")])
     def test_rejects_non_numeric_ground_truth(self, prob):
-        """A string or a null is not parsed or read as NaN: it raises."""
+        """A string or a null is not parsed or read as NaN, and an int too
+        large for a float is not an OverflowError: each is a ValidationError."""
         with pytest.raises(ValidationError, match="ground-truth probabilities must be numbers"):
             QueryRecord("q1", self._items(2), (0, 1), ground_truth_probs=(0.5, prob))
 
@@ -270,12 +273,19 @@ class TestValidateCandidateSet:
         ([2.5, 3.0], [["1.5", 0.0], [0.0, 1.0]], "local features"),
         ([2.5, 3.0], [[1.5, None], [0.0, 1.0]], "local features"),
         ([2.5, 3.0], [np.array(["1.5", "0"]), np.zeros(2)], "local features"),
+        pytest.param([10**400, 3.0], [[1.5, 0.0], [0.0, 1.0]], "prices", id="huge-int-price"),
+        pytest.param([2.5, 3.0], [[1.5, 0.0], [0.0, -10**400]], "local features", id="huge-int-feature"),
     ])
     def test_rejects_non_numeric_floats(self, prices, features, what):
-        """Float columns take numbers only: a string is not parsed and a null
-        is not read as NaN; the message names the column and the value."""
+        """Float columns take numbers only: a string is not parsed, a null
+        is not read as NaN, and an int too large for a float is not a bare
+        OverflowError; the message names the column and the value."""
         with pytest.raises(ValidationError, match=f"{what} must be numbers"):
             CandidateSet([0, 1], prices, features)
+
+    def test_int_beyond_the_float_range_is_named(self):
+        with pytest.raises(ValidationError, match=r"^prices must be numbers within the float64 range, got 1\.000e\+5000$"):
+            CandidateSet([0], [10**5000], [[1.0]])
 
     def test_integer_floats_are_accepted(self):
         cs = CandidateSet([0, 1], [2, 10**20], [[1, 0], [0, 1]])

@@ -27,6 +27,7 @@ from mirank.persistence import (
     read_logs,
     write_logs,
 )
+from conftest import mixed_length_log
 
 SMALL = ModelConfig(d=3, hidden_sizes=(5, 4), lstm_hidden=4, attn_size=3, pos_size=2, max_positions=12)
 
@@ -376,10 +377,20 @@ def _query_records(log):
 
 def _reference_read(path):
     """The records of a log read line by line with ``json.loads`` and
-    ``_parse_record``, as ``read_logs`` read it before it kept decoded items."""
+    ``_parse_record``, as ``read_logs`` read it before it kept decoded items.
+    Each line is split as text mode splits it, at ``\n``, ``\r\n`` or ``\r``,
+    and decoded as UTF-8 on its own; the first that does not decode is named."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="latin-1") as handle:  # one character per byte
         for line_no, line in enumerate(handle, start=1):
+            data = line.encode("latin-1")
+            try:
+                line = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                column = len(data[:exc.start].decode("utf-8")) + 1
+                raise LogFormatError(
+                    f"line {line_no}: not UTF-8 (byte 0x{data[exc.start]:02x} at column {column})"
+                ) from None
             if not line.strip():
                 continue
             try:
@@ -421,7 +432,8 @@ def test_read_records_are_json_loads_of_each_line(log, cache_size, edits):
     """read_logs returns the records that json.loads and _parse_record give
     line by line, bit for bit, or raises the same error with the same text:
     whether items repeat or not, with more distinct items than the cache
-    holds, and with up to two bytes of the written log overwritten."""
+    holds, and with up to two bytes of the written log overwritten, a byte
+    that leaves a line not UTF-8 included."""
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
         patch.setattr(persistence, "_ITEM_CACHE_SIZE", cache_size)
         path = Path(tmp) / "logs.jsonl"
@@ -450,6 +462,24 @@ class TestLogErrors:
             handle.write('{"query_id": "q1", "items": [{"id": 0, "price": %s, "features": [0.5]}], "labels": [1]}\n' % constant)
         with pytest.raises(LogFormatError, match=f"line 2.*{constant}"):
             read_logs(path)
+
+    @pytest.mark.parametrize("newline", ("\n", "\r\n", "\r"), ids=("lf", "crlf", "cr"))
+    @pytest.mark.parametrize("bad_line", (1, 2, 5))
+    def test_line_that_is_not_utf8_is_named(self, newline, bad_line, tmp_path):
+        """A byte that is not UTF-8 once ended in a raw UnicodeDecodeError,
+        raised while the reader filled its buffer, before any line was parsed:
+        the error names the line that holds it, however lines end."""
+        good = tmp_path / "good.jsonl"
+        write_logs(mixed_length_log((3, 2, 4, 3, 2), d=2), good)
+        lines = good.read_bytes().decode("utf-8").splitlines()
+        data = [line.encode("utf-8") for line in lines]
+        data[bad_line - 1] = data[bad_line - 1][:20] + b"\xc3(" + data[bad_line - 1][20:]
+        path = tmp_path / "logs.jsonl"
+        path.write_bytes(newline.encode().join(data) + newline.encode())
+        with pytest.raises(LogFormatError, match=f"^line {bad_line}: not UTF-8 \\(byte 0xc3 at column 21\\)$"):
+            read_logs(path)
+        path.write_bytes(newline.encode().join(line.encode("utf-8") for line in lines))
+        assert _outcome(_read_records, path) == _outcome(_read_records, good)
 
     def test_non_object_line(self, tmp_path):
         path = tmp_path / "logs.jsonl"
